@@ -1,6 +1,7 @@
 // Microbenchmarks of the solver kernels: state-space enumeration, level
-// matrix assembly, dense LU, epoch propagation, steady-state iteration,
-// matrix exponential, PH sampling and one simulator replication.
+// matrix assembly, dense LU factorization and left solve, the Neumann level
+// solve, epoch propagation, steady-state iteration, matrix exponential, PH
+// sampling and one simulator replication.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "cluster/experiments.h"
 #include "core/transient_solver.h"
 #include "linalg/expm.h"
+#include "linalg/iterative.h"
 #include "linalg/lu.h"
 #include "linalg/parallel_blas.h"
 #include "pf/product_form.h"
@@ -64,6 +66,56 @@ void BM_DenseLuFactorTopLevel(benchmark::State& state) {
   state.counters["dim"] = static_cast<double>(a.rows());
 }
 BENCHMARK(BM_DenseLuFactorTopLevel)->Arg(8)->Arg(12);
+
+// One row solve x (I - P_4) = pi against a prebuilt factorization: level 4
+// of the Figure 6 C^2 = 10 model (distributed K = 5, D = 1375), the dense
+// solve each of its saturated epochs makes.
+void BM_LuSolveLeft(benchmark::State& state) {
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 5;
+  cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
+  const net::StateSpace space(cluster::build_cluster(cfg), 5);
+  la::Matrix a = space.level(4).p.to_dense();
+  a *= -1.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) a(i, i) += 1.0;
+  const la::LuDecomposition lu(a);
+  const la::Vector pi = space.initial_vector(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lu.solve_left(pi).data());
+  }
+  state.counters["dim"] = static_cast<double>(a.rows());
+}
+BENCHMARK(BM_LuSolveLeft)->Unit(benchmark::kMicrosecond);
+
+// One cold Neumann level solve on level 6 of the distributed K = 6 cluster
+// (D = 3003, above the dense threshold): the row solve pi (I - P_6)^-1 runs
+// the gather kernel over P_6^T, the column solve (I - P_6)^-1 M_6^-1 eps
+// over P_6 itself.
+void BM_NeumannLevelSolve(benchmark::State& state, bool left) {
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 6;
+  const net::StateSpace space(cluster::build_cluster(cfg), 6);
+  const net::LevelMatrices& lm = space.level(6);
+  const la::CsrMatrix a = left ? lm.p.transpose() : lm.p;
+  la::Vector b = space.initial_vector(6);
+  if (!left) {
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = 1.0 / lm.event_rates[i];
+  }
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    const la::IterativeResult res = la::neumann_solve(a, b, 1e-12, 20000);
+    iterations = res.iterations;
+    benchmark::DoNotOptimize(res.x.data());
+  }
+  state.counters["dim"] = static_cast<double>(a.rows());
+  state.counters["iterations_per_solve"] = static_cast<double>(iterations);
+}
+BENCHMARK_CAPTURE(BM_NeumannLevelSolve, left, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NeumannLevelSolve, right, false)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EpochStep(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));

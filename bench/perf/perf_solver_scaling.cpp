@@ -68,10 +68,12 @@ void BM_DenseBackend(benchmark::State& state) {
 BENCHMARK(BM_DenseBackend)->Arg(3)->Arg(5)->Unit(benchmark::kMillisecond);
 
 // Saturated-phase cost versus workload size N on a fixed K=6 distributed
-// cluster (D(6) = 3003, dense path).  With the quasi-steady-state
-// fast-forward the curve must go near-flat once N exceeds the mixing time;
-// without it the cost is linear in N.  The solver is built once — the
-// per-iteration work is the epoch recursion itself.
+// cluster.  D(6) = 3003 is just above dense_threshold = 3000, so the level-6
+// solves take the iterative path (the Neumann gather kernel), not dense LU.
+// With the quasi-steady-state fast-forward the curve must go near-flat once
+// N exceeds the mixing time; without it the cost is linear in N.  The
+// solver is built once — the per-iteration work is the epoch recursion
+// itself.
 void BM_SaturatedPhaseVsN(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto cfg = config(cluster::Architecture::kDistributed, 6, 1.0);

@@ -105,20 +105,18 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
                     "iterative refinement stalled; falling back to the "
                     "matrix-free iterative backend");
   }
-  // Stage 3: matrix-free iterative backend, Neumann -> BiCGSTAB -> GMRES.
+  // Stage 3: matrix-free iterative backend, Neumann -> BiCGSTAB -> GMRES,
+  // all through the gather operator: P_k for column solves, P_k^T for row
+  // solves.
   obs::counter_add(obs::Counter::kIterativeSolves);
-  const net::LevelMatrices& lm = space_.level(k);
+  const la::CsrMatrix& gather = left ? transposed_p(k) : space_.level(k).p;
   par::ThreadPool& pool = par::ThreadPool::global();
-  const auto apply_p = [&lm, &pool, left](const la::Vector& v) {
-    return left ? lm.p.apply_left_parallel(v, pool)
-                : lm.p.apply_parallel(v, pool);
-  };
-  la::IterativeResult res = la::neumann_solve_left(
-      apply_p, b, opts_.tolerance, opts_.max_neumann_iterations);
+  la::IterativeResult res = la::neumann_solve(gather, b, opts_.tolerance,
+                                              opts_.max_neumann_iterations);
   if (res.converged) return std::move(res.x);
-  const auto apply_a = [&apply_p](const la::Vector& v) {
+  const auto apply_a = [&gather, &pool](const la::Vector& v) {
     la::Vector y = v;
-    y -= apply_p(v);
+    y -= gather.apply_parallel(v, pool);
     return y;
   };
   res = la::bicgstab_left(apply_a, b, opts_.tolerance,
@@ -143,6 +141,13 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
                       format_double(res.residual) +
                       "); entering shifted-operator rescue");
   return rescue_solve(lvl, k, b, left);
+}
+
+const la::CsrMatrix& ModelArtifacts::transposed_p(std::size_t k) const {
+  Level& lvl = levels_[k];
+  std::call_once(lvl.pt_once,
+                 [&] { lvl.pt.emplace(space_.level(k).p.transpose()); });
+  return *lvl.pt;
 }
 
 bool ModelArtifacts::refine_solution(const Level& lvl, std::size_t k,

@@ -82,6 +82,10 @@ class ModelArtifacts {
     std::once_flag once;
     std::atomic<bool> prepared{false};
     std::optional<la::LuDecomposition> lu;
+    /// P_k^T, the gather operator of left iterative solves; built on the
+    /// level's first left solve that reaches the iterative stage.
+    std::once_flag pt_once;
+    std::optional<la::CsrMatrix> pt;
     la::Vector tau;
     /// Reciprocal condition estimate of the factorization (0 = no LU).
     double rcond = 0.0;
@@ -107,6 +111,9 @@ class ModelArtifacts {
   /// docs/ROBUSTNESS.md.
   la::Vector ladder_solve(const Level& lvl, std::size_t k, const la::Vector& b,
                           bool left) const;
+  /// P_k^T, transposed exactly once on first use (left solves gather over
+  /// it; column-only levels never pay its storage).
+  const la::CsrMatrix& transposed_p(std::size_t k) const;
   /// Refinement stage: correct `x` against the true operator until the
   /// residual meets the solve tolerance; false when the cap runs out.
   bool refine_solution(const Level& lvl, std::size_t k, const la::Vector& b,

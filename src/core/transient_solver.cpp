@@ -16,6 +16,20 @@
 
 namespace finwork::core {
 
+namespace {
+
+/// x-step of the second-moment back-substitution at level k as ONE resolvent
+/// solve: V_k m1 + (I - P_k)^-1 flow = (I - P_k)^-1 (M_k^-1 m1 + flow), with
+/// flow = Q_k x_next on a draining level and Q_k R_k x while saturated.
+la::Vector second_moment_step(const ModelArtifacts& model, std::size_t k,
+                              const la::Vector& m1, la::Vector flow) {
+  const la::Vector& rates = model.space().level(k).event_rates;
+  for (std::size_t i = 0; i < flow.size(); ++i) flow[i] += m1[i] / rates[i];
+  return model.solve_right(k, flow);
+}
+
+}  // namespace
+
 TransientSolver::TransientSolver(const net::NetworkSpec& spec,
                                  std::size_t workstations,
                                  SolverOptions options)
@@ -386,17 +400,12 @@ MakespanMoments TransientSolver::makespan_moments(std::size_t tasks) const {
   // and the block bidiagonal structure lets both be back-substituted one
   // block at a time using the cached per-level factorizations:
   //   m1_b = tau_b + (I-P)^-1 Q [R] m1_next
-  //   x_b  = V_b m1_b + (I-P)^-1 Q [R] x_next,   m2 = 2 x.
+  //   x_b  = (I-P)^-1 (M^-1 m1_b + Q [R] x_next),   m2 = 2 x,
+  // the x-step being V_b m1_b + (I-P)^-1 Q [R] x_next folded into one
+  // resolvent solve: two level solves per block.
   const net::StateSpace& sp = space();
   const std::size_t top = std::min(tasks, k_);
 
-  // Column-oriented helpers.
-  const auto v_apply = [&](std::size_t k, const la::Vector& m) {
-    const net::LevelMatrices& lm = sp.level(k);
-    la::Vector rhs = m;
-    for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] /= lm.event_rates[i];
-    return solve_right(k, rhs);
-  };
   const auto flow_apply = [&](std::size_t k, const la::Vector& next) {
     // (I - P_k)^-1 Q_k next  (next lives one level down)
     return solve_right(k, sp.level(k).q.apply(next));
@@ -407,7 +416,8 @@ MakespanMoments TransientSolver::makespan_moments(std::size_t tasks) const {
   la::Vector x_next(1, 0.0);
   for (std::size_t k = 1; k < top; ++k) {
     la::Vector m1 = tau(k) + flow_apply(k, m1_next);
-    la::Vector x = v_apply(k, m1) + flow_apply(k, x_next);
+    la::Vector x =
+        second_moment_step(*model_, k, m1, sp.level(k).q.apply(x_next));
     m1_next = std::move(m1);
     x_next = std::move(x);
   }
@@ -415,32 +425,32 @@ MakespanMoments TransientSolver::makespan_moments(std::size_t tasks) const {
   // Saturated segments: j admissions remaining, j = 0 .. tasks - top.
   const net::LevelMatrices& lt = sp.level(top);
   const std::size_t total_j = tasks - top;
-  // Deferred-build policy as in solve(); each admission applies T twice
-  // (m1 and x), so the break-even point arrives in half the iterations.
+  // Deferred-build policy as in solve(); only the m1 step applies T.
   const la::Matrix* composite =
       (!opts_.fast_forward && total_j > 0)
           ? model_->composite_operator(top, total_j)
           : nullptr;
-  const std::size_t defer_at = composite_break_even(top) / 2 + 1;
+  const std::size_t defer_at = composite_break_even(top);
   par::ThreadPool& pool = par::ThreadPool::global();
-  // One admission step of both recursions is the column action of
-  // T = (I - P)^-1 Q R; use the cached dense composite when available.
+  // The m1 admission step is the column action of T = (I - P)^-1 Q R; use
+  // the cached dense composite when available.
   const auto t_apply = [&](const la::Vector& v) {
     if (composite != nullptr) return la::multiply_parallel(*composite, v, pool);
     return solve_right(top, lt.q.apply(lt.r.apply(v)));
   };
   la::Vector m1 = tau(top) + flow_apply(top, m1_next);
-  la::Vector x = v_apply(top, m1) + flow_apply(top, x_next);
+  la::Vector x = second_moment_step(*model_, top, m1, lt.q.apply(x_next));
   la::Vector d_prev;  // previous first difference of m1
   la::Vector e_prev;  // previous first difference of x
   la::Vector f_prev;  // previous second difference of x
   for (std::size_t j = 1; j <= total_j; ++j) {
     if (composite == nullptr && opts_.fast_forward && j == defer_at &&
         total_j - j + 1 >= defer_at) {
-      composite = model_->composite_operator(top, 2 * (total_j - j + 1));
+      composite = model_->composite_operator(top, total_j - j + 1);
     }
     la::Vector m1_new = tau(top) + t_apply(m1);
-    la::Vector x_new = v_apply(top, m1_new) + t_apply(x);
+    la::Vector x_new =
+        second_moment_step(*model_, top, m1_new, lt.q.apply(lt.r.apply(x)));
     la::Vector d = m1_new;
     d -= m1;
     la::Vector e = x_new;
@@ -508,12 +518,6 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   std::vector<MakespanMoments> results(tasks.size());
   const net::StateSpace& sp = space();
 
-  const auto v_apply = [&](std::size_t k, const la::Vector& m) {
-    const net::LevelMatrices& lm = sp.level(k);
-    la::Vector rhs = m;
-    for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] /= lm.event_rates[i];
-    return solve_right(k, rhs);
-  };
   const auto flow_apply = [&](std::size_t k, const la::Vector& next) {
     return solve_right(k, sp.level(k).q.apply(next));
   };
@@ -543,7 +547,8 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   la::Vector x_next(1, 0.0);
   for (std::size_t k = 1; k <= loop_top; ++k) {
     la::Vector m1 = tau(k) + flow_apply(k, m1_next);
-    la::Vector x = v_apply(k, m1) + flow_apply(k, x_next);
+    la::Vector x =
+        second_moment_step(*model_, k, m1, sp.level(k).q.apply(x_next));
     bool wanted = false;
     for (std::size_t n : tasks) wanted = wanted || (n == k && n < k_);
     if (wanted) {
@@ -574,7 +579,7 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
       (!opts_.fast_forward && j_max > 0)
           ? model_->composite_operator(k_, j_max)
           : nullptr;
-  const std::size_t defer_at = composite_break_even(k_) / 2 + 1;
+  const std::size_t defer_at = composite_break_even(k_);
   par::ThreadPool& pool = par::ThreadPool::global();
   const auto t_apply = [&](const la::Vector& v) {
     if (composite != nullptr) return la::multiply_parallel(*composite, v, pool);
@@ -582,7 +587,7 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   };
   const la::Vector p0 = sp.initial_vector(k_);
   la::Vector m1 = tau(k_) + flow_apply(k_, m1_next);
-  la::Vector x = v_apply(k_, m1) + flow_apply(k_, x_next);
+  la::Vector x = second_moment_step(*model_, k_, m1, lt.q.apply(x_next));
   auto next_target = targets.begin();
   const auto harvest = [&](std::size_t j) {
     while (next_target != targets.end() && next_target->first == j) {
@@ -597,10 +602,11 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   for (std::size_t j = 1; next_target != targets.end(); ++j) {
     if (composite == nullptr && opts_.fast_forward && j == defer_at &&
         j_max - j + 1 >= defer_at) {
-      composite = model_->composite_operator(k_, 2 * (j_max - j + 1));
+      composite = model_->composite_operator(k_, j_max - j + 1);
     }
     la::Vector m1_new = tau(k_) + t_apply(m1);
-    la::Vector x_new = v_apply(k_, m1_new) + t_apply(x);
+    la::Vector x_new =
+        second_moment_step(*model_, k_, m1_new, lt.q.apply(lt.r.apply(x)));
     la::Vector d = m1_new;
     d -= m1;
     la::Vector e = x_new;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "check/fault_inject.h"
@@ -27,6 +28,52 @@ IterativeResult neumann_solve_left(const RowOperator& apply_p, const Vector& b,
     res.x += term;
     res.iterations = n;
     const double t = term.norm_inf();
+    if (t < tol) {
+      res.converged = true;
+      res.residual = t;
+      obs::counter_add(obs::Counter::kNeumannIterations, res.iterations);
+      return res;
+    }
+  }
+  res.residual = term.norm_inf();
+  obs::counter_add(obs::Counter::kNeumannIterations, res.iterations);
+  return res;
+}
+
+IterativeResult neumann_solve(const CsrMatrix& a, const Vector& b, double tol,
+                              std::size_t max_iter) {
+  const std::size_t n = a.rows();
+  if (a.cols() != n || b.size() != n) {
+    throw std::invalid_argument("neumann_solve: size mismatch");
+  }
+  IterativeResult res;
+  res.x = b;
+  if (check::fault_at("iterative/neumann")) {
+    res.residual = b.norm_inf();
+    return res;
+  }
+  Vector term = b;
+  Vector next(n);
+  const std::size_t* const row_ptr = a.row_ptr().data();
+  const std::size_t* const col = a.col_idx().data();
+  const double* const val = a.values().data();
+  double* const x = res.x.data();
+  for (std::size_t it = 1; it <= max_iter; ++it) {
+    // next = A term, x += next and t = max |next|, in one pass over A.
+    const double* const cur = term.data();
+    double* const out = next.data();
+    double t = 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      double s = 0.0;
+      for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+        s += val[k] * cur[col[k]];
+      }
+      out[r] = s;
+      x[r] += s;
+      t = std::max(t, std::abs(s));
+    }
+    std::swap(term, next);
+    res.iterations = it;
     if (t < tol) {
       res.converged = true;
       res.residual = t;

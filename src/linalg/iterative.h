@@ -33,6 +33,18 @@ struct IterativeResult {
                                                  double tol = 1e-12,
                                                  std::size_t max_iter = 200000);
 
+/// Neumann series x = sum_n A^n b for (I - A) x = b, as one serial in-place
+/// kernel over the CSR matrix: each iteration gathers the next term row by
+/// row (term' = A term), adds it to x and takes its inf-norm in the same
+/// pass, with two preallocated term buffers, no callable indirection and no
+/// per-iteration allocation.  A left solve x (I - P) = b passes A = P^T
+/// (CsrMatrix::transpose), whose gather reproduces
+/// neumann_solve_left(row_operator(P)) bit for bit.  Same stopping rule,
+/// counters and "iterative/neumann" fault probe as neumann_solve_left.
+[[nodiscard]] IterativeResult neumann_solve(const CsrMatrix& a, const Vector& b,
+                                            double tol = 1e-12,
+                                            std::size_t max_iter = 200000);
+
 /// BiCGSTAB for x A = b given the row action y = x * A.  General-purpose
 /// fallback when Neumann is slow.  No preconditioner (the systems are well
 /// conditioned: I minus a substochastic matrix).

@@ -106,19 +106,26 @@ Vector LuDecomposition::solve_left(const Vector& b) const {
   // x A = b  <=>  A^T x^T = b^T.  With P A = L U we get A^T = U^T L^T P, so
   // solve U^T z = b (forward), L^T w = z (backward), then x = P^T w,
   // i.e. x[piv[i]] = w[i].
+  //
+  // U^T and L^T are read through the rows of the row-major packed factor:
+  // once unknown j is final, row j of LU is subtracted from the pending
+  // right-hand sides (an axpy) instead of walking column j.  The forward
+  // sweep subtracts in the same (ascending j) order as the column form, so
+  // it rounds identically; the backward sweep subtracts in descending j.
   const std::size_t n = dim();
   if (b.size() != n) throw std::invalid_argument("LU solve_left: size mismatch");
-  Vector z(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t j = 0; j < i; ++j) s -= lu_(j, i) * z[j];
-    z[i] = s / lu_(i, i);
+  Vector w = b;
+  double* const wp = w.data();
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* const row = lu_.row(j).data();
+    const double zj = wp[j] / row[j];
+    wp[j] = zj;
+    for (std::size_t i = j + 1; i < n; ++i) wp[i] -= row[i] * zj;
   }
-  Vector w(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = z[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(j, ii) * w[j];
-    w[ii] = s;
+  for (std::size_t j = n; j-- > 0;) {
+    const double* const row = lu_.row(j).data();
+    const double wj = wp[j];
+    for (std::size_t i = 0; i < j; ++i) wp[i] -= row[i] * wj;
   }
   Vector x(n);
   for (std::size_t i = 0; i < n; ++i) x[piv_[i]] = w[i];

@@ -173,6 +173,28 @@ Vector CsrMatrix::apply_left_parallel(const Vector& x,
   return y;
 }
 
+CsrMatrix CsrMatrix::transpose() const {
+  // Counting sort by column: scanning rows in ascending order appends each
+  // transposed row's entries with ascending column index.
+  CsrMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  t.row_ptr_.assign(cols_ + 1, 0);
+  for (const std::size_t c : col_idx_) ++t.row_ptr_[c + 1];
+  for (std::size_t c = 0; c < cols_; ++c) t.row_ptr_[c + 1] += t.row_ptr_[c];
+  t.col_idx_.resize(values_.size());
+  t.values_.resize(values_.size());
+  std::vector<std::size_t> next(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const std::size_t dst = next[col_idx_[k]]++;
+      t.col_idx_[dst] = r;
+      t.values_[dst] = values_[k];
+    }
+  }
+  return t;
+}
+
 Vector CsrMatrix::row_sums() const {
   Vector s(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {

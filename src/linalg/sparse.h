@@ -52,6 +52,12 @@ class CsrMatrix {
   [[nodiscard]] Vector apply_left_parallel(const Vector& x,
                                            par::ThreadPool& pool) const;
 
+  /// A^T in CSR form, columns ascending within each row.  A gather over the
+  /// transpose (apply() on it) computes x A in the same per-entry
+  /// accumulation order as apply_left()'s scatter, so the two agree bit for
+  /// bit.
+  [[nodiscard]] CsrMatrix transpose() const;
+
   /// Row sums, i.e. A * ones.
   [[nodiscard]] Vector row_sums() const;
   /// Element lookup (O(log nnz_row)); 0 if not stored.

@@ -16,16 +16,18 @@ StateSpace::StateSpace(const NetworkSpec& spec, std::size_t max_population)
   if (max_pop_ == 0) {
     throw std::invalid_argument("StateSpace: population must be >= 1");
   }
-  models_.reserve(spec_.num_stations());
-  for (std::size_t j = 0; j < spec_.num_stations(); ++j) {
-    models_.emplace_back(spec_.station(j), max_pop_);
-  }
-  level_states_.resize(max_pop_ + 1);
-  level_index_.resize(max_pop_ + 1);
-  level_matrices_.resize(max_pop_ + 1);
-  level_once_ = std::make_unique<std::once_flag[]>(max_pop_ + 1);
   {
+    // The per-station local state tables are part of the enumeration's
+    // cost, so the span covers them too.
     const obs::ObsSpan span("state_space/enumerate");
+    models_.reserve(spec_.num_stations());
+    for (std::size_t j = 0; j < spec_.num_stations(); ++j) {
+      models_.emplace_back(spec_.station(j), max_pop_);
+    }
+    level_states_.resize(max_pop_ + 1);
+    level_index_.resize(max_pop_ + 1);
+    level_matrices_.resize(max_pop_ + 1);
+    level_once_ = std::make_unique<std::once_flag[]>(max_pop_ + 1);
     for (std::size_t k = 0; k <= max_pop_; ++k) enumerate_level(k);
   }
   if constexpr (obs::kEnabled) {

@@ -20,6 +20,7 @@
 #include "cluster/experiments.h"
 #include "core/model_cache.h"
 #include "core/transient_solver.h"
+#include "linalg/iterative.h"
 #include "linalg/solver_error.h"
 #include "obs/counters.h"
 #include "obs/obs_config.h"
@@ -157,6 +158,23 @@ TEST_F(FaultInjectTest, ExhaustedKrylovBackendsRecoverViaShiftedRetry) {
     EXPECT_TRUE(saw_event("degradation/iterative"));
     EXPECT_TRUE(saw_event("degradation/shifted-retry"));
   }
+}
+
+TEST_F(FaultInjectTest, NeumannKernelProbeReportsNonConvergence) {
+  // The in-place gather kernel the ladder runs carries the same probe as
+  // the RowOperator Neumann solve: armed, it returns b unconverged.
+  const finwork::net::StateSpace space(small_cluster(), 2);
+  const finwork::la::CsrMatrix pt = space.level(2).p.transpose();
+  const finwork::la::Vector b(space.dimension(2), 1.0);
+  const std::uint64_t fired = check::fault_fire_count("iterative/neumann");
+  check::arm_fault("iterative/neumann", 1);
+  const finwork::la::IterativeResult res = finwork::la::neumann_solve(pt, b);
+  EXPECT_EQ(check::fault_fire_count("iterative/neumann"), fired + 1);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, 0u);
+  EXPECT_EQ(res.residual, b.norm_inf());
+  // Disarmed again, the same call converges.
+  EXPECT_TRUE(finwork::la::neumann_solve(pt, b).converged);
 }
 
 TEST_F(FaultInjectTest, LadderExhaustionThrowsShiftedRetryError) {

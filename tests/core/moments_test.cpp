@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "cluster/experiments.h"
 #include "core/transient_solver.h"
@@ -137,6 +138,36 @@ TEST(MakespanMoments, MeanMatchesEpochRecursion) {
                 1e-9 * solver.makespan(n))
         << n;
   }
+}
+
+TEST(MakespanMoments, IterativeLevelMatchesGridAndDenseOracle) {
+  // Distributed K = 6: D(6) = 3003 is above the default dense threshold, so
+  // both moments recursions run their level-6 solves through Neumann.  The
+  // mean must agree with the makespan grid, and the variance with the same
+  // model on the dense-LU backend throughout.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 6;
+  const net::NetworkSpec spec = cluster::build_cluster(cfg);
+  const std::size_t n = 1000;
+  const core::TransientSolver iterative(spec, 6);
+  ASSERT_GT(iterative.space().dimension(6),
+            core::SolverOptions{}.dense_threshold);
+  const core::MakespanMoments mm = iterative.makespan_moments(n);
+  const std::vector<std::size_t> grid{n};
+  const double e_t = iterative.makespan_grid(grid)[0];
+  EXPECT_NEAR(mm.mean, e_t, 1e-9 * e_t);
+  const core::MakespanMoments mm_grid =
+      iterative.makespan_moments_grid(grid)[0];
+  EXPECT_NEAR(mm_grid.mean, mm.mean, 1e-12 * mm.mean);
+  EXPECT_NEAR(mm_grid.variance, mm.variance, 1e-9 * mm.variance);
+
+  core::SolverOptions dense_opts;
+  dense_opts.dense_threshold = iterative.space().dimension(6);
+  const core::TransientSolver dense(spec, 6, dense_opts);
+  const core::MakespanMoments oracle = dense.makespan_moments(n);
+  EXPECT_NEAR(mm.mean, oracle.mean, 1e-9 * oracle.mean);
+  EXPECT_NEAR(mm.variance, oracle.variance, 5e-8 * oracle.variance);
 }
 
 TEST(MakespanMoments, VarianceMatchesSimulation) {

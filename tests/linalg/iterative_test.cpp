@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
+#include "cluster/experiments.h"
 #include "linalg/lu.h"
+#include "network/state_space.h"
 
 namespace la = finwork::la;
 
@@ -28,6 +33,31 @@ la::Matrix random_substochastic(std::size_t n, double exit_mass,
     for (std::size_t c = 0; c < n; ++c) p(r, c) *= scale;
   }
   return p;
+}
+
+/// A random sparse substochastic CSR matrix: `per_row` entries per row,
+/// each row summing to 1 - exit_mass.
+la::CsrMatrix random_sparse_substochastic(std::size_t n, std::size_t per_row,
+                                          double exit_mass, unsigned seed) {
+  std::mt19937 gen(seed);
+  std::uniform_real_distribution<double> weight(0.1, 1.0);
+  std::uniform_int_distribution<std::size_t> column(0, n - 1);
+  std::vector<la::Triplet> trips;
+  trips.reserve(n * per_row);
+  std::vector<double> w(per_row);
+  for (std::size_t r = 0; r < n; ++r) {
+    double sum = 0.0;
+    for (double& v : w) sum += (v = weight(gen));
+    for (const double v : w) {
+      trips.push_back({r, column(gen), v * (1.0 - exit_mass) / sum});
+    }
+  }
+  return la::CsrMatrix(n, n, std::move(trips));
+}
+
+bool bitwise_equal(const la::Vector& a, const la::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0;
 }
 
 }  // namespace
@@ -144,3 +174,54 @@ TEST_P(IterativeAgreement, NeumannAndBicgstabMatch) {
 
 INSTANTIATE_TEST_SUITE_P(ExitMasses, IterativeAgreement,
                          ::testing::Values(0.5, 0.1, 0.02, 0.005));
+
+// The in-place gather kernel over P^T is the scatter row action over P with
+// the same accumulation order: on level 6 of the distributed K = 6 cluster
+// it must reproduce the RowOperator Neumann solve bit for bit.
+TEST(NeumannKernel, GatherOverTransposeMatchesRowOperatorBitwise) {
+  finwork::cluster::ExperimentConfig cfg;
+  cfg.architecture = finwork::cluster::Architecture::kDistributed;
+  cfg.workstations = 6;
+  const finwork::net::StateSpace space(finwork::cluster::build_cluster(cfg), 6);
+  const la::CsrMatrix& p = space.level(6).p;
+  const la::Vector b = space.initial_vector(6);
+  const la::IterativeResult scatter =
+      la::neumann_solve_left(la::row_operator(p), b, 1e-12, 20000);
+  const la::IterativeResult gather =
+      la::neumann_solve(p.transpose(), b, 1e-12, 20000);
+  ASSERT_TRUE(scatter.converged);
+  ASSERT_TRUE(gather.converged);
+  EXPECT_EQ(gather.iterations, scatter.iterations);
+  EXPECT_EQ(gather.residual, scatter.residual);
+  EXPECT_TRUE(bitwise_equal(gather.x, scatter.x));
+}
+
+// Column solves gather over P itself: same numbers as the column action.
+TEST(NeumannKernel, ColumnSolveMatchesApplyBitwise) {
+  const la::CsrMatrix p = random_sparse_substochastic(400, 5, 0.05, 3);
+  la::Vector b(400);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 / (1.0 + static_cast<double>(i));
+  }
+  const auto apply = [&p](const la::Vector& v) { return p.apply(v); };
+  const la::IterativeResult ref = la::neumann_solve_left(apply, b);
+  const la::IterativeResult res = la::neumann_solve(p, b);
+  ASSERT_TRUE(res.converged);
+  EXPECT_EQ(res.iterations, ref.iterations);
+  EXPECT_TRUE(bitwise_equal(res.x, ref.x));
+}
+
+TEST(NeumannKernel, ReportsNonConvergenceWhenCapped) {
+  const la::CsrMatrix p = random_sparse_substochastic(50, 4, 0.001, 9);
+  const la::IterativeResult res = la::neumann_solve(p, la::Vector(50, 1.0),
+                                                    1e-14, 5);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, 5u);
+  EXPECT_GT(res.residual, 0.0);
+}
+
+TEST(NeumannKernel, SizeMismatchThrows) {
+  const la::CsrMatrix p = random_sparse_substochastic(10, 2, 0.2, 1);
+  EXPECT_THROW((void)la::neumann_solve(p, la::Vector(9, 1.0)),
+               std::invalid_argument);
+}

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <vector>
 
 namespace la = finwork::la;
 
@@ -22,6 +24,24 @@ la::Matrix random_matrix(std::size_t n, unsigned seed) {
   }
   // Diagonal dominance guarantees nonsingularity.
   for (std::size_t i = 0; i < n; ++i) m(i, i) += 5.0;
+  return m;
+}
+
+/// A random matrix whose dominant entries sit on a random permutation, so
+/// partial pivoting must exchange rows (well conditioned all the same).
+la::Matrix random_pivoted_matrix(std::size_t n, unsigned seed) {
+  std::mt19937 gen(seed);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  la::Matrix m(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) m(r, c) = dist(gen);
+  }
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  std::shuffle(perm.begin(), perm.end(), gen);
+  for (std::size_t r = 0; r < n; ++r) {
+    m(r, perm[r]) += 2.0 * static_cast<double>(n);
+  }
   return m;
 }
 
@@ -133,3 +153,26 @@ TEST_P(LuRoundTrip, LeftAndRightSolvesAgreeThroughTranspose) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, LuRoundTrip,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55));
+
+// The row-order left solve against the right solve of the explicit
+// transpose, on matrices that force row exchanges.
+class LuPivotedLeftSolve : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LuPivotedLeftSolve, MatchesRightSolveOfTranspose) {
+  const std::size_t n = GetParam();
+  const la::Matrix a = random_pivoted_matrix(n, static_cast<unsigned>(n) + 7);
+  la::Vector b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = 1.0 + std::sin(3.0 * static_cast<double>(i));
+  }
+  const la::Vector left = la::LuDecomposition(a).solve_left(b);
+  const la::Vector right = la::LuDecomposition(a.transposed()).solve(b);
+  ASSERT_EQ(left.size(), n);
+  const double scale = right.norm_inf();
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(left[i], right[i], 1e-12 * scale) << "n=" << n << " i=" << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, LuPivotedLeftSolve,
+                         ::testing::Values(1, 2, 17, 300));
