@@ -12,7 +12,6 @@
 #include "linalg/expm.h"
 #include "linalg/iterative.h"
 #include "linalg/lu.h"
-#include "linalg/parallel_blas.h"
 #include "pf/product_form.h"
 #include "ph/fitting.h"
 #include "sim/simulator.h"
@@ -211,15 +210,6 @@ void BM_SerialMatmul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SerialMatmul)->Arg(128)->Arg(384);
-
-void BM_BlockedParallelMatmul(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  la::Matrix a(n, n, 0.5), b(n, n, 0.25);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::multiply_blocked(a, b).data());
-  }
-}
-BENCHMARK(BM_BlockedParallelMatmul)->Arg(128)->Arg(384);
 
 }  // namespace
 

@@ -140,7 +140,7 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
                   "Neumann/BiCGSTAB/GMRES all stalled (residual " +
                       format_double(res.residual) +
                       "); entering shifted-operator rescue");
-  return rescue_solve(lvl, k, b, left);
+  return rescue_solve(k, b, left);
 }
 
 const la::CsrMatrix& ModelArtifacts::transposed_p(std::size_t k) const {
@@ -175,9 +175,8 @@ bool ModelArtifacts::refine_solution(const Level& lvl, std::size_t k,
   return residual().norm_inf() <= target;
 }
 
-la::Vector ModelArtifacts::rescue_solve(const Level& lvl, std::size_t k,
-                                        const la::Vector& b, bool left) const {
-  (void)lvl;
+la::Vector ModelArtifacts::rescue_solve(std::size_t k, const la::Vector& b,
+                                        bool left) const {
   const net::LevelMatrices& lm = space_.level(k);
   par::ThreadPool& pool = par::ThreadPool::global();
   const std::size_t d = space_.dimension(k);
@@ -360,40 +359,6 @@ double ModelArtifacts::level_rcond(std::size_t k) const {
   return prepared_level(k).rcond;
 }
 
-const la::Matrix* ModelArtifacts::composite_operator(
-    std::size_t k, std::size_t expected_epochs) const {
-  if (!opts_.cache_composite) return nullptr;
-  const Level& lvl = prepared_level(k);
-  if (lvl.composite_ready.load(std::memory_order_acquire)) {
-    return &*lvl.composite;
-  }
-  if (!lvl.lu) return nullptr;  // iterative level: no factorization to reuse
-  const std::size_t d = space_.dimension(k);
-  // Building T_k costs d triangular-solve pairs — the same as d epochs of
-  // the uncached recursion — so only pay it when the run amortises it.
-  if (expected_epochs < std::max(d, opts_.composite_min_epochs)) {
-    return nullptr;
-  }
-  Level& mut = levels_[k];
-  const std::lock_guard<std::mutex> lock(mut.composite_mutex);
-  if (!mut.composite_ready.load(std::memory_order_relaxed)) {
-    const obs::ObsSpan span("solver/build_composite");
-    const net::LevelMatrices& lm = space_.level(k);
-    // Column c of Q_k R_k is Q_k (R_k e_c): two sparse column actions.
-    la::Matrix b(d, d, 0.0);
-    par::parallel_for(
-        par::ThreadPool::global(), 0, d,
-        [&](std::size_t c) {
-          const la::Vector col = lm.q.apply(lm.r.apply(la::unit(d, c)));
-          for (std::size_t r = 0; r < d; ++r) b(r, c) = col[r];
-        },
-        /*grain=*/16);
-    mut.composite.emplace(lvl.lu->solve_many(b));
-    mut.composite_ready.store(true, std::memory_order_release);
-  }
-  return &*mut.composite;
-}
-
 // ---------------------------------------------------------------------------
 // Canonical key + fingerprint
 // ---------------------------------------------------------------------------
@@ -437,7 +402,7 @@ std::vector<std::uint8_t> canonical_model_key(const net::NetworkSpec& spec,
                                               const SolverOptions& options) {
   std::vector<std::uint8_t> key;
   key.reserve(256);
-  key.push_back(2);  // encoding version (v2: robustness options joined)
+  key.push_back(3);  // encoding version (v3: T_K caching options dropped)
   put_u64(key, workstations);
   put_u64(key, spec.num_stations());
   for (const net::Station& st : spec.stations()) {
@@ -456,8 +421,6 @@ std::vector<std::uint8_t> canonical_model_key(const net::NetworkSpec& spec,
   put_double(key, options.tolerance);
   put_u64(key, options.max_neumann_iterations);
   put_u64(key, options.max_bicgstab_iterations);
-  key.push_back(options.cache_composite ? 1 : 0);
-  put_u64(key, options.composite_min_epochs);
   key.push_back(options.strict ? 1 : 0);
   put_double(key, options.max_condition);
   put_u64(key, options.max_refinement_iters);

@@ -4,9 +4,9 @@
 //
 // ModelArtifacts owns everything about a (NetworkSpec, K) pair that is
 // independent of the query: the reduced-product StateSpace, the per-level
-// LU factorization of (I - P_k), the per-level tau'_k vectors and the dense
-// saturated composite T_K.  It is immutable from the outside and safe to
-// share across threads — every lazily-built piece is published through a
+// LU factorization of (I - P_k), the per-level tau'_k vectors and the lazily
+// transposed P_k^T.  It is immutable from the outside and safe to share
+// across threads — every lazily-built piece is published through a
 // once-flag or an acquire/release atomic — so any number of TransientSolver
 // instances (e.g. the points of a figure sweep running under parallel_for)
 // can evaluate the same model concurrently without rebuilding it.
@@ -22,6 +22,7 @@
 // with LRU eviction; evicted models stay alive for as long as any solver
 // still holds its shared_ptr.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -43,8 +44,9 @@ namespace finwork::core {
 /// Immutable shared model: state space + per-level solve artifacts.
 ///
 /// The solve primitives mirror TransientSolver's private helpers; the
-/// numeric backend knobs (dense_threshold, tolerance, iteration caps,
-/// composite gating) are fixed by the options passed at construction.
+/// numeric backend knobs (dense_threshold, tolerance, iteration caps and
+/// the fallback-ladder controls) are fixed by the options passed at
+/// construction.
 class ModelArtifacts {
  public:
   ModelArtifacts(const net::NetworkSpec& spec, std::size_t workstations,
@@ -65,18 +67,12 @@ class ModelArtifacts {
   [[nodiscard]] la::Vector solve_left(std::size_t k, const la::Vector& pi) const;
   /// x = (I - P_k)^-1 b (column solve).
   [[nodiscard]] la::Vector solve_right(std::size_t k, const la::Vector& b) const;
-  /// Cached dense composite T_k = (I - P_k)^-1 Q_k R_k, or nullptr when the
-  /// level is iterative, composite caching is off, or `expected_epochs`
-  /// would not amortise the build.  Once built it is returned for every
-  /// later call regardless of `expected_epochs`.
-  [[nodiscard]] const la::Matrix* composite_operator(
-      std::size_t k, std::size_t expected_epochs) const;
   /// Reciprocal condition estimate of level k's dense factorization of
   /// (I - P_k); 0 when the level is iterative or its factorization failed.
   [[nodiscard]] double level_rcond(std::size_t k) const;
 
  private:
-  // Per-level artifacts.  Non-movable (once_flag, mutex), so levels_ is a
+  // Per-level artifacts.  Non-movable (once_flag, atomic), so levels_ is a
   // fixed array sized k_ + 1 at construction.
   struct Level {
     std::once_flag once;
@@ -92,12 +88,6 @@ class ModelArtifacts {
     /// Ladder state: condition estimate breached max_condition, so every
     /// dense solve on this level runs iterative refinement.
     bool refine = false;
-    // The composite's build gate depends on the caller's expected epoch
-    // count, so a plain call_once cannot express it: guard with a mutex and
-    // publish through an acquire/release flag.
-    std::mutex composite_mutex;
-    std::atomic<bool> composite_ready{false};
-    std::optional<la::Matrix> composite;
   };
 
   /// Factorize (I - P_k) and build tau'_k exactly once; returns the level
@@ -121,8 +111,7 @@ class ModelArtifacts {
   /// Rescue stage: shifted-operator Richardson iteration (dense levels
   /// re-factor I - P + sigma I; iterative levels run the shifted Neumann
   /// series).  Throws SolverError on failure.
-  la::Vector rescue_solve(const Level& lvl, std::size_t k, const la::Vector& b,
-                          bool left) const;
+  la::Vector rescue_solve(std::size_t k, const la::Vector& b, bool left) const;
 
   net::StateSpace space_;
   std::size_t k_;

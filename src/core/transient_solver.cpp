@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/invariants.h"
 #include "core/model_cache.h"
 #include "linalg/iterative.h"
 #include "linalg/solver_error.h"
-#include "linalg/parallel_blas.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -17,6 +17,81 @@
 namespace finwork::core {
 
 namespace {
+
+/// Fast-forward closes the mean recursion once successive departure-epoch
+/// distributions satisfy ||pi_{j+1} - pi_j||_inf below this.  It sits above
+/// SolverOptions::tolerance because the iterates themselves carry solve error.
+constexpr double kMixingTolerance = 1e-11;
+
+/// Fast-forward closes the moments recursion once the per-admission
+/// increments have stabilised to this relative precision.
+constexpr double kMomentMixingTolerance = 1e-10;
+
+/// Mean driver: the saturated-phase recursion pi_{j+1} = pi_j Y_top R_top at
+/// population `top`, started from pi_0 = p_top.  It owns the iterate, the
+/// warm-started resolvent and the mixing test, so solve() and makespan_grid()
+/// differ only in what they read off each iterate.
+class SaturatedMean {
+ public:
+  SaturatedMean(const ModelArtifacts& model, std::size_t top)
+      : model_(model),
+        top_(top),
+        level_(model.space().level(top)),
+        pi_(model.space().initial_vector(top)) {}
+
+  /// Calls visit(j, pi_j) for j = 0, 1, ..., advances and returns how many
+  /// iterates it visited.  With fast-forward on, the loop closes early at
+  /// the first iterate pi_m that moved less than kMixingTolerance: pi_m is
+  /// left unvisited in pi() and stands for every iterate m .. advances.
+  template <class Visit>
+  std::size_t run(std::size_t advances, bool fast_forward, Visit&& visit) {
+    la::Vector prev;
+    for (std::size_t j = 0;; ++j) {
+      visit(j, std::as_const(pi_));
+      if (j == advances) return j + 1;
+      const obs::ObsSpan epoch_span("solver/epoch");
+      obs::counter_add(obs::Counter::kEpochRecursions);
+      prev = std::move(pi_);
+      pi_ = level_.r.apply_left_parallel(
+          depart_from(prev), par::ThreadPool::global());
+      if (fast_forward && (pi_ - prev).norm_inf() < kMixingTolerance) {
+        obs::counter_add(obs::Counter::kFastForwardActivations);
+        obs::counter_add(obs::Counter::kEpochsSkipped, advances - j - 1);
+        return j + 1;
+      }
+    }
+  }
+
+  /// The current iterate: the last one visited, or the mixed one.
+  [[nodiscard]] const la::Vector& pi() const { return pi_; }
+
+  /// pi() Y_top, the departure that hands the run to the draining phase.
+  la::Vector depart() { return depart_from(pi_); }
+
+ private:
+  /// cur Y_top = (cur (I - P_top)^-1) Q_top.  The resolvent w = cur (I -
+  /// P_top)^-1 is carried across epochs and updated by solving for the
+  /// increment only: the iterates mix geometrically, so the increment — and
+  /// with it the Neumann work of each epoch — shrinks toward zero.
+  la::Vector depart_from(const la::Vector& cur) {
+    if (w_.empty()) {
+      w_ = model_.solve_left(top_, cur);
+    } else {
+      la::Vector rhs = cur;
+      rhs -= last_solved_;
+      w_ += model_.solve_left(top_, rhs);
+    }
+    last_solved_ = cur;
+    return level_.q.apply_left_parallel(w_, par::ThreadPool::global());
+  }
+
+  const ModelArtifacts& model_;
+  std::size_t top_;
+  const net::LevelMatrices& level_;
+  la::Vector pi_;
+  la::Vector w_;
+  la::Vector last_solved_;  // the iterate that produced w_
+};
 
 /// x-step of the second-moment back-substitution at level k as ONE resolvent
 /// solve: V_k m1 + (I - P_k)^-1 flow = (I - P_k)^-1 (M_k^-1 m1 + flow), with
@@ -26,6 +101,21 @@ la::Vector second_moment_step(const ModelArtifacts& model, std::size_t k,
   const la::Vector& rates = model.space().level(k).event_rates;
   for (std::size_t i = 0; i < flow.size(); ++i) flow[i] += m1[i] / rates[i];
   return model.solve_right(k, flow);
+}
+
+/// Validates an N-grid and returns its saturating workloads N = K + j as
+/// (j, position) pairs sorted by j.
+std::vector<std::pair<std::size_t, std::size_t>> saturating_targets(
+    std::span<const std::size_t> tasks, std::size_t k, const char* who) {
+  std::vector<std::pair<std::size_t, std::size_t>> targets;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (tasks[i] == 0) {
+      throw std::invalid_argument(std::string(who) + ": need >= 1 task");
+    }
+    if (tasks[i] >= k) targets.emplace_back(tasks[i] - k, i);
+  }
+  std::sort(targets.begin(), targets.end());
+  return targets;
 }
 
 }  // namespace
@@ -61,10 +151,6 @@ la::Vector TransientSolver::solve_left(std::size_t k,
 la::Vector TransientSolver::solve_right(std::size_t k,
                                         const la::Vector& b) const {
   return model_->solve_right(k, b);
-}
-
-std::size_t TransientSolver::composite_break_even(std::size_t level) const {
-  return std::max(space().dimension(level), opts_.composite_min_epochs);
 }
 
 const la::Vector& TransientSolver::tau(std::size_t k) const {
@@ -154,90 +240,28 @@ DepartureTimeline TransientSolver::solve(std::size_t tasks) const {
   tl.epoch_times.reserve(tasks);
   tl.population.reserve(tasks);
 
-  const net::StateSpace& sp = space();
+  // Saturated phase: population pinned at `top`, departures replaced from
+  // the queue, for tasks - top advances (tasks - top + 1 epochs).
   const std::size_t top = std::min(tasks, k_);
-  la::Vector pi = sp.initial_vector(top);
-
-  // Saturated phase: population pinned at `top`, departures replaced from the
-  // queue.  Runs for (tasks - top + 1) epochs; after each but the last, the
-  // departure (Y) is followed by a replacement (R).
-  const std::size_t saturated_epochs = tasks - top + 1;
-  // With fast-forward off the epoch count is exact, so the composite
-  // amortization decision is made up front.  With it on, mixing usually ends
-  // the phase orders of magnitude before N - K epochs, so the build is
-  // deferred until the recursion has actually run break-even many epochs
-  // and at least as many provably remain.
-  const la::Matrix* composite =
-      (!opts_.fast_forward && saturated_epochs > 1)
-          ? model_->composite_operator(top, saturated_epochs - 1)
-          : nullptr;
-  const std::size_t break_even = composite_break_even(top);
-  par::ThreadPool& pool = par::ThreadPool::global();
-  const net::LevelMatrices& lt = sp.level(top);
-  // Iterative-path warm start: w = pi (I - P_top)^-1 is carried across
-  // epochs and updated by solving for the increment only.  The iterates mix
-  // geometrically, so the increment — and with it the Neumann work of each
-  // epoch — shrinks toward zero as the run approaches steady state.
-  la::Vector w;
-  la::Vector last_solved;  // the pi that produced w
-  const auto advance = [&](const la::Vector& cur) {
-    if (composite != nullptr) {
-      return la::multiply_left_parallel(cur, *composite, pool);
-    }
-    if (w.empty()) {
-      w = solve_left(top, cur);
-    } else {
-      la::Vector rhs = cur;
-      rhs -= last_solved;
-      w += solve_left(top, rhs);
-    }
-    last_solved = cur;
-    return apply_r(top, lt.q.apply_left_parallel(w, pool));
-  };
-  la::Vector prev;
-  for (std::size_t i = 0; i < saturated_epochs; ++i) {
-    const obs::ObsSpan epoch_span("solver/epoch");
-    obs::counter_add(obs::Counter::kEpochRecursions);
-    tl.epoch_times.push_back(mean_epoch_time(top, pi));
-    tl.population.push_back(top);
-    if (i + 1 == saturated_epochs) break;
-    if (composite == nullptr && opts_.fast_forward && i == break_even &&
-        saturated_epochs - 1 - i >= break_even) {
-      composite = model_->composite_operator(top, saturated_epochs - 1 - i);
-    }
-    prev = pi;
-    pi = advance(pi);
-    if (opts_.fast_forward) {
-      double delta = 0.0;
-      for (std::size_t j = 0; j < pi.size(); ++j) {
-        delta = std::max(delta, std::abs(pi[j] - prev[j]));
-      }
-      if (delta < opts_.fast_forward_tolerance) {
-        // Mixed: every remaining saturated epoch departs from (numerically)
-        // this same distribution, so close them all at its epoch time and
-        // carry pi straight into the draining phase.
-        const double t_ss = mean_epoch_time(top, pi);
-        const std::size_t remaining = saturated_epochs - i - 1;
-        tl.epoch_times.insert(tl.epoch_times.end(), remaining, t_ss);
-        tl.population.insert(tl.population.end(), remaining, top);
-        obs::counter_add(obs::Counter::kFastForwardActivations);
-        obs::counter_add(obs::Counter::kEpochsSkipped, remaining);
-        break;
-      }
-    }
+  const la::Vector& tau_top = tau(top);
+  SaturatedMean saturated(*model_, top);
+  const std::size_t advances = tasks - top;
+  const std::size_t visited = saturated.run(
+      advances, opts_.fast_forward, [&](std::size_t, const la::Vector& pi) {
+        tl.epoch_times.push_back(la::dot(pi, tau_top));
+      });
+  if (visited <= advances) {
+    // Mixed: every remaining saturated epoch departs from (numerically) the
+    // same distribution, so close them all at its epoch time.
+    tl.epoch_times.insert(tl.epoch_times.end(), advances + 1 - visited,
+                          la::dot(saturated.pi(), tau_top));
   }
-  // Draining phase: population falls top-1, top-2, ..., 1.
+  tl.population.assign(tl.epoch_times.size(), top);
+
+  // Draining phase: population falls top-1, top-2, ..., 1.  The first
+  // departure reuses the saturated phase's warm-started resolvent.
   if (top > 1) {
-    if (!w.empty()) {
-      // Reuse the saturated resolvent: pi differs from last_solved by one
-      // increment, so the final level-top solve is an increment solve too.
-      la::Vector rhs = pi;
-      rhs -= last_solved;
-      w += solve_left(top, rhs);
-      pi = lt.q.apply_left_parallel(w, pool);
-    } else {
-      pi = apply_y(top, pi);
-    }
+    la::Vector pi = saturated.depart();
     for (std::size_t k = top - 1; k >= 1; --k) {
       const obs::ObsSpan epoch_span("solver/epoch");
       obs::counter_add(obs::Counter::kEpochRecursions);
@@ -258,34 +282,22 @@ DepartureTimeline TransientSolver::solve(std::size_t tasks) const {
 }
 
 double TransientSolver::makespan(std::size_t tasks) const {
-  return solve(tasks).makespan;
+  return makespan_grid({&tasks, 1})[0];
 }
 
 std::vector<double> TransientSolver::makespan_grid(
     std::span<const std::size_t> tasks) const {
   if (tasks.empty()) return {};
-  for (std::size_t n : tasks) {
-    if (n == 0) {
-      throw std::invalid_argument("makespan_grid: need >= 1 task");
-    }
-  }
+  const auto targets = saturating_targets(tasks, k_, "makespan_grid");
   const obs::ObsSpan span("solver/makespan_grid");
   obs::counter_add(obs::Counter::kGridPointsPerPass, tasks.size());
   std::vector<double> results(tasks.size(), 0.0);
   const net::StateSpace& sp = space();
 
   // Depth of the drain recursion: level K when any workload saturates, else
-  // the largest sub-K workload.
-  bool any_large = false;
-  std::size_t h_top = 0;
-  for (std::size_t n : tasks) {
-    if (n >= k_) {
-      any_large = true;
-    } else {
-      h_top = std::max(h_top, n);
-    }
-  }
-  if (any_large) h_top = k_;
+  // the largest (sub-K) workload.
+  const std::size_t h_top =
+      targets.empty() ? *std::max_element(tasks.begin(), tasks.end()) : k_;
 
   // Drain vectors: h_t[s] is the mean remaining completion time starting in
   // state s of Xi_t with no admissions left, the column-recursion mirror of
@@ -304,94 +316,54 @@ std::vector<double> TransientSolver::makespan_grid(
       results[i] = la::dot(sp.initial_vector(tasks[i]), h[tasks[i]]);
     }
   }
-  if (!any_large) return results;
+  if (targets.empty()) return results;
 
-  // Saturating workloads: N = K + j needs j advances of the epoch recursion;
-  // harvested at iterate j as E(T) = prefix_j + pi_j h_K, where prefix_j is
-  // the mean time of the j epochs already closed.  One pass to the largest j
-  // serves every point.
-  std::vector<std::pair<std::size_t, std::size_t>> targets;  // (j, output)
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i] >= k_) targets.emplace_back(tasks[i] - k_, i);
-  }
-  std::sort(targets.begin(), targets.end());
-  const std::size_t j_max = targets.back().first;
-
-  la::Vector pi = sp.initial_vector(k_);
-  // Same deferred-build policy as solve(): see the comment there.
-  const la::Matrix* composite =
-      (!opts_.fast_forward && j_max > 0)
-          ? model_->composite_operator(k_, j_max)
-          : nullptr;
-  const std::size_t break_even = composite_break_even(k_);
-  par::ThreadPool& pool = par::ThreadPool::global();
-  const net::LevelMatrices& lt = sp.level(k_);
+  // Saturating workloads: N = K + j is harvested at iterate j of the mean
+  // recursion as E(T) = prefix_j + pi_j h_K, where prefix_j is the mean
+  // time of the j epochs already closed.  One pass to the largest j serves
+  // every point.
   const la::Vector& h_k = h[k_];
-  la::Vector w;
-  la::Vector last_solved;
-  const auto advance = [&](const la::Vector& cur) {
-    if (composite != nullptr) {
-      return la::multiply_left_parallel(cur, *composite, pool);
-    }
-    if (w.empty()) {
-      w = solve_left(k_, cur);
-    } else {
-      la::Vector rhs = cur;
-      rhs -= last_solved;
-      w += solve_left(k_, rhs);
-    }
-    last_solved = cur;
-    return apply_r(k_, lt.q.apply_left_parallel(w, pool));
-  };
-
+  const la::Vector& tau_k = tau(k_);
+  SaturatedMean saturated(*model_, k_);
   auto next_target = targets.begin();
-  la::Vector prev;
   double prefix = 0.0;
-  for (std::size_t j = 0;; ++j) {
-    const double harvest = la::dot(pi, h_k);
-    while (next_target != targets.end() && next_target->first == j) {
-      results[next_target->second] = prefix + harvest;
-      ++next_target;
-    }
-    if (next_target == targets.end()) break;
-    if (composite == nullptr && opts_.fast_forward && j == break_even &&
-        j_max - j >= break_even) {
-      composite = model_->composite_operator(k_, j_max - j);
-    }
-    const obs::ObsSpan epoch_span("solver/epoch");
-    obs::counter_add(obs::Counter::kEpochRecursions);
-    prefix += la::dot(pi, tau(k_));
-    prev = pi;
-    pi = advance(pi);
-    if (opts_.fast_forward) {
-      double delta = 0.0;
-      for (std::size_t s = 0; s < pi.size(); ++s) {
-        delta = std::max(delta, std::abs(pi[s] - prev[s]));
-      }
-      if (delta < opts_.fast_forward_tolerance) {
-        // Mixed at iterate j+1: every later epoch departs from this same
-        // distribution, so each remaining point closes in O(1) —
-        //   E(T)(K + J) = prefix_{j+1} + (J - j - 1) t_ss + pi h_K.
-        const double t_ss = la::dot(pi, tau(k_));
-        const double tail = la::dot(pi, h_k);
-        obs::counter_add(obs::Counter::kFastForwardActivations);
-        obs::counter_add(obs::Counter::kEpochsSkipped, j_max - j - 1);
-        for (; next_target != targets.end(); ++next_target) {
-          const auto r = static_cast<double>(next_target->first - j - 1);
-          results[next_target->second] = prefix + r * t_ss + tail;
+  const std::size_t visited = saturated.run(
+      targets.back().first, opts_.fast_forward,
+      [&](std::size_t j, const la::Vector& pi) {
+        const double harvest = la::dot(pi, h_k);
+        for (; next_target != targets.end() && next_target->first == j;
+             ++next_target) {
+          results[next_target->second] = prefix + harvest;
         }
-        break;
-      }
+        prefix += la::dot(pi, tau_k);
+      });
+  if (next_target != targets.end()) {
+    // Mixed at iterate m = visited: every later epoch departs from this same
+    // distribution, so each remaining point closes in O(1) —
+    //   E(T)(K + J) = prefix_m + (J - m) t_ss + pi_m h_K.
+    const double t_ss = la::dot(saturated.pi(), tau_k);
+    const double tail = la::dot(saturated.pi(), h_k);
+    for (; next_target != targets.end(); ++next_target) {
+      const auto r = static_cast<double>(next_target->first - visited);
+      results[next_target->second] = prefix + r * t_ss + tail;
     }
   }
   return results;
 }
 
 MakespanMoments TransientSolver::makespan_moments(std::size_t tasks) const {
-  if (tasks == 0) {
-    throw std::invalid_argument("makespan_moments: need >= 1 task");
-  }
-  const obs::ObsSpan span("solver/makespan_moments");
+  return makespan_moments_grid({&tasks, 1})[0];
+}
+
+std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
+    std::span<const std::size_t> tasks) const {
+  if (tasks.empty()) return {};
+  const auto targets = saturating_targets(tasks, k_, "makespan_moments_grid");
+  const obs::ObsSpan span("solver/makespan_moments_grid");
+  obs::counter_add(obs::Counter::kGridPointsPerPass, tasks.size());
+  std::vector<MakespanMoments> results(tasks.size());
+  const net::StateSpace& sp = space();
+
   // The whole run is one absorbing chain whose blocks are the saturated
   // segments (level K, one per admission remaining) followed by the
   // draining levels K-1..1.  With B the full service-rate matrix,
@@ -403,121 +375,6 @@ MakespanMoments TransientSolver::makespan_moments(std::size_t tasks) const {
   //   x_b  = (I-P)^-1 (M^-1 m1_b + Q [R] x_next),   m2 = 2 x,
   // the x-step being V_b m1_b + (I-P)^-1 Q [R] x_next folded into one
   // resolvent solve: two level solves per block.
-  const net::StateSpace& sp = space();
-  const std::size_t top = std::min(tasks, k_);
-
-  const auto flow_apply = [&](std::size_t k, const la::Vector& next) {
-    // (I - P_k)^-1 Q_k next  (next lives one level down)
-    return solve_right(k, sp.level(k).q.apply(next));
-  };
-
-  // Draining levels 1..top-1 (remaining time after the queue has emptied).
-  la::Vector m1_next(1, 0.0);  // level 0: absorbed, zero remaining time
-  la::Vector x_next(1, 0.0);
-  for (std::size_t k = 1; k < top; ++k) {
-    la::Vector m1 = tau(k) + flow_apply(k, m1_next);
-    la::Vector x =
-        second_moment_step(*model_, k, m1, sp.level(k).q.apply(x_next));
-    m1_next = std::move(m1);
-    x_next = std::move(x);
-  }
-
-  // Saturated segments: j admissions remaining, j = 0 .. tasks - top.
-  const net::LevelMatrices& lt = sp.level(top);
-  const std::size_t total_j = tasks - top;
-  // Deferred-build policy as in solve(); only the m1 step applies T.
-  const la::Matrix* composite =
-      (!opts_.fast_forward && total_j > 0)
-          ? model_->composite_operator(top, total_j)
-          : nullptr;
-  const std::size_t defer_at = composite_break_even(top);
-  par::ThreadPool& pool = par::ThreadPool::global();
-  // The m1 admission step is the column action of T = (I - P)^-1 Q R; use
-  // the cached dense composite when available.
-  const auto t_apply = [&](const la::Vector& v) {
-    if (composite != nullptr) return la::multiply_parallel(*composite, v, pool);
-    return solve_right(top, lt.q.apply(lt.r.apply(v)));
-  };
-  la::Vector m1 = tau(top) + flow_apply(top, m1_next);
-  la::Vector x = second_moment_step(*model_, top, m1, lt.q.apply(x_next));
-  la::Vector d_prev;  // previous first difference of m1
-  la::Vector e_prev;  // previous first difference of x
-  la::Vector f_prev;  // previous second difference of x
-  for (std::size_t j = 1; j <= total_j; ++j) {
-    if (composite == nullptr && opts_.fast_forward && j == defer_at &&
-        total_j - j + 1 >= defer_at) {
-      composite = model_->composite_operator(top, total_j - j + 1);
-    }
-    la::Vector m1_new = tau(top) + t_apply(m1);
-    la::Vector x_new =
-        second_moment_step(*model_, top, m1_new, lt.q.apply(lt.r.apply(x)));
-    la::Vector d = m1_new;
-    d -= m1;
-    la::Vector e = x_new;
-    e -= x;
-    m1 = std::move(m1_new);
-    x = std::move(x_new);
-
-    if (opts_.fast_forward && j >= 3) {
-      // Past mixing, m1 grows by a constant vector per admission
-      // (d_j -> t_ss eps) and the x increments become arithmetic
-      // (e_{j+i} ~ e_j + i f): once both the first difference of d and the
-      // second difference of x have stabilised, close the remaining
-      // admissions in closed form:
-      //   m1 += R d,   x += R e + R(R+1)/2 f,   R = total_j - j.
-      la::Vector dd = d;
-      dd -= d_prev;
-      la::Vector f = e;
-      f -= e_prev;
-      la::Vector ff = f;
-      ff -= f_prev;
-      const double tol = opts_.fast_forward_moment_tolerance;
-      // f is a second difference of near-cancelling terms; its floating
-      // noise floor is ~eps ||x||, below which no threshold can bite.
-      const double noise_floor = 4.0 * 2.220446049250313e-16 * x.norm_inf();
-      if (dd.norm_inf() <= tol * d.norm_inf() &&
-          ff.norm_inf() <= tol * f.norm_inf() + noise_floor) {
-        const auto remaining = static_cast<double>(total_j - j);
-        la::axpy(remaining, d, m1);
-        la::axpy(remaining, e, x);
-        la::axpy(0.5 * remaining * (remaining + 1.0), f, x);
-        obs::counter_add(obs::Counter::kFastForwardActivations);
-        obs::counter_add(obs::Counter::kEpochsSkipped, total_j - j);
-        break;
-      }
-      f_prev = std::move(f);
-    } else if (opts_.fast_forward && j >= 2) {
-      la::Vector f = e;
-      f -= e_prev;
-      f_prev = std::move(f);
-    }
-    d_prev = std::move(d);
-    e_prev = std::move(e);
-  }
-
-  const la::Vector p0 = sp.initial_vector(top);
-  MakespanMoments mm;
-  mm.mean = la::dot(p0, m1);
-  mm.second_moment = 2.0 * la::dot(p0, x);
-  mm.variance = mm.second_moment - mm.mean * mm.mean;
-  mm.std_dev = std::sqrt(std::max(0.0, mm.variance));
-  mm.scv = mm.variance / (mm.mean * mm.mean);
-  return mm;
-}
-
-std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
-    std::span<const std::size_t> tasks) const {
-  if (tasks.empty()) return {};
-  for (std::size_t n : tasks) {
-    if (n == 0) {
-      throw std::invalid_argument("makespan_moments_grid: need >= 1 task");
-    }
-  }
-  const obs::ObsSpan span("solver/makespan_moments_grid");
-  obs::counter_add(obs::Counter::kGridPointsPerPass, tasks.size());
-  std::vector<MakespanMoments> results(tasks.size());
-  const net::StateSpace& sp = space();
-
   const auto flow_apply = [&](std::size_t k, const la::Vector& next) {
     return solve_right(k, sp.level(k).q.apply(next));
   };
@@ -532,59 +389,30 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   // Workloads below K are whole-run drains: level N of the draining
   // back-substitution IS workload N's remaining-time system, so harvest each
   // on the way up.
-  bool any_large = false;
-  std::size_t loop_top = 0;
-  for (std::size_t n : tasks) {
-    if (n >= k_) {
-      any_large = true;
-    } else {
-      loop_top = std::max(loop_top, n);
-    }
-  }
-  if (any_large) loop_top = k_ > 0 ? k_ - 1 : 0;
+  const std::size_t loop_top =
+      targets.empty() ? *std::max_element(tasks.begin(), tasks.end()) : k_ - 1;
 
-  la::Vector m1_next(1, 0.0);
+  la::Vector m1_next(1, 0.0);  // level 0: absorbed, zero remaining time
   la::Vector x_next(1, 0.0);
   for (std::size_t k = 1; k <= loop_top; ++k) {
     la::Vector m1 = tau(k) + flow_apply(k, m1_next);
     la::Vector x =
         second_moment_step(*model_, k, m1, sp.level(k).q.apply(x_next));
-    bool wanted = false;
-    for (std::size_t n : tasks) wanted = wanted || (n == k && n < k_);
-    if (wanted) {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (tasks[i] != k) continue;  // k < K here, so N = k is a drain
       const la::Vector p0 = sp.initial_vector(k);
-      const double mean = la::dot(p0, m1);
-      const double x_val = la::dot(p0, x);
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        if (tasks[i] == k) fill(results[i], mean, x_val);
-      }
+      fill(results[i], la::dot(p0, m1), la::dot(p0, x));
     }
     m1_next = std::move(m1);
     x_next = std::move(x);
   }
-  if (!any_large) return results;
+  if (targets.empty()) return results;
 
   // Saturating workloads N = K + j: one admission loop to the largest j,
   // harvesting dot products at each requested iterate.
-  std::vector<std::pair<std::size_t, std::size_t>> targets;  // (j, output)
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i] >= k_) targets.emplace_back(tasks[i] - k_, i);
-  }
-  std::sort(targets.begin(), targets.end());
   const std::size_t j_max = targets.back().first;
 
   const net::LevelMatrices& lt = sp.level(k_);
-  // Deferred-build policy as in makespan_moments.
-  const la::Matrix* composite =
-      (!opts_.fast_forward && j_max > 0)
-          ? model_->composite_operator(k_, j_max)
-          : nullptr;
-  const std::size_t defer_at = composite_break_even(k_);
-  par::ThreadPool& pool = par::ThreadPool::global();
-  const auto t_apply = [&](const la::Vector& v) {
-    if (composite != nullptr) return la::multiply_parallel(*composite, v, pool);
-    return solve_right(k_, lt.q.apply(lt.r.apply(v)));
-  };
   const la::Vector p0 = sp.initial_vector(k_);
   la::Vector m1 = tau(k_) + flow_apply(k_, m1_next);
   la::Vector x = second_moment_step(*model_, k_, m1, lt.q.apply(x_next));
@@ -596,15 +424,12 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
     }
   };
   harvest(0);
-  la::Vector d_prev;
-  la::Vector e_prev;
-  la::Vector f_prev;
+  la::Vector d_prev;  // previous first difference of m1
+  la::Vector e_prev;  // previous first difference of x
+  la::Vector f_prev;  // previous second difference of x
   for (std::size_t j = 1; next_target != targets.end(); ++j) {
-    if (composite == nullptr && opts_.fast_forward && j == defer_at &&
-        j_max - j + 1 >= defer_at) {
-      composite = model_->composite_operator(k_, j_max - j + 1);
-    }
-    la::Vector m1_new = tau(k_) + t_apply(m1);
+    // The m1 step is the column action of T = (I - P)^-1 Q R.
+    la::Vector m1_new = tau(k_) + flow_apply(k_, lt.r.apply(m1));
     la::Vector x_new =
         second_moment_step(*model_, k_, m1_new, lt.q.apply(lt.r.apply(x)));
     la::Vector d = m1_new;
@@ -616,21 +441,23 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
     harvest(j);
     if (next_target == targets.end()) break;
 
-    if (opts_.fast_forward && j >= 3) {
-      la::Vector dd = d;
-      dd -= d_prev;
+    if (opts_.fast_forward && j >= 2) {
       la::Vector f = e;
       f -= e_prev;
-      la::Vector ff = f;
-      ff -= f_prev;
-      const double tol = opts_.fast_forward_moment_tolerance;
+      // Past mixing, m1 grows by a constant vector per admission
+      // (d_j -> t_ss eps) and the x increments become arithmetic
+      // (e_{j+i} ~ e_j + i f): once both the first difference of d and the
+      // second difference of x have stabilised, close the remaining
+      // admissions in closed form, per point by linearity of the p0 dot —
+      //   mean(K+J) = p0 m1 + R p0 d,
+      //   x(K+J)    = p0 x + R p0 e + R(R+1)/2 p0 f,   R = J - j.
+      // f is a second difference of near-cancelling terms; its floating
+      // noise floor is ~eps ||x||, below which no threshold can bite.
       const double noise_floor = 4.0 * 2.220446049250313e-16 * x.norm_inf();
-      if (dd.norm_inf() <= tol * d.norm_inf() &&
-          ff.norm_inf() <= tol * f.norm_inf() + noise_floor) {
-        // Mixed: the same closed forms makespan_moments uses, applied per
-        // point by linearity of the p0 dot product —
-        //   mean(K+J) = p0 m1 + R p0 d,
-        //   x(K+J)    = p0 x + R p0 e + R(R+1)/2 p0 f,   R = J - j.
+      if (j >= 3 &&
+          (d - d_prev).norm_inf() <= kMomentMixingTolerance * d.norm_inf() &&
+          (f - f_prev).norm_inf() <=
+              kMomentMixingTolerance * f.norm_inf() + noise_floor) {
         const double mean_j = la::dot(p0, m1);
         const double x_j = la::dot(p0, x);
         const double d_s = la::dot(p0, d);
@@ -645,10 +472,6 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
         }
         break;
       }
-      f_prev = std::move(f);
-    } else if (opts_.fast_forward && j >= 2) {
-      la::Vector f = e;
-      f -= e_prev;
       f_prev = std::move(f);
     }
     d_prev = std::move(d);

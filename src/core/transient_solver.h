@@ -9,7 +9,13 @@
 //     pi tau'_k with tau'_k = (I - P_k)^-1 (M_k^-1 eps)
 // Small levels use a cached dense LU of (I - P_k); large levels fall back to
 // matrix-free iterative solves on the CSR P_k (Neumann series, then BiCGSTAB
-// if the series converges too slowly).
+// and GMRES if the series converges too slowly).
+//
+// The saturated phase is one recursion, pi_{j+1} = pi_j Y_K R_K, with a
+// warm-started resolvent and a mixing test that closes the remaining epochs
+// analytically (fast-forward).  solve() and makespan_grid() both run it;
+// makespan_moments_grid() runs its column (remaining-time) mirror.  The
+// single-N queries makespan() and makespan_moments() are one-point grids.
 //
 // The expensive, query-independent pieces — the StateSpace and the per-level
 // factorizations — live in a shared core::ModelArtifacts (model_cache.h), so
@@ -43,19 +49,6 @@ struct SolverOptions {
   /// mixed to the steady state (see docs/PERFORMANCE.md).  Exact to solver
   /// precision; turn off to force the full epoch-by-epoch recursion.
   bool fast_forward = true;
-  /// Mixing threshold for solve(): fast-forward once the successive
-  /// departure-epoch distributions satisfy ||pi_{i+1} - pi_i||_inf < this.
-  /// Keep above `tolerance` — the iterates themselves carry solve error.
-  double fast_forward_tolerance = 1e-11;
-  /// Relative mixing threshold for makespan_moments(): fast-forward once the
-  /// per-epoch moment increments have stabilised to this relative precision.
-  double fast_forward_moment_tolerance = 1e-10;
-  /// Cache the dense composite operator T_K = (I - P_K)^-1 Q_K R_K for the
-  /// saturated phase, turning each epoch into a single GEMV.  Only built on
-  /// dense (LU-factored) levels when enough epochs will amortise the build.
-  bool cache_composite = true;
-  /// Never build the composite for fewer saturated epochs than this.
-  std::size_t composite_min_epochs = 32;
   /// Build the level matrices for 1..K concurrently on the global thread
   /// pool at construction instead of lazily on first use.
   bool prebuild_levels = true;
@@ -123,10 +116,10 @@ class TransientSolver {
   TransientSolver(const net::NetworkSpec& spec, std::size_t workstations,
                   SolverOptions options = {});
   /// Evaluate over a shared (typically ModelCache-owned) model.  The model's
-  /// numeric backend options (dense threshold, solve tolerances, composite
-  /// gating) were fixed when the artifacts were built; `options` governs the
-  /// per-query recursion controls (fast_forward and its thresholds, the
-  /// steady-state iteration caps).
+  /// numeric backend options (dense threshold, solve tolerances, fallback
+  /// ladder) were fixed when the artifacts were built; `options` governs the
+  /// per-query recursion controls (fast_forward, the steady-state iteration
+  /// caps).
   explicit TransientSolver(std::shared_ptr<const ModelArtifacts> model,
                            SolverOptions options = {});
   ~TransientSolver();
@@ -164,33 +157,35 @@ class TransientSolver {
   /// The paper's p_K: state distribution after the initial fill.
   [[nodiscard]] la::Vector initial_vector() const;
 
-  /// Full transient solution for a workload of `tasks` (N >= 1).  When
+  /// Full transient solution for a workload of `tasks` (N >= 1): the
+  /// saturated recursion forward, then the draining levels forward.  When
   /// N < K only N tasks ever coexist, matching the paper's remark that such
   /// jobs run on an N-sized cluster.
   [[nodiscard]] DepartureTimeline solve(std::size_t tasks) const;
 
-  /// Mean makespan E(T) only (same recursion, no per-epoch storage).
+  /// Mean makespan E(T) only: makespan_grid({tasks})[0], with no per-epoch
+  /// storage.
   [[nodiscard]] double makespan(std::size_t tasks) const;
 
-  /// E(T) for every workload size in `tasks` from ONE pass of the epoch
-  /// recursion: the recursion evaluated at max(tasks) computes every smaller
-  /// workload as a prefix, so each requested N is harvested on the way
-  /// instead of re-running the pass per point.  Exact by construction —
-  /// agrees with per-N makespan() to solver precision — and composes with
-  /// fast_forward (post-mixing points close with the arithmetic-series
-  /// identities).  `tasks` need not be sorted or unique; results align with
-  /// the input order.
+  /// E(T) for every workload size in `tasks` from ONE pass of the saturated
+  /// recursion, the same one solve() runs: workload K + j is harvested at
+  /// iterate j as the mean time of the epochs already closed plus pi_j h_K,
+  /// where h_K (the mean drain time per state) comes from one column solve
+  /// per level.  Agrees with solve(N).makespan to solver precision and
+  /// composes with fast_forward (post-mixing points close with the
+  /// arithmetic-series identities).  `tasks` need not be sorted or unique;
+  /// results align with the input order.
   [[nodiscard]] std::vector<double> makespan_grid(
       std::span<const std::size_t> tasks) const;
 
-  /// Mean AND variance of the makespan, treating the whole finite-workload
-  /// process as one absorbing chain and back-substituting its block
-  /// bidiagonal structure (extension; see DESIGN.md).  The mean coincides
-  /// with solve(tasks).makespan to solver precision.
+  /// Mean AND variance of the makespan: makespan_moments_grid({tasks})[0].
   [[nodiscard]] MakespanMoments makespan_moments(std::size_t tasks) const;
 
   /// Moments for every workload size in `tasks` from one pass of the
-  /// admission recursion (the N-grid analogue of makespan_grid).
+  /// admission recursion, treating the whole finite-workload process as one
+  /// absorbing chain and back-substituting its block bidiagonal structure
+  /// (extension; see DESIGN.md).  The means agree with makespan_grid to
+  /// solver precision.
   [[nodiscard]] std::vector<MakespanMoments> makespan_moments_grid(
       std::span<const std::size_t> tasks) const;
 
@@ -243,10 +238,6 @@ class TransientSolver {
   [[nodiscard]] la::Vector solve_left(std::size_t k, const la::Vector& pi) const;
   /// x = (I - P_k)^-1 b (column solve).
   [[nodiscard]] la::Vector solve_right(std::size_t k, const la::Vector& b) const;
-  /// Epochs after which building the dense composite has paid for itself:
-  /// the build is one multi-RHS solve per state, i.e. about dimension(level)
-  /// epochs of the LU path (mirrors the gate in composite_operator).
-  [[nodiscard]] std::size_t composite_break_even(std::size_t level) const;
 
   std::shared_ptr<const ModelArtifacts> model_;
   std::size_t k_;

@@ -8,7 +8,6 @@
 #include "check/fault_inject.h"
 #include "linalg/solver_error.h"
 #include "obs/counters.h"
-#include "parallel/thread_pool.h"
 
 namespace finwork::la {
 
@@ -142,26 +141,6 @@ Matrix LuDecomposition::solve(const Matrix& b) const {
     const Vector sol = solve(col);
     for (std::size_t r = 0; r < n; ++r) x(r, c) = sol[r];
   }
-  return x;
-}
-
-Matrix LuDecomposition::solve_many(const Matrix& b) const {
-  const std::size_t n = dim();
-  if (b.rows() != n) throw std::invalid_argument("LU solve_many: size mismatch");
-  obs::counter_add(obs::Counter::kMultiRhsSolves);
-  Matrix x(n, b.cols());
-  // Each column is an independent triangular-solve pair writing a disjoint
-  // slice of x; parallel_for falls back to a serial loop for small ranges
-  // and when already running on a pool worker.
-  par::parallel_for(
-      par::ThreadPool::global(), 0, b.cols(),
-      [&](std::size_t c) {
-        Vector col(n);
-        for (std::size_t r = 0; r < n; ++r) col[r] = b(r, c);
-        const Vector sol = solve(col);
-        for (std::size_t r = 0; r < n; ++r) x(r, c) = sol[r];
-      },
-      /*grain=*/8);
   return x;
 }
 

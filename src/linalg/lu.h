@@ -31,10 +31,6 @@ class LuDecomposition {
   [[nodiscard]] Vector solve_left(const Vector& b) const;
   /// Solve A X = B column-by-column.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
-  /// Solve A X = B with the independent right-hand-side columns fanned out
-  /// over the global thread pool (serial when nested inside a pool task or
-  /// for small systems).  Column results are bitwise identical to solve().
-  [[nodiscard]] Matrix solve_many(const Matrix& b) const;
   /// A^-1 (computed by solving against the identity).
   [[nodiscard]] Matrix inverse() const;
   /// det(A), including the pivot sign.

@@ -28,7 +28,6 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "solver.fast_forward_activations",
     "solver.epochs_skipped",
     "linalg.parallel_spmv_chunks",
-    "linalg.multi_rhs_solves",
     "state_space.levels_built",
     "state_space.states_enumerated",
     "linalg.kron_products",

@@ -27,11 +27,10 @@ enum class Counter : std::size_t {
   kBicgstabIterations,   ///< total BiCGSTAB iterations
   kGmresIterations,      ///< total GMRES operator applications
   kPowerIterations,      ///< total power-iteration steps
-  kEpochRecursions,      ///< Y_k / R_k epoch steps taken by solve()
+  kEpochRecursions,      ///< saturated advances, plus solve()'s drain epochs
   kFastForwardActivations,  ///< saturated loops closed analytically
   kEpochsSkipped,        ///< epochs closed by fast-forward instead of applied
   kParallelSpmvChunks,   ///< row panels dispatched by parallel CSR actions
-  kMultiRhsSolves,       ///< multi-RHS LU solves (solve_many calls)
   kLevelsBuilt,          ///< state-space level matrix assemblies
   kStatesEnumerated,     ///< states enumerated across all levels
   kKronProducts,         ///< dense Kronecker products formed
