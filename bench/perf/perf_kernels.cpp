@@ -87,33 +87,48 @@ void BM_LuSolveLeft(benchmark::State& state) {
 }
 BENCHMARK(BM_LuSolveLeft)->Unit(benchmark::kMicrosecond);
 
+enum class LevelSolve { kLeft, kRight, kPair };
+
 // One cold Neumann level solve on level 6 of the distributed K = 6 cluster
 // (D = 3003, above the dense threshold): the row solve pi (I - P_6)^-1 runs
 // the gather kernel over P_6^T, the column solve (I - P_6)^-1 M_6^-1 eps
-// over P_6 itself.
-void BM_NeumannLevelSolve(benchmark::State& state, bool left) {
+// over P_6 itself.  `pair` runs that column together with a second one, the
+// Q R image of the first as a moments admission pairs them, through the
+// two-column kernel: one pass over P_6 per iteration for both.
+void BM_NeumannLevelSolve(benchmark::State& state, LevelSolve kind) {
   cluster::ExperimentConfig cfg;
   cfg.architecture = cluster::Architecture::kDistributed;
   cfg.workstations = 6;
   const net::StateSpace space(cluster::build_cluster(cfg), 6);
   const net::LevelMatrices& lm = space.level(6);
-  const la::CsrMatrix a = left ? lm.p.transpose() : lm.p;
+  const la::CsrMatrix a = kind == LevelSolve::kLeft ? lm.p.transpose() : lm.p;
   la::Vector b = space.initial_vector(6);
-  if (!left) {
+  if (kind != LevelSolve::kLeft) {
     for (std::size_t i = 0; i < b.size(); ++i) b[i] = 1.0 / lm.event_rates[i];
   }
-  std::size_t iterations = 0;
+  const la::Vector b2 = lm.q.apply(lm.r.apply(b));
+  double iterations = 0.0;
   for (auto _ : state) {
-    const la::IterativeResult res = la::neumann_solve(a, b, 1e-12, 20000);
-    iterations = res.iterations;
-    benchmark::DoNotOptimize(res.x.data());
+    if (kind == LevelSolve::kPair) {
+      const auto res = la::neumann_solve(a, b, b2, 1e-12, 20000);
+      iterations = 0.5 * static_cast<double>(res[0].iterations +
+                                             res[1].iterations);
+      benchmark::DoNotOptimize(res[0].x.data());
+      benchmark::DoNotOptimize(res[1].x.data());
+    } else {
+      const la::IterativeResult res = la::neumann_solve(a, b, 1e-12, 20000);
+      iterations = static_cast<double>(res.iterations);
+      benchmark::DoNotOptimize(res.x.data());
+    }
   }
   state.counters["dim"] = static_cast<double>(a.rows());
-  state.counters["iterations_per_solve"] = static_cast<double>(iterations);
+  state.counters["iterations_per_solve"] = iterations;
 }
-BENCHMARK_CAPTURE(BM_NeumannLevelSolve, left, true)
+BENCHMARK_CAPTURE(BM_NeumannLevelSolve, left, LevelSolve::kLeft)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NeumannLevelSolve, right, false)
+BENCHMARK_CAPTURE(BM_NeumannLevelSolve, right, LevelSolve::kRight)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NeumannLevelSolve, pair, LevelSolve::kPair)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EpochStep(benchmark::State& state) {

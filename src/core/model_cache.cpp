@@ -110,17 +110,23 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
   // solves.
   obs::counter_add(obs::Counter::kIterativeSolves);
   const la::CsrMatrix& gather = left ? transposed_p(k) : space_.level(k).p;
-  par::ThreadPool& pool = par::ThreadPool::global();
   la::IterativeResult res = la::neumann_solve(gather, b, opts_.tolerance,
                                               opts_.max_neumann_iterations);
   if (res.converged) return std::move(res.x);
+  return krylov_solve(k, gather, b, left);
+}
+
+la::Vector ModelArtifacts::krylov_solve(std::size_t k,
+                                        const la::CsrMatrix& gather,
+                                        const la::Vector& b, bool left) const {
+  par::ThreadPool& pool = par::ThreadPool::global();
   const auto apply_a = [&gather, &pool](const la::Vector& v) {
     la::Vector y = v;
     y -= gather.apply_parallel(v, pool);
     return y;
   };
-  res = la::bicgstab_left(apply_a, b, opts_.tolerance,
-                          opts_.max_bicgstab_iterations);
+  la::IterativeResult res = la::bicgstab_left(apply_a, b, opts_.tolerance,
+                                              opts_.max_bicgstab_iterations);
   if (res.converged) return std::move(res.x);
   res = la::gmres_left(apply_a, b, opts_.tolerance,
                        opts_.max_bicgstab_iterations);
@@ -353,6 +359,45 @@ la::Vector ModelArtifacts::solve_left(std::size_t k,
 la::Vector ModelArtifacts::solve_right(std::size_t k,
                                        const la::Vector& b) const {
   return ladder_solve(prepared_level(k), k, b, /*left=*/false);
+}
+
+std::array<la::Vector, 2> ModelArtifacts::solve_right(
+    std::size_t k, const la::Vector& b1, const la::Vector& b2) const {
+  const Level& lvl = prepared_level(k);
+  if (lvl.lu) {
+    return {ladder_solve(lvl, k, b1, /*left=*/false),
+            ladder_solve(lvl, k, b2, /*left=*/false)};
+  }
+  obs::counter_add(obs::Counter::kIterativeSolves, 2);
+  const la::CsrMatrix& p = space_.level(k).p;
+  auto [r1, r2] = la::neumann_solve(p, b1, b2, opts_.tolerance,
+                                    opts_.max_neumann_iterations);
+  return {r1.converged ? std::move(r1.x) : krylov_solve(k, p, b1, false),
+          r2.converged ? std::move(r2.x) : krylov_solve(k, p, b2, false)};
+}
+
+const la::Vector& ModelArtifacts::drain_mean(std::size_t k) const {
+  const la::Vector& tau_k = tau(k);  // validates k
+  Level& lvl = levels_[k];
+  std::call_once(lvl.h_once, [&] {
+    const la::Vector below = k == 1 ? la::Vector(1, 0.0) : drain_mean(k - 1);
+    lvl.h = tau_k + solve_right(k, space_.level(k).q.apply(below));
+  });
+  return lvl.h;
+}
+
+const la::Vector& ModelArtifacts::drain_second(std::size_t k) const {
+  const la::Vector& h_k = drain_mean(k);
+  Level& lvl = levels_[k];
+  std::call_once(lvl.x_once, [&] {
+    const net::LevelMatrices& lm = space_.level(k);
+    la::Vector flow =
+        lm.q.apply(k == 1 ? la::Vector(1, 0.0) : drain_second(k - 1));
+    const la::Vector& rates = lm.event_rates;
+    for (std::size_t i = 0; i < flow.size(); ++i) flow[i] += h_k[i] / rates[i];
+    lvl.x = solve_right(k, flow);
+  });
+  return lvl.x;
 }
 
 double ModelArtifacts::level_rcond(std::size_t k) const {

@@ -4,12 +4,14 @@
 //
 // ModelArtifacts owns everything about a (NetworkSpec, K) pair that is
 // independent of the query: the reduced-product StateSpace, the per-level
-// LU factorization of (I - P_k), the per-level tau'_k vectors and the lazily
-// transposed P_k^T.  It is immutable from the outside and safe to share
-// across threads — every lazily-built piece is published through a
-// once-flag or an acquire/release atomic — so any number of TransientSolver
-// instances (e.g. the points of a figure sweep running under parallel_for)
-// can evaluate the same model concurrently without rebuilding it.
+// LU factorization of (I - P_k), the per-level tau'_k vectors, the drain
+// vectors h_k and x_k (mean and half second moment of the time to empty
+// level k) and the lazily transposed P_k^T.  It is immutable from the
+// outside and safe to share across threads — every lazily-built piece is
+// published through a once-flag or an acquire/release atomic — so any number
+// of TransientSolver instances (e.g. the points of a figure sweep running
+// under parallel_for) can evaluate the same model concurrently without
+// rebuilding it.
 //
 // ModelCache maps a *canonical byte encoding* of the model inputs (station
 // shapes at double precision, routing, contention, K, and the numeric
@@ -22,6 +24,7 @@
 // with LRU eviction; evicted models stay alive for as long as any solver
 // still holds its shared_ptr.
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -67,6 +70,16 @@ class ModelArtifacts {
   [[nodiscard]] la::Vector solve_left(std::size_t k, const la::Vector& pi) const;
   /// x = (I - P_k)^-1 b (column solve).
   [[nodiscard]] la::Vector solve_right(std::size_t k, const la::Vector& b) const;
+  /// Two column solves, bit for bit the two solve_right(k, b) calls; an
+  /// iterative level runs them through one paired Neumann pass.
+  [[nodiscard]] std::array<la::Vector, 2> solve_right(
+      std::size_t k, const la::Vector& b1, const la::Vector& b2) const;
+  /// Mean drain time per state of Xi_k with no admissions left:
+  ///   h_k = tau'_k + (I - P_k)^-1 Q_k h_{k-1},   h_0 = 0.
+  [[nodiscard]] const la::Vector& drain_mean(std::size_t k) const;
+  /// Half the second moment of the drain time per state of Xi_k:
+  ///   x_k = (I - P_k)^-1 (M_k^-1 h_k + Q_k x_{k-1}),   x_0 = 0.
+  [[nodiscard]] const la::Vector& drain_second(std::size_t k) const;
   /// Reciprocal condition estimate of level k's dense factorization of
   /// (I - P_k); 0 when the level is iterative or its factorization failed.
   [[nodiscard]] double level_rcond(std::size_t k) const;
@@ -88,6 +101,11 @@ class ModelArtifacts {
     /// Ladder state: condition estimate breached max_condition, so every
     /// dense solve on this level runs iterative refinement.
     bool refine = false;
+    /// Drain vectors h_k and x_k, each built on its first request.
+    std::once_flag h_once;
+    la::Vector h;
+    std::once_flag x_once;
+    la::Vector x;
   };
 
   /// Factorize (I - P_k) and build tau'_k exactly once; returns the level
@@ -101,6 +119,9 @@ class ModelArtifacts {
   /// docs/ROBUSTNESS.md.
   la::Vector ladder_solve(const Level& lvl, std::size_t k, const la::Vector& b,
                           bool left) const;
+  /// The ladder past a Neumann stage that did not converge.
+  la::Vector krylov_solve(std::size_t k, const la::CsrMatrix& gather,
+                          const la::Vector& b, bool left) const;
   /// P_k^T, transposed exactly once on first use (left solves gather over
   /// it; column-only levels never pay its storage).
   const la::CsrMatrix& transposed_p(std::size_t k) const;

@@ -93,14 +93,35 @@ class SaturatedMean {
   la::Vector last_solved_;  // the iterate that produced w_
 };
 
-/// x-step of the second-moment back-substitution at level k as ONE resolvent
-/// solve: V_k m1 + (I - P_k)^-1 flow = (I - P_k)^-1 (M_k^-1 m1 + flow), with
-/// flow = Q_k x_next on a draining level and Q_k R_k x while saturated.
-la::Vector second_moment_step(const ModelArtifacts& model, std::size_t k,
-                              const la::Vector& m1, la::Vector flow) {
-  const la::Vector& rates = model.space().level(k).event_rates;
-  for (std::size_t i = 0; i < flow.size(); ++i) flow[i] += m1[i] / rates[i];
-  return model.solve_right(k, flow);
+/// sum_n Poisson(n; qt) a_of(n) for qt > 0, the weights expanded outward
+/// from the mode in log space (exp(-qt) underflows beyond qt ~ 745), and
+/// the far-tail mass neither loop reaches charged at a_inf = lim a_n.
+/// a_of sees n = mode, mode + 1, ... before any n below the mode.
+template <class A>
+double poisson_mixture(double qt, A&& a_of, double a_inf) {
+  const auto mode = static_cast<std::size_t>(qt);
+  const double log_w_mode = static_cast<double>(mode) * std::log(qt) - qt -
+                            std::lgamma(static_cast<double>(mode) + 1.0);
+  double total = 0.0;
+  double mass = 0.0;
+  // Upward from the mode.
+  double w = std::exp(log_w_mode);
+  for (std::size_t n = mode;; ++n) {
+    total += w * a_of(n);
+    mass += w;
+    w *= qt / static_cast<double>(n + 1);
+    if (w < 1e-17 && static_cast<double>(n) > qt) break;
+  }
+  // Downward from the mode.
+  w = std::exp(log_w_mode);
+  for (std::size_t n = mode; n-- > 0;) {
+    w *= static_cast<double>(n + 1) / qt;
+    total += w * a_of(n);
+    mass += w;
+    if (w < 1e-17) break;
+  }
+  total += std::max(0.0, 1.0 - mass) * a_inf;
+  return std::min(1.0, std::max(0.0, total));
 }
 
 /// Validates an N-grid and returns its saturating workloads N = K + j as
@@ -143,23 +164,13 @@ const net::StateSpace& TransientSolver::space() const noexcept {
   return model_->space();
 }
 
-la::Vector TransientSolver::solve_left(std::size_t k,
-                                       const la::Vector& pi) const {
-  return model_->solve_left(k, pi);
-}
-
-la::Vector TransientSolver::solve_right(std::size_t k,
-                                        const la::Vector& b) const {
-  return model_->solve_right(k, b);
-}
-
 const la::Vector& TransientSolver::tau(std::size_t k) const {
   return model_->tau(k);
 }
 
 la::Vector TransientSolver::apply_y(std::size_t k, const la::Vector& pi) const {
   const net::LevelMatrices& lm = space().level(k);
-  return lm.q.apply_left_parallel(solve_left(k, pi),
+  return lm.q.apply_left_parallel(model_->solve_left(k, pi),
                                   par::ThreadPool::global());
 }
 
@@ -179,7 +190,7 @@ double TransientSolver::epoch_second_moment(std::size_t k,
   const net::LevelMatrices& lm = space().level(k);
   la::Vector rhs = tau(k);
   for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] /= lm.event_rates[i];
-  return 2.0 * la::dot(pi, solve_right(k, rhs));
+  return 2.0 * la::dot(pi, model_->solve_right(k, rhs));
 }
 
 double TransientSolver::epoch_reliability(std::size_t k, const la::Vector& pi,
@@ -206,23 +217,17 @@ double TransientSolver::epoch_reliability(std::size_t k, const la::Vector& pi,
     y += v;
     return y;
   };
+  // R(t) = sum_n Poisson(n; qt) (pi Pu^n) eps; the survival mass -> 0.
+  std::vector<double> survival{pi.sum()};
   la::Vector term = pi;
-  double weight = std::exp(-qt);
-  double acc = weight * term.sum();
-  double cumulative = weight;
-  const std::size_t max_iter =
-      static_cast<std::size_t>(qt + 12.0 * std::sqrt(qt) + 64.0);
-  for (std::size_t n = 1; n <= max_iter; ++n) {
-    term = step(term);
-    weight *= qt / static_cast<double>(n);
-    acc += weight * term.sum();
-    cumulative += weight;
-    if ((1.0 - cumulative) * term.norm_inf() < 1e-14 &&
-        static_cast<double>(n) > qt) {
-      break;
+  const auto survival_at = [&](std::size_t n) {
+    while (survival.size() <= n) {
+      term = step(term);
+      survival.push_back(term.sum());
     }
-  }
-  return std::min(1.0, std::max(0.0, acc));
+    return survival[n];
+  };
+  return poisson_mixture(qt, survival_at, 0.0);
 }
 
 la::Vector TransientSolver::initial_vector() const {
@@ -294,26 +299,12 @@ std::vector<double> TransientSolver::makespan_grid(
   std::vector<double> results(tasks.size(), 0.0);
   const net::StateSpace& sp = space();
 
-  // Depth of the drain recursion: level K when any workload saturates, else
-  // the largest (sub-K) workload.
-  const std::size_t h_top =
-      targets.empty() ? *std::max_element(tasks.begin(), tasks.end()) : k_;
-
-  // Drain vectors: h_t[s] is the mean remaining completion time starting in
-  // state s of Xi_t with no admissions left, the column-recursion mirror of
-  // the draining phase of solve():
-  //   h_t = tau'_t + (I - P_t)^-1 Q_t h_{t-1},   h_0 = 0.
-  // One column solve per level, shared by every harvested workload.
-  std::vector<la::Vector> h(h_top + 1);
-  h[0] = la::Vector(sp.dimension(0), 0.0);
-  for (std::size_t t = 1; t <= h_top; ++t) {
-    h[t] = tau(t) + solve_right(t, sp.level(t).q.apply(h[t - 1]));
-  }
-
-  // Workloads below K never saturate: the whole run is a drain from level N.
+  // Workloads below K never saturate: the whole run is a drain from level N,
+  // E(T) = p_N h_N with h_N the model's drain_mean (model_cache.h).
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     if (tasks[i] < k_) {
-      results[i] = la::dot(sp.initial_vector(tasks[i]), h[tasks[i]]);
+      results[i] = la::dot(sp.initial_vector(tasks[i]),
+                           model_->drain_mean(tasks[i]));
     }
   }
   if (targets.empty()) return results;
@@ -322,7 +313,7 @@ std::vector<double> TransientSolver::makespan_grid(
   // recursion as E(T) = prefix_j + pi_j h_K, where prefix_j is the mean
   // time of the j epochs already closed.  One pass to the largest j serves
   // every point.
-  const la::Vector& h_k = h[k_];
+  const la::Vector& h_k = model_->drain_mean(k_);
   const la::Vector& tau_k = tau(k_);
   SaturatedMean saturated(*model_, k_);
   auto next_target = targets.begin();
@@ -374,10 +365,7 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   //   m1_b = tau_b + (I-P)^-1 Q [R] m1_next
   //   x_b  = (I-P)^-1 (M^-1 m1_b + Q [R] x_next),   m2 = 2 x,
   // the x-step being V_b m1_b + (I-P)^-1 Q [R] x_next folded into one
-  // resolvent solve: two level solves per block.
-  const auto flow_apply = [&](std::size_t k, const la::Vector& next) {
-    return solve_right(k, sp.level(k).q.apply(next));
-  };
+  // resolvent solve.  The draining blocks are the model's drain vectors.
   const auto fill = [](MakespanMoments& mm, double mean, double x_val) {
     mm.mean = mean;
     mm.second_moment = 2.0 * x_val;
@@ -386,36 +374,27 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
     mm.scv = mm.variance / (mm.mean * mm.mean);
   };
 
-  // Workloads below K are whole-run drains: level N of the draining
-  // back-substitution IS workload N's remaining-time system, so harvest each
-  // on the way up.
-  const std::size_t loop_top =
-      targets.empty() ? *std::max_element(tasks.begin(), tasks.end()) : k_ - 1;
-
-  la::Vector m1_next(1, 0.0);  // level 0: absorbed, zero remaining time
-  la::Vector x_next(1, 0.0);
-  for (std::size_t k = 1; k <= loop_top; ++k) {
-    la::Vector m1 = tau(k) + flow_apply(k, m1_next);
-    la::Vector x =
-        second_moment_step(*model_, k, m1, sp.level(k).q.apply(x_next));
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (tasks[i] != k) continue;  // k < K here, so N = k is a drain
-      const la::Vector p0 = sp.initial_vector(k);
-      fill(results[i], la::dot(p0, m1), la::dot(p0, x));
-    }
-    m1_next = std::move(m1);
-    x_next = std::move(x);
+  // Workloads below K are whole-run drains: level N's drain vectors ARE
+  // workload N's remaining-time system.
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (tasks[i] >= k_) continue;
+    const la::Vector p0 = sp.initial_vector(tasks[i]);
+    fill(results[i], la::dot(p0, model_->drain_mean(tasks[i])),
+         la::dot(p0, model_->drain_second(tasks[i])));
   }
   if (targets.empty()) return results;
 
   // Saturating workloads N = K + j: one admission loop to the largest j,
-  // harvesting dot products at each requested iterate.
+  // harvesting dot products at each requested iterate, started from the
+  // drain at j = 0 (m1_0 = h_K, x_0 = x_K).
   const std::size_t j_max = targets.back().first;
 
   const net::LevelMatrices& lt = sp.level(k_);
+  const la::Vector& rates = lt.event_rates;
+  const la::Vector& tau_k = tau(k_);
   const la::Vector p0 = sp.initial_vector(k_);
-  la::Vector m1 = tau(k_) + flow_apply(k_, m1_next);
-  la::Vector x = second_moment_step(*model_, k_, m1, lt.q.apply(x_next));
+  la::Vector m1 = model_->drain_mean(k_);
+  la::Vector x = model_->drain_second(k_);
   auto next_target = targets.begin();
   const auto harvest = [&](std::size_t j) {
     while (next_target != targets.end() && next_target->first == j) {
@@ -424,40 +403,52 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
     }
   };
   harvest(0);
+  la::Vector m1_new;  // m1_j, when the previous admission solved it
   la::Vector d_prev;  // previous first difference of m1
   la::Vector e_prev;  // previous first difference of x
   la::Vector f_prev;  // previous second difference of x
   for (std::size_t j = 1; next_target != targets.end(); ++j) {
     // The m1 step is the column action of T = (I - P)^-1 Q R.
-    la::Vector m1_new = tau(k_) + flow_apply(k_, lt.r.apply(m1));
-    la::Vector x_new =
-        second_moment_step(*model_, k_, m1_new, lt.q.apply(lt.r.apply(x)));
-    la::Vector d = m1_new;
-    d -= m1;
-    la::Vector e = x_new;
-    e -= x;
-    m1 = std::move(m1_new);
-    x = std::move(x_new);
+    if (m1_new.empty()) {
+      m1_new = tau_k + model_->solve_right(k_, lt.q.apply(lt.r.apply(m1)));
+    }
+    la::Vector d = m1_new - m1;
+    m1 = std::exchange(m1_new, la::Vector());
+    // Past mixing, m1 grows by a constant vector per admission
+    // (d_j -> t_ss eps); the test needs m1 only, so it runs before the solve.
+    const bool d_mixed =
+        opts_.fast_forward && j >= 3 &&
+        (d - d_prev).norm_inf() <= kMomentMixingTolerance * d.norm_inf();
+    la::Vector flow = lt.q.apply(lt.r.apply(x));
+    for (std::size_t i = 0; i < flow.size(); ++i) flow[i] += m1[i] / rates[i];
+    // x_j and m1_{j+1} share one pass over P_K unless admission j may be
+    // the last (j_max, or d has mixed); then m1_{j+1} waits for the next.
+    const la::Vector x_prev = std::move(x);
+    if (j < j_max && !d_mixed) {
+      auto [x_j, m1_next] =
+          model_->solve_right(k_, flow, lt.q.apply(lt.r.apply(m1)));
+      x = std::move(x_j);
+      m1_new = tau_k + m1_next;
+    } else {
+      x = model_->solve_right(k_, flow);
+    }
+    la::Vector e = x - x_prev;
     harvest(j);
     if (next_target == targets.end()) break;
 
     if (opts_.fast_forward && j >= 2) {
-      la::Vector f = e;
-      f -= e_prev;
-      // Past mixing, m1 grows by a constant vector per admission
-      // (d_j -> t_ss eps) and the x increments become arithmetic
-      // (e_{j+i} ~ e_j + i f): once both the first difference of d and the
-      // second difference of x have stabilised, close the remaining
-      // admissions in closed form, per point by linearity of the p0 dot —
+      la::Vector f = e - e_prev;
+      // Once d has mixed and the x increments have become arithmetic
+      // (e_{j+i} ~ e_j + i f, so the second difference of x is stable),
+      // close the remaining admissions in closed form, per point by
+      // linearity of the p0 dot —
       //   mean(K+J) = p0 m1 + R p0 d,
       //   x(K+J)    = p0 x + R p0 e + R(R+1)/2 p0 f,   R = J - j.
       // f is a second difference of near-cancelling terms; its floating
       // noise floor is ~eps ||x||, below which no threshold can bite.
       const double noise_floor = 4.0 * 2.220446049250313e-16 * x.norm_inf();
-      if (j >= 3 &&
-          (d - d_prev).norm_inf() <= kMomentMixingTolerance * d.norm_inf() &&
-          (f - f_prev).norm_inf() <=
-              kMomentMixingTolerance * f.norm_inf() + noise_floor) {
+      if (d_mixed && (f - f_prev).norm_inf() <=
+                         kMomentMixingTolerance * f.norm_inf() + noise_floor) {
         const double mean_j = la::dot(p0, m1);
         const double x_j = la::dot(p0, x);
         const double d_s = la::dot(p0, d);
@@ -616,9 +607,6 @@ std::vector<double> TransientSolver::makespan_cdf(
 
   // Evaluate each time point: F(t) = sum_n Poisson(n; qt) a_n, with the
   // tail beyond the recorded steps charged at the final absorbed level.
-  // The Poisson weights are expanded outward from the mode in log space —
-  // exp(-qt) underflows for qt beyond ~745, so the naive recurrence from
-  // n = 0 silently drops all the mass for long horizons.
   const auto a_of = [&](std::size_t n) {
     return n < absorbed_after.size() ? absorbed_after[n]
                                      : absorbed_after.back();
@@ -626,36 +614,8 @@ std::vector<double> TransientSolver::makespan_cdf(
   std::vector<double> result(times.size());
   for (std::size_t ti = 0; ti < times.size(); ++ti) {
     const double t = times[ti];
-    if (t == 0.0) {
-      result[ti] = 0.0;
-      continue;
-    }
-    const double qt = q * t;
-    const auto mode = static_cast<std::size_t>(qt);
-    const double log_w_mode = static_cast<double>(mode) * std::log(qt) - qt -
-                              std::lgamma(static_cast<double>(mode) + 1.0);
-    double total = 0.0;
-    double mass = 0.0;
-    // Upward from the mode.
-    double w = std::exp(log_w_mode);
-    for (std::size_t n = mode;; ++n) {
-      total += w * a_of(n);
-      mass += w;
-      w *= qt / static_cast<double>(n + 1);
-      if (w < 1e-17 && static_cast<double>(n) > qt) break;
-    }
-    // Downward from the mode.
-    w = std::exp(log_w_mode);
-    for (std::size_t n = mode; n-- > 0;) {
-      w *= static_cast<double>(n + 1) / qt;
-      total += w * a_of(n);
-      mass += w;
-      if (w < 1e-17) break;
-    }
-    // Residual Poisson mass lies in the far upper tail where a_n has
-    // flattened at its final level.
-    total += std::max(0.0, 1.0 - mass) * absorbed_after.back();
-    result[ti] = std::min(1.0, std::max(0.0, total));
+    result[ti] = t == 0.0 ? 0.0
+                          : poisson_mixture(q * t, a_of, absorbed_after.back());
   }
   return result;
 }
@@ -707,11 +667,11 @@ TransientSolver::DepartureCorrelation TransientSolver::steady_state_lag1()
   // z = R tau'
   const la::Vector z = lm.r.apply(tau(k_));
   // w = Y z = (I - P)^-1 Q z
-  const la::Vector w = solve_right(k_, lm.q.apply(z));
+  const la::Vector w = model_->solve_right(k_, lm.q.apply(z));
   // u = V w = (I - P)^-1 M^-1 w
   la::Vector rhs = w;
   for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] /= lm.event_rates[i];
-  const la::Vector u = solve_right(k_, rhs);
+  const la::Vector u = model_->solve_right(k_, rhs);
 
   DepartureCorrelation dc;
   const double joint = la::dot(ss.distribution, u);

@@ -170,9 +170,9 @@ class TransientSolver {
   /// E(T) for every workload size in `tasks` from ONE pass of the saturated
   /// recursion, the same one solve() runs: workload K + j is harvested at
   /// iterate j as the mean time of the epochs already closed plus pi_j h_K,
-  /// where h_K (the mean drain time per state) comes from one column solve
-  /// per level.  Agrees with solve(N).makespan to solver precision and
-  /// composes with fast_forward (post-mixing points close with the
+  /// where h_K (the mean drain time per state) is the model's drain vector,
+  /// cached per model.  Agrees with solve(N).makespan to solver precision
+  /// and composes with fast_forward (post-mixing points close with the
   /// arithmetic-series identities).  `tasks` need not be sorted or unique;
   /// results align with the input order.
   [[nodiscard]] std::vector<double> makespan_grid(
@@ -234,11 +234,6 @@ class TransientSolver {
   [[nodiscard]] const la::Vector& time_stationary_distribution() const;
 
  private:
-  /// x = pi (I - P_k)^-1 (row solve, through the shared model).
-  [[nodiscard]] la::Vector solve_left(std::size_t k, const la::Vector& pi) const;
-  /// x = (I - P_k)^-1 b (column solve).
-  [[nodiscard]] la::Vector solve_right(std::size_t k, const la::Vector& b) const;
-
   std::shared_ptr<const ModelArtifacts> model_;
   std::size_t k_;
   SolverOptions opts_;

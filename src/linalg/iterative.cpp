@@ -1,6 +1,7 @@
 #include "linalg/iterative.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -40,49 +41,100 @@ IterativeResult neumann_solve_left(const RowOperator& apply_p, const Vector& b,
   return res;
 }
 
-IterativeResult neumann_solve(const CsrMatrix& a, const Vector& b, double tol,
-                              std::size_t max_iter) {
+namespace {
+
+/// Runs W Neumann series in one pass over A per iteration, their terms
+/// interleaved (term[W r + w], empty = start from the sums res[w]->x), each
+/// with its own summation order, stop rule and counters.  When one stops,
+/// the others go on alone in the W = 1 instantiation from their current
+/// terms, so every column equals a lone series bit for bit.
+template <std::size_t W>
+void neumann_series(const CsrMatrix& a, std::array<IterativeResult*, W> res,
+                    std::vector<double> term, double tol,
+                    std::size_t max_iter) {
   const std::size_t n = a.rows();
-  if (a.cols() != n || b.size() != n) {
-    throw std::invalid_argument("neumann_solve: size mismatch");
-  }
-  IterativeResult res;
-  res.x = b;
-  if (check::fault_at("iterative/neumann")) {
-    res.residual = b.norm_inf();
-    return res;
-  }
-  Vector term = b;
-  Vector next(n);
+  std::vector<double> next(W * n);
   const std::size_t* const row_ptr = a.row_ptr().data();
   const std::size_t* const col = a.col_idx().data();
   const double* const val = a.values().data();
-  double* const x = res.x.data();
-  for (std::size_t it = 1; it <= max_iter; ++it) {
+  std::array<double*, W> x;
+  for (std::size_t w = 0; w < W; ++w) x[w] = res[w]->x.data();
+  if (term.empty()) {
+    term.resize(W * n);
+    for (std::size_t i = 0; i < W * n; ++i) term[i] = x[i % W][i / W];
+  }
+  std::size_t it = res[0]->iterations;
+  for (bool stopped = false; !stopped && it < max_iter;) {
+    ++it;
     // next = A term, x += next and t = max |next|, in one pass over A.
     const double* const cur = term.data();
     double* const out = next.data();
-    double t = 0.0;
+    std::array<double, W> t{};
     for (std::size_t r = 0; r < n; ++r) {
-      double s = 0.0;
+      std::array<double, W> s{};
       for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        s += val[k] * cur[col[k]];
+        const double* const c = cur + W * col[k];
+        for (std::size_t w = 0; w < W; ++w) s[w] += val[k] * c[w];
       }
-      out[r] = s;
-      x[r] += s;
-      t = std::max(t, std::abs(s));
+      for (std::size_t w = 0; w < W; ++w) {
+        out[W * r + w] = s[w];
+        x[w][r] += s[w];
+        t[w] = std::max(t[w], std::abs(s[w]));
+      }
     }
     std::swap(term, next);
-    res.iterations = it;
-    if (t < tol) {
-      res.converged = true;
-      res.residual = t;
-      obs::counter_add(obs::Counter::kNeumannIterations, res.iterations);
-      return res;
+    for (std::size_t w = 0; w < W; ++w) {
+      res[w]->iterations = it;
+      res[w]->residual = t[w];
+      res[w]->converged = t[w] < tol;
+      stopped = stopped || res[w]->converged;
     }
   }
-  res.residual = term.norm_inf();
-  obs::counter_add(obs::Counter::kNeumannIterations, res.iterations);
+  for (std::size_t w = 0; w < W; ++w) {
+    if (res[w]->converged || it == max_iter) {
+      obs::counter_add(obs::Counter::kNeumannIterations, it);
+    } else if constexpr (W > 1) {
+      std::vector<double> lone(n);
+      for (std::size_t r = 0; r < n; ++r) lone[r] = term[W * r + w];
+      neumann_series<1>(a, {res[w]}, std::move(lone), tol, max_iter);
+    }
+  }
+}
+
+/// Starts a solve of (I - A) x = b at x = b, with the residual that a zero
+/// cap reports.  False when an injected "iterative/neumann" fault fires: the
+/// solve then reports non-convergence exactly as an exhausted cap would, so
+/// callers exercise their real fallback path.
+bool neumann_start(const CsrMatrix& a, const Vector& b, IterativeResult& res) {
+  if (a.cols() != a.rows() || b.size() != a.rows()) {
+    throw std::invalid_argument("neumann_solve: size mismatch");
+  }
+  res.x = b;
+  res.residual = b.norm_inf();
+  return !check::fault_at("iterative/neumann");
+}
+
+}  // namespace
+
+IterativeResult neumann_solve(const CsrMatrix& a, const Vector& b, double tol,
+                              std::size_t max_iter) {
+  IterativeResult res;
+  if (neumann_start(a, b, res)) neumann_series<1>(a, {&res}, {}, tol, max_iter);
+  return res;
+}
+
+std::array<IterativeResult, 2> neumann_solve(const CsrMatrix& a,
+                                             const Vector& b1,
+                                             const Vector& b2, double tol,
+                                             std::size_t max_iter) {
+  std::array<IterativeResult, 2> res;
+  const bool live1 = neumann_start(a, b1, res[0]);
+  const bool live2 = neumann_start(a, b2, res[1]);
+  if (live1 && live2) {
+    neumann_series<2>(a, {&res[0], &res[1]}, {}, tol, max_iter);
+  } else if (live1 || live2) {
+    neumann_series<1>(a, {&res[live1 ? 0 : 1]}, {}, tol, max_iter);
+  }
   return res;
 }
 

@@ -6,6 +6,7 @@
 // so dense, CSR and matrix-free compositions (like Y_K R_K) share one code
 // path.
 
+#include <array>
 #include <cstddef>
 #include <functional>
 
@@ -44,6 +45,12 @@ struct IterativeResult {
 [[nodiscard]] IterativeResult neumann_solve(const CsrMatrix& a, const Vector& b,
                                             double tol = 1e-12,
                                             std::size_t max_iter = 200000);
+
+/// neumann_solve(a, b1) and neumann_solve(a, b2), bit for bit, in one pass
+/// over A per iteration; the fault probe fires once per column, b1 first.
+[[nodiscard]] std::array<IterativeResult, 2> neumann_solve(
+    const CsrMatrix& a, const Vector& b1, const Vector& b2, double tol = 1e-12,
+    std::size_t max_iter = 200000);
 
 /// BiCGSTAB for x A = b given the row action y = x * A.  General-purpose
 /// fallback when Neumann is slow.  No preconditioner (the systems are well

@@ -9,14 +9,17 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/builders.h"
 #include "cluster/experiments.h"
 #include "core/transient_solver.h"
 #include "network/network_spec.h"
+#include "obs/counters.h"
 
 namespace {
 
@@ -177,6 +180,75 @@ TEST(ModelCacheTest, SharedModelMatchesPrivatelyBuiltSolver) {
   }
   EXPECT_NEAR(shared.steady_state().interdeparture,
               direct.steady_state().interdeparture, 1e-12);
+}
+
+TEST(ModelCacheTest, DrainVectorsBuiltOncePerLevel) {
+  // Central K = 4 with level 4 iterative and levels 1..3 dense: the drain
+  // vectors are one column solve per level, paid by the first query only.
+  const net::NetworkSpec spec = make_cluster(4, 10.0);
+  core::SolverOptions opts;
+  opts.dense_threshold = net::StateSpace(spec, 3).dimension(3);
+  const auto model =
+      std::make_shared<const core::ModelArtifacts>(spec, 4, opts);
+  ASSERT_GT(model->space().dimension(4), opts.dense_threshold);
+  const core::TransientSolver solver(model, opts);
+  for (std::size_t k = 1; k <= 4; ++k) (void)model->tau(k);
+  const auto bitwise_equal = [](const la::Vector& a, const la::Vector& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0;
+  };
+
+  const std::vector<std::size_t> grid{2, 4, 50};
+  if (obs::kEnabled) {
+    const auto solves = [] {
+      return std::pair{obs::counter_value(obs::Counter::kDenseSolves),
+                       obs::counter_value(obs::Counter::kIterativeSolves)};
+    };
+    obs::counters_reset();
+    const std::vector<double> first = solver.makespan_grid(grid);
+    const auto [dense1, iterative1] = solves();
+    obs::counters_reset();
+    const std::vector<double> second = solver.makespan_grid(grid);
+    const auto [dense2, iterative2] = solves();
+    EXPECT_EQ(dense1, 3U);  // h_1, h_2, h_3
+    EXPECT_EQ(dense2, 0U);
+    EXPECT_EQ(iterative1, iterative2 + 1);  // h_4
+    EXPECT_EQ(first, second);
+
+    // The grid queries never built x_k: its first request pays one solve
+    // per level, the next one none.
+    obs::counters_reset();
+    (void)model->drain_second(4);
+    const auto [dense3, iterative3] = solves();
+    EXPECT_EQ(dense3, 3U);
+    EXPECT_EQ(iterative3, 1U);
+    obs::counters_reset();
+    (void)solver.makespan_moments(3);
+    (void)model->drain_second(4);
+    EXPECT_EQ(solves(), std::pair(std::uint64_t{0}, std::uint64_t{0}));
+  }
+
+  // Concurrent first use: every thread sees the same, fully built vectors.
+  const auto fresh =
+      std::make_shared<const core::ModelArtifacts>(spec, 4, opts);
+  constexpr std::size_t kThreads = 8;
+  std::vector<la::Vector> h(kThreads);
+  std::vector<la::Vector> x(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        x[t] = fresh->drain_second(4 - t % 2);
+        h[t] = fresh->drain_mean(4 - t % 2);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const std::size_t k = 4 - t % 2;
+    EXPECT_TRUE(bitwise_equal(h[t], model->drain_mean(k))) << t;
+    EXPECT_TRUE(bitwise_equal(x[t], model->drain_second(k))) << t;
+  }
 }
 
 }  // namespace

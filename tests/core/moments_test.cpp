@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/experiments.h"
+#include "core/model_cache.h"
 #include "core/transient_solver.h"
 #include "sim/simulator.h"
 
@@ -91,6 +95,27 @@ TEST(EpochMoments, ReliabilityMonotoneAndBounded) {
                std::invalid_argument);
 }
 
+TEST(EpochMoments, ReliabilityMatchesCdfAtLongHorizons) {
+  // N = 1 on a K = 2 cluster: the run is one level-1 epoch, so its
+  // reliability is 1 - makespan_cdf(1, t), and both uniformize with the same
+  // rate q.  Past qt ~ 745 the Poisson weight exp(-qt) underflows; the
+  // mode-centred log-space weights must keep the tail.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 2;
+  cfg.shapes.remote_disk = cluster::ServiceShape::hyperexponential(90.0);
+  const core::TransientSolver solver(cluster::build_cluster(cfg), 2);
+  const la::Vector pi = solver.space().initial_vector(1);
+  const double q = solver.space().level(1).max_event_rate * 1.0001;
+  for (const double qt : {100.0, 740.0, 750.0, 3000.0}) {
+    const double t = qt / q;
+    const double r = solver.epoch_reliability(1, pi, t);
+    const double survival = 1.0 - solver.makespan_cdf(1, t);
+    EXPECT_GT(r, 1e-5) << qt;
+    EXPECT_NEAR(r, survival, 1e-10) << qt;
+  }
+}
+
 TEST(MakespanMoments, SerialWorkIsErlangSum) {
   // K = 1, N tasks on Exp(lambda): T ~ Erlang(N, lambda).
   const double lambda = 2.0;
@@ -167,6 +192,73 @@ TEST(MakespanMoments, IterativeLevelMatchesGridAndDenseOracle) {
   const core::MakespanMoments oracle = dense.makespan_moments(n);
   EXPECT_NEAR(mm.mean, oracle.mean, 1e-9 * oracle.mean);
   EXPECT_NEAR(mm.variance, oracle.variance, 5e-8 * oracle.variance);
+}
+
+namespace {
+
+/// The moments back-substitution with one solve_right per column and no
+/// fast-forward: h_k and x_k level by level up to K, then one m1 solve and
+/// one x solve per admission, harvesting (mean, second moment) for every
+/// workload in `tasks` (each >= K).
+std::vector<std::pair<double, double>> single_column_moments(
+    const core::ModelArtifacts& model, const std::vector<std::size_t>& tasks) {
+  const net::StateSpace& sp = model.space();
+  const std::size_t k = model.workstations();
+  const auto x_step = [&](std::size_t level, const la::Vector& m1,
+                          la::Vector flow) {
+    const la::Vector& rates = sp.level(level).event_rates;
+    for (std::size_t i = 0; i < flow.size(); ++i) flow[i] += m1[i] / rates[i];
+    return model.solve_right(level, flow);
+  };
+  la::Vector m1(1, 0.0);
+  la::Vector x(1, 0.0);
+  for (std::size_t level = 1; level <= k; ++level) {
+    const net::LevelMatrices& lm = sp.level(level);
+    m1 = model.tau(level) + model.solve_right(level, lm.q.apply(m1));
+    x = x_step(level, m1, lm.q.apply(x));
+  }
+  const net::LevelMatrices& lt = sp.level(k);
+  const la::Vector p0 = sp.initial_vector(k);
+  const std::size_t j_max = *std::max_element(tasks.begin(), tasks.end()) - k;
+  std::vector<std::pair<double, double>> out(tasks.size());
+  for (std::size_t j = 0;; ++j) {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (tasks[i] == k + j) out[i] = {la::dot(p0, m1), 2.0 * la::dot(p0, x)};
+    }
+    if (j == j_max) return out;
+    m1 = model.tau(k) + model.solve_right(k, lt.q.apply(lt.r.apply(m1)));
+    x = x_step(k, m1, lt.q.apply(lt.r.apply(x)));
+  }
+}
+
+}  // namespace
+
+TEST(MakespanMoments, PairedAdmissionMatchesSingleColumnOracle) {
+  // Distributed K = 6: level 6 is iterative, so each admission's x and next
+  // m1 columns share one paired Neumann pass.  The pairing must not move a
+  // bit of either moment.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 6;
+  const auto model = std::make_shared<const core::ModelArtifacts>(
+      cluster::build_cluster(cfg), 6);
+  ASSERT_GT(model->space().dimension(6),
+            core::SolverOptions{}.dense_threshold);
+  core::SolverOptions opts;
+  opts.fast_forward = false;
+  const core::TransientSolver solver(model, opts);
+  const std::vector<std::size_t> tasks{6, 7, 11, 40};
+  const auto oracle = single_column_moments(*model, tasks);
+  const std::vector<core::MakespanMoments> grid =
+      solver.makespan_moments_grid(tasks);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(grid[i].mean, oracle[i].first) << tasks[i];
+    EXPECT_EQ(grid[i].second_moment, oracle[i].second) << tasks[i];
+    if (tasks[i] == 40) continue;  // the grid pass covers the long run
+    const core::MakespanMoments single = solver.makespan_moments(tasks[i]);
+    EXPECT_EQ(single.mean, oracle[i].first) << tasks[i];
+    EXPECT_EQ(single.second_moment, oracle[i].second) << tasks[i];
+  }
 }
 
 TEST(MakespanMoments, VarianceMatchesSimulation) {

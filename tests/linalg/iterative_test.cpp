@@ -7,13 +7,18 @@
 #include <cstring>
 #include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "check/fault_inject.h"
 #include "cluster/experiments.h"
+#include "core/model_cache.h"
 #include "linalg/lu.h"
 #include "network/state_space.h"
+#include "obs/counters.h"
 
 namespace la = finwork::la;
+namespace obs = finwork::obs;
 
 namespace {
 
@@ -58,6 +63,35 @@ la::CsrMatrix random_sparse_substochastic(std::size_t n, std::size_t per_row,
 bool bitwise_equal(const la::Vector& a, const la::Vector& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0;
+}
+
+finwork::net::NetworkSpec distributed_k6() {
+  finwork::cluster::ExperimentConfig cfg;
+  cfg.architecture = finwork::cluster::Architecture::kDistributed;
+  cfg.workstations = 6;
+  return finwork::cluster::build_cluster(cfg);
+}
+
+/// Two level-6 column right-hand sides of the distributed K = 6 cluster whose
+/// Neumann series stop at different iterations: the tau' column M^-1 eps and
+/// a Q R image of it, scaled up so its series runs longer.
+std::pair<la::Vector, la::Vector> level6_column_pair(
+    const finwork::net::LevelMatrices& lm) {
+  la::Vector tau_rhs(lm.event_rates.size());
+  for (std::size_t i = 0; i < tau_rhs.size(); ++i) {
+    tau_rhs[i] = 1.0 / lm.event_rates[i];
+  }
+  la::Vector flow = lm.q.apply(lm.r.apply(tau_rhs));
+  flow *= 1e3;
+  return {std::move(tau_rhs), std::move(flow)};
+}
+
+void expect_same_result(const la::IterativeResult& got,
+                        const la::IterativeResult& want) {
+  EXPECT_EQ(got.converged, want.converged);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(std::memcmp(&got.residual, &want.residual, sizeof(double)), 0);
+  EXPECT_TRUE(bitwise_equal(got.x, want.x));
 }
 
 }  // namespace
@@ -224,4 +258,78 @@ TEST(NeumannKernel, SizeMismatchThrows) {
   const la::CsrMatrix p = random_sparse_substochastic(10, 2, 0.2, 1);
   EXPECT_THROW((void)la::neumann_solve(p, la::Vector(9, 1.0)),
                std::invalid_argument);
+}
+
+// The paired kernel runs two columns through one pass over P per iteration;
+// each column must still be the lone solve bit for bit, whichever column
+// stops first and whether or not the cap cuts one of them off.
+TEST(NeumannKernel, PairMatchesTwoSolvesBitwise) {
+  const finwork::net::StateSpace space(distributed_k6(), 6);
+  const finwork::net::LevelMatrices& lm = space.level(6);
+  const la::CsrMatrix& p = lm.p;
+  const auto [b1, b2] = level6_column_pair(lm);
+  const la::IterativeResult r1 = la::neumann_solve(p, b1, 1e-12, 20000);
+  const la::IterativeResult r2 = la::neumann_solve(p, b2, 1e-12, 20000);
+  ASSERT_TRUE(r1.converged);
+  ASSERT_TRUE(r2.converged);
+  ASSERT_NE(r1.iterations, r2.iterations);
+
+  for (const bool swapped : {false, true}) {
+    const la::Vector& first = swapped ? b2 : b1;
+    const la::Vector& second = swapped ? b1 : b2;
+    if (obs::kEnabled) obs::counters_reset();
+    const auto pair = la::neumann_solve(p, first, second, 1e-12, 20000);
+    expect_same_result(pair[0], swapped ? r2 : r1);
+    expect_same_result(pair[1], swapped ? r1 : r2);
+    if (obs::kEnabled) {
+      EXPECT_EQ(obs::counter_value(obs::Counter::kNeumannIterations),
+                r1.iterations + r2.iterations);
+    }
+  }
+
+  // A cap between the two stop iterations: the early column converges, the
+  // late one is reported capped with its last term's norm, as alone.
+  const std::size_t cap = (r1.iterations + r2.iterations) / 2;
+  for (const std::size_t c : {cap, std::size_t{5}, std::size_t{0}}) {
+    const auto pair = la::neumann_solve(p, b1, b2, 1e-12, c);
+    expect_same_result(pair[0], la::neumann_solve(p, b1, 1e-12, c));
+    expect_same_result(pair[1], la::neumann_solve(p, b2, 1e-12, c));
+  }
+  EXPECT_NE(la::neumann_solve(p, b1, b2, 1e-12, cap)[0].converged,
+            la::neumann_solve(p, b1, b2, 1e-12, cap)[1].converged);
+
+  const la::Vector short_b(b1.size() - 1, 1.0);
+  EXPECT_THROW((void)la::neumann_solve(p, b1, short_b), std::invalid_argument);
+  EXPECT_THROW((void)la::neumann_solve(p, short_b, b2), std::invalid_argument);
+}
+
+// With one "iterative/neumann" failure armed, the paired level solve sends
+// exactly its first column down the ladder (BiCGSTAB) while the second stays
+// the lone Neumann solve bit for bit.
+TEST(NeumannKernel, PairFaultProbeFiresPerColumn) {
+  namespace check = finwork::check;
+  if (!check::kFaultInjectEnabled) GTEST_SKIP() << "fault probes compiled out";
+  const finwork::core::ModelArtifacts model(distributed_k6(), 6);
+  const finwork::net::LevelMatrices& lm = model.space().level(6);
+  ASSERT_GT(model.space().dimension(6),
+            finwork::core::SolverOptions{}.dense_threshold);
+  const auto [b1, b2] = level6_column_pair(lm);
+  const la::Vector lone1 = model.solve_right(6, b1);
+  const la::Vector lone2 = model.solve_right(6, b2);
+
+  const std::uint64_t fired = check::fault_fire_count("iterative/neumann");
+  const std::uint64_t bicgstab = check::fault_fire_count("iterative/bicgstab");
+  if (obs::kEnabled) obs::counters_reset();
+  check::arm_fault("iterative/neumann", 1);
+  const auto pair = model.solve_right(6, b1, b2);
+  check::disarm_all_faults();
+  EXPECT_EQ(check::fault_fire_count("iterative/neumann"), fired + 1);
+  EXPECT_EQ(check::fault_fire_count("iterative/bicgstab"), bicgstab);
+  if (obs::kEnabled) {
+    EXPECT_EQ(obs::counter_value(obs::Counter::kIterativeSolves), 2u);
+    EXPECT_GT(obs::counter_value(obs::Counter::kBicgstabIterations), 0u);
+  }
+  EXPECT_FALSE(bitwise_equal(pair[0], lone1));
+  EXPECT_TRUE(la::allclose(pair[0], lone1, 1e-9, 1e-9));
+  EXPECT_TRUE(bitwise_equal(pair[1], lone2));
 }
