@@ -31,7 +31,7 @@ ModelArtifacts::ModelArtifacts(const net::NetworkSpec& spec,
   // Fail fast on networks whose first-passage times diverge.
   spec.validate_connectivity();
   levels_ = std::make_unique<Level[]>(k_ + 1);
-  if (opts_.prebuild_levels && !par::ThreadPool::on_worker_thread()) {
+  if (!par::ThreadPool::on_worker_thread()) {
     const obs::ObsSpan span("solver/prebuild_levels");
     par::ThreadPool& pool = par::ThreadPool::global();
     try {
@@ -83,6 +83,15 @@ ModelArtifacts::~ModelArtifacts() {
 
 namespace {
 
+// Fixed controls of the fallback ladder: the relative residual target of
+// every iterative stage, refinement and the shifted rescue, and the caps of
+// the Neumann stage, of each Krylov stage (BiCGSTAB, GMRES) and of
+// refinement.
+constexpr double kTolerance = 1e-12;
+constexpr std::size_t kMaxNeumannIterations = 20000;
+constexpr std::size_t kMaxKrylovIterations = 20000;
+constexpr std::size_t kMaxRefinementIters = 8;
+
 std::string format_double(double v) {
   std::ostringstream os;
   os << v;
@@ -99,7 +108,7 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
     obs::counter_add(obs::Counter::kDenseSolves);
     la::Vector x = left ? lvl.lu->solve_left(b) : lvl.lu->solve(b);
     if (!lvl.refine) return x;
-    if (refine_solution(lvl, k, b, x, left)) return x;
+    if (refine_solution(lvl, gather_operator(k, left), b, x, left)) return x;
     obs::counter_add(obs::Counter::kFallbackActivations);
     obs::emit_event("degradation/refinement", "(I-P_k)", k, obs::kNoIndex,
                     "iterative refinement stalled; falling back to the "
@@ -109,9 +118,9 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
   // all through the gather operator: P_k for column solves, P_k^T for row
   // solves.
   obs::counter_add(obs::Counter::kIterativeSolves);
-  const la::CsrMatrix& gather = left ? transposed_p(k) : space_.level(k).p;
-  la::IterativeResult res = la::neumann_solve(gather, b, opts_.tolerance,
-                                              opts_.max_neumann_iterations);
+  const la::CsrMatrix& gather = gather_operator(k, left);
+  la::IterativeResult res =
+      la::neumann_solve(gather, b, kTolerance, kMaxNeumannIterations);
   if (res.converged) return std::move(res.x);
   return krylov_solve(k, gather, b, left);
 }
@@ -119,17 +128,15 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
 la::Vector ModelArtifacts::krylov_solve(std::size_t k,
                                         const la::CsrMatrix& gather,
                                         const la::Vector& b, bool left) const {
-  par::ThreadPool& pool = par::ThreadPool::global();
-  const auto apply_a = [&gather, &pool](const la::Vector& v) {
+  const auto apply_a = [&gather](const la::Vector& v) {
     la::Vector y = v;
-    y -= gather.apply_parallel(v, pool);
+    y -= gather.apply(v);
     return y;
   };
-  la::IterativeResult res = la::bicgstab_left(apply_a, b, opts_.tolerance,
-                                              opts_.max_bicgstab_iterations);
+  la::IterativeResult res =
+      la::bicgstab_left(apply_a, b, kTolerance, kMaxKrylovIterations);
   if (res.converged) return std::move(res.x);
-  res = la::gmres_left(apply_a, b, opts_.tolerance,
-                       opts_.max_bicgstab_iterations);
+  res = la::gmres_left(apply_a, b, kTolerance, kMaxKrylovIterations);
   if (res.converged) return std::move(res.x);
   if (opts_.strict) {
     SolverErrorContext ctx;
@@ -146,32 +153,32 @@ la::Vector ModelArtifacts::krylov_solve(std::size_t k,
                   "Neumann/BiCGSTAB/GMRES all stalled (residual " +
                       format_double(res.residual) +
                       "); entering shifted-operator rescue");
-  return rescue_solve(k, b, left);
+  return rescue_solve(k, gather, b, left);
 }
 
-const la::CsrMatrix& ModelArtifacts::transposed_p(std::size_t k) const {
+const la::CsrMatrix& ModelArtifacts::gather_operator(std::size_t k,
+                                                     bool left) const {
+  if (!left) return space_.level(k).p;
   Level& lvl = levels_[k];
   std::call_once(lvl.pt_once,
                  [&] { lvl.pt.emplace(space_.level(k).p.transpose()); });
   return *lvl.pt;
 }
 
-bool ModelArtifacts::refine_solution(const Level& lvl, std::size_t k,
+bool ModelArtifacts::refine_solution(const Level& lvl,
+                                     const la::CsrMatrix& gather,
                                      const la::Vector& b, la::Vector& x,
                                      bool left) const {
-  const net::LevelMatrices& lm = space_.level(k);
-  par::ThreadPool& pool = par::ThreadPool::global();
-  const double target = opts_.tolerance * std::max(b.norm_inf(), 1e-300);
+  const double target = kTolerance * std::max(b.norm_inf(), 1e-300);
   // r = b - x(I - P) = b - x + xP (left; the right case mirrors it).
   const auto residual = [&] {
-    la::Vector r = left ? lm.p.apply_left_parallel(x, pool)
-                        : lm.p.apply_parallel(x, pool);
+    la::Vector r = gather.apply(x);
     r -= x;
     r += b;
     return r;
   };
   if (check::fault_at("ladder/refine")) return false;
-  for (std::size_t it = 0; it < opts_.max_refinement_iters; ++it) {
+  for (std::size_t it = 0; it < kMaxRefinementIters; ++it) {
     la::Vector r = residual();
     if (r.norm_inf() <= target) return true;
     obs::counter_add(obs::Counter::kRefinementIters);
@@ -181,18 +188,13 @@ bool ModelArtifacts::refine_solution(const Level& lvl, std::size_t k,
   return residual().norm_inf() <= target;
 }
 
-la::Vector ModelArtifacts::rescue_solve(std::size_t k, const la::Vector& b,
-                                        bool left) const {
-  const net::LevelMatrices& lm = space_.level(k);
-  par::ThreadPool& pool = par::ThreadPool::global();
+la::Vector ModelArtifacts::rescue_solve(std::size_t k,
+                                        const la::CsrMatrix& gather,
+                                        const la::Vector& b, bool left) const {
   const std::size_t d = space_.dimension(k);
-  const double target = opts_.tolerance * std::max(b.norm_inf(), 1e-300);
-  const auto apply_p = [&lm, &pool, left](const la::Vector& v) {
-    return left ? lm.p.apply_left_parallel(v, pool)
-                : lm.p.apply_parallel(v, pool);
-  };
+  const double target = kTolerance * std::max(b.norm_inf(), 1e-300);
   const auto residual_norm = [&](const la::Vector& x) {
-    la::Vector r = apply_p(x);
+    la::Vector r = gather.apply(x);
     r -= x;
     r += b;
     return r.norm_inf();
@@ -208,7 +210,7 @@ la::Vector ModelArtifacts::rescue_solve(std::size_t k, const la::Vector& b,
       std::optional<la::LuDecomposition> shifted;
       if (d <= opts_.dense_threshold) {
         try {
-          la::Matrix a = lm.p.to_dense();
+          la::Matrix a = space_.level(k).p.to_dense();
           a *= -1.0;
           for (std::size_t i = 0; i < d; ++i) a(i, i) += 1.0 + sigma;
           shifted.emplace(a);
@@ -225,15 +227,16 @@ la::Vector ModelArtifacts::rescue_solve(std::size_t k, const la::Vector& b,
         // Neumann series contracts at least as fast as 1/(1 + sigma).
         const double scale = 1.0 + sigma;
         const auto apply_scaled = [&](const la::Vector& v) {
-          la::Vector y = apply_p(v);
+          la::Vector y = gather.apply(v);
           y /= scale;
           return y;
         };
         la::Vector rhs_scaled = rhs;
         rhs_scaled /= scale;
-        la::IterativeResult inner =
-            la::neumann_solve_left(apply_scaled, rhs_scaled, opts_.tolerance,
-                                   opts_.max_neumann_iterations);
+        // The series stops a decade below the outer target: its truncation
+        // error is a floor the outer residual cannot get under.
+        la::IterativeResult inner = la::neumann_solve_left(
+            apply_scaled, rhs_scaled, 0.1 * target, kMaxNeumannIterations);
         if (!inner.converged) return std::nullopt;
         return std::move(inner.x);
       };
@@ -370,8 +373,8 @@ std::array<la::Vector, 2> ModelArtifacts::solve_right(
   }
   obs::counter_add(obs::Counter::kIterativeSolves, 2);
   const la::CsrMatrix& p = space_.level(k).p;
-  auto [r1, r2] = la::neumann_solve(p, b1, b2, opts_.tolerance,
-                                    opts_.max_neumann_iterations);
+  auto [r1, r2] =
+      la::neumann_solve(p, b1, b2, kTolerance, kMaxNeumannIterations);
   return {r1.converged ? std::move(r1.x) : krylov_solve(k, p, b1, false),
           r2.converged ? std::move(r2.x) : krylov_solve(k, p, b2, false)};
 }
@@ -447,7 +450,7 @@ std::vector<std::uint8_t> canonical_model_key(const net::NetworkSpec& spec,
                                               const SolverOptions& options) {
   std::vector<std::uint8_t> key;
   key.reserve(256);
-  key.push_back(3);  // encoding version (v3: T_K caching options dropped)
+  key.push_back(4);  // encoding version (v4: solve tolerances now constants)
   put_u64(key, workstations);
   put_u64(key, spec.num_stations());
   for (const net::Station& st : spec.stations()) {
@@ -463,12 +466,8 @@ std::vector<std::uint8_t> canonical_model_key(const net::NetworkSpec& spec,
   // Only the options that shape the built artifacts take part in the key;
   // the per-query recursion controls (fast_forward etc.) do not.
   put_u64(key, options.dense_threshold);
-  put_double(key, options.tolerance);
-  put_u64(key, options.max_neumann_iterations);
-  put_u64(key, options.max_bicgstab_iterations);
   key.push_back(options.strict ? 1 : 0);
   put_double(key, options.max_condition);
-  put_u64(key, options.max_refinement_iters);
   return key;
 }
 

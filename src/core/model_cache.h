@@ -47,9 +47,9 @@ namespace finwork::core {
 /// Immutable shared model: state space + per-level solve artifacts.
 ///
 /// The solve primitives mirror TransientSolver's private helpers; the
-/// numeric backend knobs (dense_threshold, tolerance, iteration caps and
-/// the fallback-ladder controls) are fixed by the options passed at
-/// construction.
+/// model options (dense_threshold, strict, max_condition) are fixed at
+/// construction, which also prebuilds every level's matrices on the global
+/// pool unless it runs on a pool worker.
 class ModelArtifacts {
  public:
   ModelArtifacts(const net::NetworkSpec& spec, std::size_t workstations,
@@ -91,8 +91,8 @@ class ModelArtifacts {
     std::once_flag once;
     std::atomic<bool> prepared{false};
     std::optional<la::LuDecomposition> lu;
-    /// P_k^T, the gather operator of left iterative solves; built on the
-    /// level's first left solve that reaches the iterative stage.
+    /// P_k^T, the gather operator of left solves; built on the level's first
+    /// left solve that reaches refinement or the iterative stage.
     std::once_flag pt_once;
     std::optional<la::CsrMatrix> pt;
     la::Vector tau;
@@ -119,20 +119,24 @@ class ModelArtifacts {
   /// docs/ROBUSTNESS.md.
   la::Vector ladder_solve(const Level& lvl, std::size_t k, const la::Vector& b,
                           bool left) const;
+  /// The operator every stage past the plain LU solve applies, as a serial
+  /// gather: P_k^T for row solves (transposed once, on first use, so dense
+  /// levels that never refine and column-only levels never store it), P_k
+  /// for column solves.  `gather.apply(v)` is v P_k or P_k v respectively;
+  /// below, `left` only picks the direction of the LU solves.
+  const la::CsrMatrix& gather_operator(std::size_t k, bool left) const;
   /// The ladder past a Neumann stage that did not converge.
   la::Vector krylov_solve(std::size_t k, const la::CsrMatrix& gather,
                           const la::Vector& b, bool left) const;
-  /// P_k^T, transposed exactly once on first use (left solves gather over
-  /// it; column-only levels never pay its storage).
-  const la::CsrMatrix& transposed_p(std::size_t k) const;
   /// Refinement stage: correct `x` against the true operator until the
   /// residual meets the solve tolerance; false when the cap runs out.
-  bool refine_solution(const Level& lvl, std::size_t k, const la::Vector& b,
-                       la::Vector& x, bool left) const;
+  bool refine_solution(const Level& lvl, const la::CsrMatrix& gather,
+                       const la::Vector& b, la::Vector& x, bool left) const;
   /// Rescue stage: shifted-operator Richardson iteration (dense levels
   /// re-factor I - P + sigma I; iterative levels run the shifted Neumann
   /// series).  Throws SolverError on failure.
-  la::Vector rescue_solve(std::size_t k, const la::Vector& b, bool left) const;
+  la::Vector rescue_solve(std::size_t k, const la::CsrMatrix& gather,
+                          const la::Vector& b, bool left) const;
 
   net::StateSpace space_;
   std::size_t k_;

@@ -18,9 +18,15 @@ namespace finwork::core {
 
 namespace {
 
+/// Tolerance and iteration cap of the steady-state power iterations; the
+/// invariant checks on p_ss allow 1e3 times the tolerance.
+constexpr double kTolerance = 1e-12;
+constexpr std::size_t kMaxPowerIterations = 100000;
+
 /// Fast-forward closes the mean recursion once successive departure-epoch
 /// distributions satisfy ||pi_{j+1} - pi_j||_inf below this.  It sits above
-/// SolverOptions::tolerance because the iterates themselves carry solve error.
+/// the level solves' 1e-12 tolerance because the iterates themselves carry
+/// solve error.
 constexpr double kMixingTolerance = 1e-11;
 
 /// Fast-forward closes the moments recursion once the per-admission
@@ -52,8 +58,7 @@ class SaturatedMean {
       const obs::ObsSpan epoch_span("solver/epoch");
       obs::counter_add(obs::Counter::kEpochRecursions);
       prev = std::move(pi_);
-      pi_ = level_.r.apply_left_parallel(
-          depart_from(prev), par::ThreadPool::global());
+      pi_ = level_.r.apply_left(depart_from(prev));
       if (fast_forward && (pi_ - prev).norm_inf() < kMixingTolerance) {
         obs::counter_add(obs::Counter::kFastForwardActivations);
         obs::counter_add(obs::Counter::kEpochsSkipped, advances - j - 1);
@@ -82,7 +87,7 @@ class SaturatedMean {
       w_ += model_.solve_left(top_, rhs);
     }
     last_solved_ = cur;
-    return level_.q.apply_left_parallel(w_, par::ThreadPool::global());
+    return level_.q.apply_left(w_);
   }
 
   const ModelArtifacts& model_;
@@ -169,14 +174,11 @@ const la::Vector& TransientSolver::tau(std::size_t k) const {
 }
 
 la::Vector TransientSolver::apply_y(std::size_t k, const la::Vector& pi) const {
-  const net::LevelMatrices& lm = space().level(k);
-  return lm.q.apply_left_parallel(model_->solve_left(k, pi),
-                                  par::ThreadPool::global());
+  return space().level(k).q.apply_left(model_->solve_left(k, pi));
 }
 
 la::Vector TransientSolver::apply_r(std::size_t k, const la::Vector& pi) const {
-  return space().level(k).r.apply_left_parallel(pi,
-                                                par::ThreadPool::global());
+  return space().level(k).r.apply_left(pi);
 }
 
 double TransientSolver::mean_epoch_time(std::size_t k,
@@ -205,13 +207,12 @@ double TransientSolver::epoch_reliability(std::size_t k, const la::Vector& pi,
   const net::LevelMatrices& lm = space().level(k);
   const double q = lm.max_event_rate * 1.0001;
   const double qt = q * t;
-  par::ThreadPool& pool = par::ThreadPool::global();
   auto step = [&](const la::Vector& v) {
     la::Vector scaled = v;
     for (std::size_t i = 0; i < scaled.size(); ++i) {
       scaled[i] *= lm.event_rates[i];
     }
-    la::Vector y = lm.p.apply_left_parallel(scaled, pool);
+    la::Vector y = lm.p.apply_left(scaled);
     y -= scaled;
     y /= q;
     y += v;
@@ -540,9 +541,8 @@ std::vector<double> TransientSolver::makespan_cdf(
   // One uniformized step of block b into its own buffers:
   //   next_b = v - (v .* M)/q + ((v .* M) P)/q,  out_b = (v .* M) Q / q,
   // with the departing mass routed later in a serial merge so the block
-  // fan-out stays deterministic.  `inner_parallel` picks pooled CSR
-  // actions when the blocks themselves run serially.
-  const auto step_block = [&](std::size_t b, bool inner_parallel) {
+  // fan-out stays deterministic.
+  const auto step_block = [&](std::size_t b) {
     const net::LevelMatrices& lm = sp.level(blocks[b].level);
     const la::Vector& st = state[b];
     la::Vector& sc = scaled[b];
@@ -550,29 +550,17 @@ std::vector<double> TransientSolver::makespan_cdf(
       sc[i] = st[i] * lm.event_rates[i] / q;
     }
     la::Vector& nb = next[b];
-    if (inner_parallel) {
-      nb = lm.p.apply_left_parallel(sc, pool);
-    } else {
-      nb.fill(0.0);
-      lm.p.apply_left_add(sc, nb);
-    }
+    nb.fill(0.0);
+    lm.p.apply_left_add(sc, nb);
     nb -= sc;
     nb += st;
     la::Vector& ob = out[b];
-    if (inner_parallel) {
-      ob = lm.q.apply_left_parallel(sc, pool);
-    } else {
-      ob.fill(0.0);
-      lm.q.apply_left_add(sc, ob);
-    }
+    ob.fill(0.0);
+    lm.q.apply_left_add(sc, ob);
     if (blocks[b].replace) {
       la::Vector& hb = handoff[b];
-      if (inner_parallel) {
-        hb = ltop.r.apply_left_parallel(ob, pool);
-      } else {
-        hb.fill(0.0);
-        ltop.r.apply_left_add(ob, hb);
-      }
+      hb.fill(0.0);
+      ltop.r.apply_left_add(ob, hb);
     }
   };
 
@@ -582,11 +570,9 @@ std::vector<double> TransientSolver::makespan_cdf(
       std::max<std::size_t>(1, blocks.size() / (4 * pool.size()));
   for (std::size_t step = 1; step <= n_max; ++step) {
     if (fan_out) {
-      par::parallel_for(
-          pool, 0, blocks.size(), [&](std::size_t b) { step_block(b, false); },
-          grain);
+      par::parallel_for(pool, 0, blocks.size(), step_block, grain);
     } else {
-      for (std::size_t b = 0; b < blocks.size(); ++b) step_block(b, true);
+      for (std::size_t b = 0; b < blocks.size(); ++b) step_block(b);
     }
     // Serial merge in ascending block order: identical accumulation order
     // whether or not the blocks fanned out above.
@@ -689,16 +675,15 @@ const la::Vector& TransientSolver::time_stationary_distribution() const {
   // z = pi .* M, stationarity reads z (P + Q R) = z: find z by (damped)
   // power iteration, then unscale by the rates and normalize.
   const net::LevelMatrices& lm = space().level(k_);
-  par::ThreadPool& pool = par::ThreadPool::global();
   const auto apply_jump = [&](const la::Vector& z) {
-    la::Vector next = lm.p.apply_left_parallel(z, pool);
-    next += lm.r.apply_left_parallel(lm.q.apply_left_parallel(z, pool), pool);
+    la::Vector next = lm.p.apply_left(z);
+    next += lm.r.apply_left(lm.q.apply_left(z));
     next += z;
     next *= 0.5;
     return next;
   };
   const la::IterativeResult res = la::power_iteration_left(
-      apply_jump, initial_vector(), opts_.tolerance, opts_.max_power_iterations);
+      apply_jump, initial_vector(), kTolerance, kMaxPowerIterations);
   if (!res.converged) {
     SolverErrorContext ctx;
     ctx.level = k_;
@@ -729,7 +714,7 @@ const SteadyStateResult& TransientSolver::steady_state() const {
   };
   const la::Vector start = initial_vector();
   const la::IterativeResult res = la::power_iteration_left(
-      apply_t, start, opts_.tolerance, opts_.max_power_iterations);
+      apply_t, start, kTolerance, kMaxPowerIterations);
   SteadyStateResult ss;
   ss.distribution = res.x;
   if constexpr (check::kEnabled) {
@@ -738,10 +723,10 @@ const SteadyStateResult& TransientSolver::steady_state() const {
       // damped map halves the residual, so allow a small multiple of the
       // power-iteration tolerance.
       check::check_probability_vector(ss.distribution, "p_ss", k_,
-                                      1e3 * opts_.tolerance);
+                                      1e3 * kTolerance);
       const la::Vector next = apply_r(k_, apply_y(k_, ss.distribution));
       check::check_fixed_point(ss.distribution, next, "p_ss Y_K R_K", k_,
-                               1e3 * opts_.tolerance);
+                               1e3 * kTolerance);
     }
   }
   ss.interdeparture = mean_epoch_time(k_, ss.distribution);

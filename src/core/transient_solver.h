@@ -36,22 +36,17 @@ namespace finwork::core {
 
 class ModelArtifacts;
 
+/// The four solver knobs.  Three shape the model's artifacts and take part
+/// in its cache key (dense_threshold, strict, max_condition); fast_forward
+/// steers each query.  Solve tolerances and iteration caps are fixed
+/// constants of the solver (model_cache.cpp, transient_solver.cpp).
 struct SolverOptions {
   /// Use a dense LU of (I - P_k) when D(k) is at most this; iterative above.
   std::size_t dense_threshold = 3000;
-  /// Relative tolerance for iterative solves and the steady-state iteration.
-  double tolerance = 1e-12;
-  /// Iteration caps for the iterative paths.
-  std::size_t max_neumann_iterations = 20000;
-  std::size_t max_bicgstab_iterations = 20000;
-  std::size_t max_power_iterations = 100000;
   /// Close the saturated phase analytically once the epoch iterates have
   /// mixed to the steady state (see docs/PERFORMANCE.md).  Exact to solver
   /// precision; turn off to force the full epoch-by-epoch recursion.
   bool fast_forward = true;
-  /// Build the level matrices for 1..K concurrently on the global thread
-  /// pool at construction instead of lazily on first use.
-  bool prebuild_levels = true;
   /// Fail-fast mode (docs/ROBUSTNESS.md): a degradation the fallback ladder
   /// would normally absorb — a singular dense factorization, a condition
   /// estimate beyond `max_condition`, an iterative backend that needs the
@@ -62,8 +57,6 @@ struct SolverOptions {
   /// it, strict mode throws and default mode routes every solve on that
   /// level through iterative refinement.
   double max_condition = 0.0;
-  /// Correction-step cap for the iterative-refinement ladder stage.
-  std::size_t max_refinement_iters = 8;
 };
 
 /// Per-epoch output of the transient model.
@@ -116,10 +109,8 @@ class TransientSolver {
   TransientSolver(const net::NetworkSpec& spec, std::size_t workstations,
                   SolverOptions options = {});
   /// Evaluate over a shared (typically ModelCache-owned) model.  The model's
-  /// numeric backend options (dense threshold, solve tolerances, fallback
-  /// ladder) were fixed when the artifacts were built; `options` governs the
-  /// per-query recursion controls (fast_forward, the steady-state iteration
-  /// caps).
+  /// options (dense_threshold, strict, max_condition) were fixed when the
+  /// artifacts were built; of `options` only fast_forward takes effect.
   explicit TransientSolver(std::shared_ptr<const ModelArtifacts> model,
                            SolverOptions options = {});
   ~TransientSolver();

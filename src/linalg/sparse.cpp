@@ -107,34 +107,6 @@ void CsrMatrix::apply_left_add(const Vector& x, Vector& y) const {
   }
 }
 
-Vector CsrMatrix::apply_parallel(const Vector& x, par::ThreadPool& pool) const {
-  if (x.size() != cols_) throw std::invalid_argument("CSR apply: size mismatch");
-  if (values_.size() < kParallelNnzThreshold || pool.size() <= 1 ||
-      par::ThreadPool::on_worker_thread()) {
-    return apply(x);
-  }
-  const std::vector<std::size_t> bounds = panel_bounds(rows_, pool.size());
-  const std::size_t panels = bounds.size() - 1;
-  if (panels <= 1) return apply(x);
-  obs::counter_add(obs::Counter::kParallelSpmvChunks, panels);
-  Vector y(rows_, 0.0);
-  std::vector<std::future<void>> futures;
-  futures.reserve(panels);
-  for (std::size_t p = 0; p < panels; ++p) {
-    futures.push_back(pool.submit([&, lo = bounds[p], hi = bounds[p + 1]] {
-      for (std::size_t r = lo; r < hi; ++r) {
-        double s = 0.0;
-        for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-          s += values_[k] * x[col_idx_[k]];
-        }
-        y[r] = s;
-      }
-    }));
-  }
-  for (auto& f : futures) f.get();
-  return y;
-}
-
 Vector CsrMatrix::apply_left_parallel(const Vector& x,
                                       par::ThreadPool& pool) const {
   if (x.size() != rows_) {

@@ -38,17 +38,11 @@ class CsrMatrix {
   /// buffer — the allocation-free row action the uniformization loops use.
   void apply_left_add(const Vector& x, Vector& y) const;
 
-  /// y = A x partitioned into row panels on `pool`.  Each output entry is
-  /// owned by exactly one panel and accumulated in the serial order, so the
-  /// result is bitwise identical to apply().  Falls back to the serial
-  /// kernel for small matrices and when called from a pool worker (nested
-  /// fan-out would risk deadlock).
-  [[nodiscard]] Vector apply_parallel(const Vector& x,
-                                      par::ThreadPool& pool) const;
-  /// y = x A on `pool`: row panels accumulate into per-panel buffers which
-  /// are then merged in fixed ascending panel order — deterministic
-  /// run-to-run (the panel split depends only on the matrix and pool size),
-  /// though the merge reassociates additions relative to apply_left().
+  /// y = x A on `pool`: per-panel buffers merged in fixed ascending panel
+  /// order — deterministic run to run, though the merge reassociates
+  /// additions relative to apply_left().  No caller in src/ (level actions
+  /// are serial); kept only for the perfbench spmv_left_parallel probe, and
+  /// deleted with that probe in the next benchmark change.
   [[nodiscard]] Vector apply_left_parallel(const Vector& x,
                                            par::ThreadPool& pool) const;
 

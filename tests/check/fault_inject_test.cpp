@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -134,26 +135,38 @@ TEST_F(FaultInjectTest, StalledRefinementFallsBackToIterativeBackend) {
 TEST_F(FaultInjectTest, ExhaustedKrylovBackendsRecoverViaShiftedRetry) {
   // dense_threshold = 0: every level runs the matrix-free backend, so one
   // armed failure per backend pushes a single solve into the rescue stage.
+  // Both directions: the rescue gathers over P^T for a row solve and over
+  // P for a column solve.
   core::SolverOptions opts;
   opts.dense_threshold = 0;
   const core::ModelArtifacts model(small_cluster(), 2, opts);
   const finwork::la::Vector b(model.space().dimension(2), 1.0);
-  const finwork::la::Vector reference = model.solve_left(2, b);
+  for (const bool left : {true, false}) {
+    SCOPED_TRACE(left ? "solve_left" : "solve_right");
+    const auto solve = [&] {
+      return left ? model.solve_left(2, b) : model.solve_right(2, b);
+    };
+    const finwork::la::Vector reference = solve();
+    const std::uint64_t neumann = check::fault_fire_count("iterative/neumann");
+    const std::uint64_t bicgstab =
+        check::fault_fire_count("iterative/bicgstab");
+    const std::uint64_t gmres = check::fault_fire_count("iterative/gmres");
 
-  check::arm_fault("iterative/neumann", 1);
-  check::arm_fault("iterative/bicgstab", 1);
-  check::arm_fault("iterative/gmres", 1);
-  const finwork::la::Vector rescued = model.solve_left(2, b);
-  check::disarm_all_faults();
-  ASSERT_EQ(rescued.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_NEAR(rescued[i], reference[i],
-                1e-8 * (1.0 + std::abs(reference[i])))
-        << "component " << i;
+    check::arm_fault("iterative/neumann", 1);
+    check::arm_fault("iterative/bicgstab", 1);
+    check::arm_fault("iterative/gmres", 1);
+    const finwork::la::Vector rescued = solve();
+    check::disarm_all_faults();
+    ASSERT_EQ(rescued.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_NEAR(rescued[i], reference[i],
+                  1e-8 * (1.0 + std::abs(reference[i])))
+          << "component " << i;
+    }
+    EXPECT_GT(check::fault_fire_count("iterative/neumann"), neumann);
+    EXPECT_GT(check::fault_fire_count("iterative/bicgstab"), bicgstab);
+    EXPECT_GT(check::fault_fire_count("iterative/gmres"), gmres);
   }
-  EXPECT_GT(check::fault_fire_count("iterative/neumann"), 0u);
-  EXPECT_GT(check::fault_fire_count("iterative/bicgstab"), 0u);
-  EXPECT_GT(check::fault_fire_count("iterative/gmres"), 0u);
   if constexpr (obs::kEnabled) {
     EXPECT_TRUE(saw_event("degradation/iterative"));
     EXPECT_TRUE(saw_event("degradation/shifted-retry"));

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "cluster/builders.h"
+#include "cluster/experiments.h"
 #include "ph/fitting.h"
 
 namespace net = finwork::net;
@@ -201,6 +206,34 @@ TEST(StateSpace, DescribeMentionsStations) {
   const std::string d = space.describe(2, 0);
   EXPECT_NE(d.find("S0"), std::string::npos);
   EXPECT_NE(d.find("S1"), std::string::npos);
+}
+
+TEST(StateSpace, ConcurrentLevelAccessBuildsOnce) {
+  // StateSpace::level is documented thread-safe and builds lazily: hammer
+  // every level from many threads; call_once must serialise the builders
+  // and everyone must see fully built matrices.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 4;
+  const net::StateSpace space(cluster::build_cluster(cfg), cfg.workstations);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(8);
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      for (std::size_t k = 1; k <= cfg.workstations; ++k) {
+        const net::LevelMatrices& lm = space.level(k);
+        if (lm.level != k || lm.p.rows() != space.dimension(k) ||
+            lm.event_rates.size() != space.dimension(k) ||
+            lm.max_event_rate <= 0.0) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // Property: level dimensions are consistent with per-station local counts

@@ -30,6 +30,8 @@
 //   "simulate"       DES cross-check with confidence interval
 //   "product_form"   Buzen/MVA steady-state baselines (exponentialized)
 
+#include <cmath>
+#include <cstddef>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -93,10 +95,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--strict") {
       solver_options.strict = true;
     } else if (arg.rfind("--max-condition=", 0) == 0) {
+      const std::string value = arg.substr(16);
+      std::size_t used = 0;
       try {
-        solver_options.max_condition = std::stod(arg.substr(16));
+        solver_options.max_condition = std::stod(value, &used);
       } catch (const std::exception&) {
-        std::cerr << "bad --max-condition value: " << arg.substr(16) << '\n';
+        used = 0;
+      }
+      // std::stod accepts "nan" and "inf" and stops at trailing junk.
+      if (used == 0 || used != value.size() ||
+          !std::isfinite(solver_options.max_condition)) {
+        std::cerr << "bad --max-condition value: " << value << '\n';
         return 2;
       }
       if (solver_options.max_condition < 0.0) {

@@ -13,6 +13,10 @@ bench/ are allowed to print):
       is src/obs/: it is the designated reporting layer (trace export,
       perf records, text summaries), so it may talk to streams
   R4  no raw `new` / `delete` in src/ — containers and smart pointers only
+  R5  no `apply_left_parallel` / `apply_parallel` in src/ outside
+      src/linalg/sparse.{h,cpp} — every level action is the serial kernel
+      (parallelism lives in the sweep, block and level-build fan-outs); the
+      pooled row-panel kernel survives only for the perfbench SpMV probe
 
 Usage:
   python3 tools/finwork_lint.py [paths...]
@@ -38,6 +42,8 @@ STDOUT_RE = re.compile(r"\bstd::(cout|cerr)\b|\bprintf\s*\(")
 RAW_NEW_RE = re.compile(r"\bnew\b\s+[A-Za-z_:<]")
 RAW_DELETE_RE = re.compile(r"(?<![=\w])\s*\bdelete\b(\s*\[\s*\])?\s+[A-Za-z_]")
 DELETED_FN_RE = re.compile(r"=\s*delete\b")
+POOLED_SPMV_RE = re.compile(r"\bapply(_left)?_parallel\b")
+SPARSE_FILES = {Path("src/linalg/sparse.h"), Path("src/linalg/sparse.cpp")}
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -107,6 +113,7 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
     # src/obs/ is the observability sink — the only src/ code allowed to
     # address stdout/stderr directly (R3 exception; all other rules apply).
     in_obs = in_src and len(rel.parts) > 1 and rel.parts[1] == "obs"
+    pooled_spmv_banned = in_src and rel not in SPARSE_FILES
     try:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -134,6 +141,10 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
             problems.append(
                 f"{rel}:{lineno}: [raw-delete] raw `delete` in src/; use "
                 "RAII owners instead")
+        if pooled_spmv_banned and POOLED_SPMV_RE.search(line):
+            problems.append(
+                f"{rel}:{lineno}: [pooled-spmv] pooled CSR action in src/; "
+                "level actions use the serial apply/apply_left kernels")
 
     if in_src and path.suffix in HEADER_SUFFIXES:
         first = next((ln.strip() for ln in code_lines if ln.strip()), "")

@@ -3,7 +3,7 @@
 
 Builds a throwaway tree with one known violation per rule plus the cases
 that must NOT fire (src/obs/ stream access, `= delete` declarations,
-prints under tools/), runs the linter in-process, and checks that exactly
+prints under tools/, the pooled SpMV kernel in src/linalg/sparse.cpp), runs the linter in-process, and checks that exactly
 the expected rule tags fire on the expected files.
 
 Run directly or via ctest (registered as `lint_selftest`).
@@ -58,6 +58,22 @@ FIXTURES = {
         "int* leak() { return new int(7); }\n"
         "void free2(int* p) { delete p; }\n"
     ),
+    # R5: a pooled CSR action in src/ outside the sparse kernel files; the
+    # comment mention must not fire.
+    "src/core/bad_spmv.cpp": (
+        "// apply_left_parallel in a comment is fine\n"
+        "Vector f(const CsrMatrix& a, const Vector& x, ThreadPool& pool) {\n"
+        "  return a.apply_left_parallel(x, pool);\n"
+        "}\n"
+        "Vector g(const CsrMatrix& a, const Vector& x, ThreadPool& pool) {\n"
+        "  return a.apply_parallel(x, pool);\n"
+        "}\n"
+    ),
+    # R5 negative: the sparse kernel itself defines it.
+    "src/linalg/sparse.cpp": (
+        "Vector CsrMatrix::apply_left_parallel(const Vector& x,\n"
+        "                                      ThreadPool& pool) const;\n"
+    ),
 }
 
 # (substring of the fixture path, rule tag) pairs that must each appear
@@ -69,6 +85,8 @@ EXPECTED = [
     ("src/linalg/bad_eigen.cpp:1", "[eigen-include]"),
     ("src/core/bad_alloc.cpp:3", "[raw-new]"),
     ("src/core/bad_alloc.cpp:4", "[raw-delete]"),
+    ("src/core/bad_spmv.cpp:3", "[pooled-spmv]"),
+    ("src/core/bad_spmv.cpp:6", "[pooled-spmv]"),
 ]
 
 # Files that must produce no findings at all.
@@ -76,6 +94,7 @@ CLEAN = [
     "src/obs/good_sink.cpp",
     "tools/good_tool.cpp",
     "src/core/good_header.h",
+    "src/linalg/sparse.cpp",
 ]
 
 
