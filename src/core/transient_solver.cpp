@@ -313,34 +313,42 @@ std::vector<double> TransientSolver::makespan_grid(
   // Saturating workloads: N = K + j is harvested at iterate j of the mean
   // recursion as E(T) = prefix_j + pi_j h_K, where prefix_j is the mean
   // time of the j epochs already closed.  One pass to the largest j serves
-  // every point.
+  // every point, and a pass that closed by fast-forward serves every later
+  // fast-forward query on this solver.
+  if (opts_.fast_forward && mean_trajectory_) {
+    obs::counter_add(obs::Counter::kTrajectoryReuses);
+    for (const auto& [j, i] : targets) results[i] = mean_trajectory_->at(j);
+    return results;
+  }
   const la::Vector& h_k = model_->drain_mean(k_);
   const la::Vector& tau_k = tau(k_);
   SaturatedMean saturated(*model_, k_);
-  auto next_target = targets.begin();
+  MeanTrajectory path;
   double prefix = 0.0;
+  const std::size_t advances = targets.back().first;
   const std::size_t visited = saturated.run(
-      targets.back().first, opts_.fast_forward,
-      [&](std::size_t j, const la::Vector& pi) {
-        const double harvest = la::dot(pi, h_k);
-        for (; next_target != targets.end() && next_target->first == j;
-             ++next_target) {
-          results[next_target->second] = prefix + harvest;
-        }
+      advances, opts_.fast_forward, [&](std::size_t, const la::Vector& pi) {
+        path.harvest.push_back(prefix + la::dot(pi, h_k));
         prefix += la::dot(pi, tau_k);
       });
-  if (next_target != targets.end()) {
+  const bool mixed = visited <= advances;
+  if (mixed) {
     // Mixed at iterate m = visited: every later epoch departs from this same
-    // distribution, so each remaining point closes in O(1) —
-    //   E(T)(K + J) = prefix_m + (J - m) t_ss + pi_m h_K.
-    const double t_ss = la::dot(saturated.pi(), tau_k);
-    const double tail = la::dot(saturated.pi(), h_k);
-    for (; next_target != targets.end(); ++next_target) {
-      const auto r = static_cast<double>(next_target->first - visited);
-      results[next_target->second] = prefix + r * t_ss + tail;
-    }
+    // distribution, so each remaining point closes in O(1) (see at()).
+    path.prefix = prefix;
+    path.t_ss = la::dot(saturated.pi(), tau_k);
+    path.tail = la::dot(saturated.pi(), h_k);
   }
+  for (const auto& [j, i] : targets) results[i] = path.at(j);
+  if (mixed) mean_trajectory_ = std::move(path);
   return results;
+}
+
+double TransientSolver::MeanTrajectory::at(std::size_t j) const {
+  if (j < harvest.size()) return harvest[j];
+  //   E(T)(K + J) = prefix_m + (J - m) t_ss + pi_m h_K.
+  const auto r = static_cast<double>(j - harvest.size());
+  return prefix + r * t_ss + tail;
 }
 
 MakespanMoments TransientSolver::makespan_moments(std::size_t tasks) const {
@@ -386,8 +394,20 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   if (targets.empty()) return results;
 
   // Saturating workloads N = K + j: one admission loop to the largest j,
-  // harvesting dot products at each requested iterate, started from the
-  // drain at j = 0 (m1_0 = h_K, x_0 = x_K).
+  // recording the p0 dots at every admission, started from the drain at
+  // j = 0 (m1_0 = h_K, x_0 = x_K).  A loop that closed by fast-forward
+  // serves every later fast-forward query on this solver.
+  const auto fill_targets = [&](const MomentsTrajectory& path) {
+    for (const auto& [j, i] : targets) {
+      const auto [mean, x_val] = path.at(j);
+      fill(results[i], mean, x_val);
+    }
+  };
+  if (opts_.fast_forward && moments_trajectory_) {
+    obs::counter_add(obs::Counter::kTrajectoryReuses);
+    fill_targets(*moments_trajectory_);
+    return results;
+  }
   const std::size_t j_max = targets.back().first;
 
   const net::LevelMatrices& lt = sp.level(k_);
@@ -396,19 +416,14 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   const la::Vector p0 = sp.initial_vector(k_);
   la::Vector m1 = model_->drain_mean(k_);
   la::Vector x = model_->drain_second(k_);
-  auto next_target = targets.begin();
-  const auto harvest = [&](std::size_t j) {
-    while (next_target != targets.end() && next_target->first == j) {
-      fill(results[next_target->second], la::dot(p0, m1), la::dot(p0, x));
-      ++next_target;
-    }
-  };
-  harvest(0);
+  MomentsTrajectory path;
+  path.harvest.emplace_back(la::dot(p0, m1), la::dot(p0, x));
+  bool closed = false;
   la::Vector m1_new;  // m1_j, when the previous admission solved it
   la::Vector d_prev;  // previous first difference of m1
   la::Vector e_prev;  // previous first difference of x
   la::Vector f_prev;  // previous second difference of x
-  for (std::size_t j = 1; next_target != targets.end(); ++j) {
+  for (std::size_t j = 1; j <= j_max; ++j) {
     // The m1 step is the column action of T = (I - P)^-1 Q R.
     if (m1_new.empty()) {
       m1_new = tau_k + model_->solve_right(k_, lt.q.apply(lt.r.apply(m1)));
@@ -434,34 +449,25 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
       x = model_->solve_right(k_, flow);
     }
     la::Vector e = x - x_prev;
-    harvest(j);
-    if (next_target == targets.end()) break;
+    path.harvest.emplace_back(la::dot(p0, m1), la::dot(p0, x));
+    if (j == j_max) break;
 
     if (opts_.fast_forward && j >= 2) {
       la::Vector f = e - e_prev;
       // Once d has mixed and the x increments have become arithmetic
       // (e_{j+i} ~ e_j + i f, so the second difference of x is stable),
-      // close the remaining admissions in closed form, per point by
-      // linearity of the p0 dot —
-      //   mean(K+J) = p0 m1 + R p0 d,
-      //   x(K+J)    = p0 x + R p0 e + R(R+1)/2 p0 f,   R = J - j.
+      // close the remaining admissions in closed form (see at()).
       // f is a second difference of near-cancelling terms; its floating
       // noise floor is ~eps ||x||, below which no threshold can bite.
       const double noise_floor = 4.0 * 2.220446049250313e-16 * x.norm_inf();
       if (d_mixed && (f - f_prev).norm_inf() <=
                          kMomentMixingTolerance * f.norm_inf() + noise_floor) {
-        const double mean_j = la::dot(p0, m1);
-        const double x_j = la::dot(p0, x);
-        const double d_s = la::dot(p0, d);
-        const double e_s = la::dot(p0, e);
-        const double f_s = la::dot(p0, f);
+        path.d = la::dot(p0, d);
+        path.e = la::dot(p0, e);
+        path.f = la::dot(p0, f);
         obs::counter_add(obs::Counter::kFastForwardActivations);
         obs::counter_add(obs::Counter::kEpochsSkipped, j_max - j);
-        for (; next_target != targets.end(); ++next_target) {
-          const auto r = static_cast<double>(next_target->first - j);
-          fill(results[next_target->second], mean_j + r * d_s,
-               x_j + r * e_s + 0.5 * r * (r + 1.0) * f_s);
-        }
+        closed = true;
         break;
       }
       f_prev = std::move(f);
@@ -469,7 +475,20 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
     d_prev = std::move(d);
     e_prev = std::move(e);
   }
+  fill_targets(path);
+  if (closed) moments_trajectory_ = std::move(path);
   return results;
+}
+
+std::pair<double, double> TransientSolver::MomentsTrajectory::at(
+    std::size_t j) const {
+  if (j < harvest.size()) return harvest[j];
+  // Past the closing admission c, per point by linearity of the p0 dot —
+  //   mean(K+J) = p0 m1 + R p0 d,
+  //   x(K+J)    = p0 x + R p0 e + R(R+1)/2 p0 f,   R = J - c.
+  const auto [mean_c, x_c] = harvest.back();
+  const auto r = static_cast<double>(j - (harvest.size() - 1));
+  return {mean_c + r * d, x_c + r * e + 0.5 * r * (r + 1.0) * f};
 }
 
 std::vector<double> TransientSolver::makespan_cdf(

@@ -16,6 +16,9 @@
 // analytically (fast-forward).  solve() and makespan_grid() both run it;
 // makespan_moments_grid() runs its column (remaining-time) mirror.  The
 // single-N queries makespan() and makespan_moments() are one-point grids.
+// Neither recursion depends on N — N only picks the iterate harvested — so
+// a fast-forward pass that closes keeps its harvests per solver, and every
+// later fast-forward query on that solver reads them with no level solve.
 //
 // The expensive, query-independent pieces — the StateSpace and the per-level
 // factorizations — live in a shared core::ModelArtifacts (model_cache.h), so
@@ -26,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "linalg/lu.h"
@@ -100,8 +104,15 @@ struct SteadyStateResult {
 /// Transient solver over a network's reduced-product state space.
 ///
 /// A solver instance is cheap when it shares a prebuilt ModelArtifacts; it is
-/// not itself thread-safe (steady-state results are memoized per instance) —
-/// concurrent sweep points should each own a solver over the shared model.
+/// not itself thread-safe — concurrent sweep points should each own a solver
+/// over the shared model.  Memoized per instance: the steady state, the
+/// time-stationary distribution, and the saturated mean and moments
+/// trajectories of the first makespan_grid / makespan_moments_grid pass (or
+/// single-N query) that closed by fast-forward.  A trajectory holds one
+/// scalar pair per iterate up to mixing plus its closure, so any later
+/// fast-forward query, at any N, is answered from it bit for bit as a fresh
+/// pass would answer it.  Queries with fast_forward off never read or write
+/// the trajectories.
 class TransientSolver {
  public:
   /// `workstations` is K: the number of tasks held in service concurrently.
@@ -225,11 +236,34 @@ class TransientSolver {
   [[nodiscard]] const la::Vector& time_stationary_distribution() const;
 
  private:
+  /// The mean pass's harvest E(T)(K + j) = prefix_j + pi_j h_K at every
+  /// iterate j < m, and its closure at the mixing iterate m.
+  struct MeanTrajectory {
+    std::vector<double> harvest;  ///< j = 0 .. m - 1
+    double prefix = 0.0;          ///< prefix_m: mean time of epochs 0 .. m-1
+    double t_ss = 0.0;            ///< pi_m tau'_K
+    double tail = 0.0;            ///< pi_m h_K
+    /// E(T) at N = K + j.
+    [[nodiscard]] double at(std::size_t j) const;
+  };
+  /// The moments pass's (p0 m1_j, p0 x_j) at every admission j <= c, and
+  /// the p0 dots of the first and second differences it closed with at c.
+  struct MomentsTrajectory {
+    std::vector<std::pair<double, double>> harvest;  ///< j = 0 .. c
+    double d = 0.0;  ///< p0 (m1_c - m1_{c-1})
+    double e = 0.0;  ///< p0 (x_c - x_{c-1})
+    double f = 0.0;  ///< p0 (e_c - e_{c-1}) as a vector difference
+    /// (mean, x) at N = K + j, with the second moment 2x.
+    [[nodiscard]] std::pair<double, double> at(std::size_t j) const;
+  };
+
   std::shared_ptr<const ModelArtifacts> model_;
   std::size_t k_;
   SolverOptions opts_;
   mutable std::optional<SteadyStateResult> steady_;
   mutable std::optional<la::Vector> time_stationary_;
+  mutable std::optional<MeanTrajectory> mean_trajectory_;
+  mutable std::optional<MomentsTrajectory> moments_trajectory_;
 };
 
 }  // namespace finwork::core

@@ -44,6 +44,7 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "solver.fallback_activations",
     "linalg.refinement_iters",
     "linalg.condition_estimates",
+    "solver.trajectory_reuses",
 };
 
 constexpr std::array<std::string_view, kNumGauges> kGaugeNames = {

@@ -47,6 +47,7 @@ enum class Counter : std::size_t {
   kFallbackActivations,  ///< fallback-ladder stages entered after a failure
   kRefinementIters,      ///< iterative-refinement correction steps applied
   kConditionEstimates,   ///< condition estimates computed at factorization
+  kTrajectoryReuses,     ///< grid passes served from a solver's saturated memo
   kCount
 };
 

@@ -76,6 +76,36 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+namespace {
+
+/// Runs task(c) for every chunk c in [0, chunks) on the pool, waits for all
+/// of them, and rethrows the first exception by chunk order.  Each task
+/// catches its own exception into a slot this frame owns, so no future's
+/// shared state carries one: every exception is released on the calling
+/// thread, never by a worker dropping the last reference to a finished
+/// task while the caller is still reading the exception it rethrew.
+void run_chunks(ThreadPool& pool, std::size_t chunks,
+                const std::function<void(std::size_t)>& task) {
+  std::vector<std::exception_ptr> errors(chunks);
+  std::vector<std::future<void>> futures;
+  futures.reserve(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    futures.push_back(pool.submit([c, &task, &errors] {
+      try {
+        task(c);
+      } catch (...) {
+        errors[c] = std::current_exception();
+      }
+    }));
+  }
+  for (auto& f : futures) f.get();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+}
+
+}  // namespace
+
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain) {
@@ -93,22 +123,11 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     return;
   }
 
-  std::vector<std::future<void>> futures;
-  for (std::size_t lo = begin; lo < end; lo += chunk) {
+  run_chunks(pool, (n + chunk - 1) / chunk, [&](std::size_t c) {
+    const std::size_t lo = begin + c * chunk;
     const std::size_t hi = std::min(end, lo + chunk);
-    futures.push_back(pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
-  }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+    for (std::size_t i = lo; i < hi; ++i) body(i);
+  });
 }
 
 void parallel_for(std::size_t begin, std::size_t end,
@@ -125,40 +144,25 @@ double parallel_sum(ThreadPool& pool, std::size_t begin, std::size_t end,
   grain = std::max<std::size_t>(1, grain);
   const std::size_t max_chunks = pool.size() * 4;
   const std::size_t chunk = std::max(grain, (n + max_chunks - 1) / max_chunks);
-
-  if (n <= chunk || ThreadPool::on_worker_thread()) {
-    // Same chunk boundaries as the dispatched path, combined in the same
-    // left-to-right order, so inline and pooled runs agree bitwise.
-    double total = 0.0;
-    for (std::size_t lo = begin; lo < end; lo += chunk) {
-      const std::size_t hi = std::min(end, lo + chunk);
-      double s = 0.0;
-      for (std::size_t i = lo; i < hi; ++i) s += map(i);
-      total += s;
-    }
-    return total;
-  }
-
-  std::vector<std::future<double>> futures;
-  for (std::size_t lo = begin; lo < end; lo += chunk) {
+  const std::size_t chunks = (n + chunk - 1) / chunk;
+  const auto chunk_sum = [&](std::size_t c) {
+    const std::size_t lo = begin + c * chunk;
     const std::size_t hi = std::min(end, lo + chunk);
-    futures.push_back(pool.submit([lo, hi, &map] {
-      double s = 0.0;
-      for (std::size_t i = lo; i < hi; ++i) s += map(i);
-      return s;
-    }));
+    double s = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) s += map(i);
+    return s;
+  };
+
+  // Same chunk boundaries inline and pooled, combined in the same
+  // left-to-right order, so inline and pooled runs agree bitwise.
+  std::vector<double> partial(chunks, 0.0);
+  if (n <= chunk || ThreadPool::on_worker_thread()) {
+    for (std::size_t c = 0; c < chunks; ++c) partial[c] = chunk_sum(c);
+  } else {
+    run_chunks(pool, chunks, [&](std::size_t c) { partial[c] = chunk_sum(c); });
   }
-  // Combine in chunk order: deterministic independent of scheduling.
   double total = 0.0;
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      total += f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  for (double s : partial) total += s;
   return total;
 }
 

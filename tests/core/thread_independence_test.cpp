@@ -1,11 +1,14 @@
 // Thread independence of the per-level actions: every CSR action on a level
 // is the serial kernel, so a query returns the same bits whether it runs on
 // the main thread or inside a pool task — also on levels big enough that a
-// row-panel fan-out (and its reassociating merge) could pay off.
+// row-panel fan-out (and its reassociating merge) could pay off, and for the
+// makespan CDF, whose population blocks fan out onto the pool only from a
+// thread outside it.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <vector>
 
 #include "cluster/builders.h"
 #include "cluster/experiments.h"
@@ -42,6 +45,36 @@ TEST(ThreadIndependence, EpochReliabilityBitwiseOnAnyThread) {
   EXPECT_EQ(main_thread, on_worker);
   EXPECT_GT(main_thread, 0.0);
   EXPECT_LT(main_thread, 1.0);
+}
+
+TEST(ThreadIndependence, MakespanCdfBitwiseOnAnyThread) {
+  // Central K = 5 with a C^2 = 4 remote disk at N = 12: 12 population
+  // blocks, so the main thread steps them on the pool and a worker steps
+  // them inline; the ascending merge keeps the two runs bit for bit equal.
+  cluster::ExperimentConfig cfg;
+  cfg.workstations = 5;
+  cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(4.0);
+  const core::TransientSolver solver(cluster::build_cluster(cfg),
+                                     cfg.workstations);
+  constexpr std::size_t n = 12;
+  const double mean = solver.makespan(n);
+  const std::vector<double> times = {0.8 * mean, mean, 1.4 * mean};
+
+  const std::vector<double> main_thread = solver.makespan_cdf(n, times);
+  EXPECT_FALSE(par::ThreadPool::on_worker_thread());
+  const std::vector<double> on_worker =
+      par::ThreadPool::global()
+          .submit([&] {
+            EXPECT_TRUE(par::ThreadPool::on_worker_thread());
+            return solver.makespan_cdf(n, times);
+          })
+          .get();
+  ASSERT_EQ(main_thread.size(), times.size());
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    EXPECT_EQ(main_thread[i], on_worker[i]) << "t = " << times[i];
+    EXPECT_GT(main_thread[i], 0.0);
+    EXPECT_LT(main_thread[i], 1.0);
+  }
 }
 
 }  // namespace
