@@ -61,7 +61,7 @@ void BM_DenseBackend(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto cfg = config(cluster::Architecture::kDistributed, k, 4.0);
   const net::NetworkSpec spec = cluster::build_cluster(cfg);
-  core::SolverOptions opts;  // defaults choose dense below the threshold
+  core::ModelOptions opts;  // defaults choose dense below the threshold
   for (auto _ : state) {
     core::TransientSolver solver(spec, k, opts);
     benchmark::DoNotOptimize(solver.makespan(2 * k));
@@ -82,7 +82,7 @@ const std::shared_ptr<const core::ModelArtifacts>& saturated_model() {
       std::make_shared<const core::ModelArtifacts>(
           cluster::build_cluster(
               config(cluster::Architecture::kDistributed, 6, 1.0)),
-          6, core::SolverOptions{});
+          6, core::ModelOptions{});
   return model;
 }
 
@@ -187,7 +187,7 @@ void BM_IterativeBackend(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto cfg = config(cluster::Architecture::kDistributed, k, 4.0);
   const net::NetworkSpec spec = cluster::build_cluster(cfg);
-  core::SolverOptions opts;
+  core::ModelOptions opts;
   opts.dense_threshold = 0;  // force the matrix-free sparse path
   for (auto _ : state) {
     core::TransientSolver solver(spec, k, opts);

@@ -11,14 +11,15 @@ namespace {
 
 // The site registry.  One entry per forced-failure point; keep in sync with
 // the table in docs/ROBUSTNESS.md.
-constexpr std::array<std::string_view, 7> kFaultSites = {
-    "lu/factorize",        // dense PLU reports the matrix singular
-    "ladder/refine",       // iterative refinement fails to reduce the residual
-    "ladder/rescue",       // the shifted-retry rescue stage is skipped
-    "iterative/neumann",   // Neumann series reports non-convergence
-    "iterative/bicgstab",  // BiCGSTAB reports non-convergence
-    "iterative/gmres",     // GMRES reports non-convergence
-    "cache/build",         // ModelCache single-flight build throws
+constexpr std::array<std::string_view, 8> kFaultSites = {
+    "lu/factorize",          // dense PLU reports the matrix singular
+    "ladder/refine",         // refinement fails to reduce the residual
+    "ladder/rescue",         // the shifted-retry rescue stage is skipped
+    "iterative/neumann",     // Neumann series reports non-convergence
+    "iterative/bicgstab",    // BiCGSTAB reports non-convergence
+    "iterative/gmres",       // GMRES reports non-convergence
+    "cache/build",           // ModelCache single-flight build throws
+    "state_space/assemble",  // one chunk of a level's assembly throws
 };
 
 struct SiteState {

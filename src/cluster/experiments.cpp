@@ -36,9 +36,7 @@ net::NetworkSpec build_cluster(const ExperimentConfig& config) {
 }
 
 double cluster_makespan(const ExperimentConfig& config, std::size_t tasks) {
-  const core::TransientSolver solver(
-      cached_model(build_cluster(config), config.workstations));
-  return solver.makespan(tasks);
+  return cluster_makespan_grid(config, {&tasks, 1})[0];
 }
 
 std::vector<double> cluster_makespan_grid(const ExperimentConfig& config,
@@ -55,13 +53,7 @@ double cluster_speedup(const ExperimentConfig& config, std::size_t tasks) {
 
 double cluster_prediction_error(const ExperimentConfig& config,
                                 std::size_t tasks) {
-  const net::NetworkSpec actual = build_cluster(config);
-  const core::TransientSolver actual_solver(
-      cached_model(actual, config.workstations));
-  const core::TransientSolver exp_solver(
-      cached_model(actual.exponentialized(), config.workstations));
-  return core::prediction_error_percent(actual_solver.makespan(tasks),
-                                        exp_solver.makespan(tasks));
+  return cluster_prediction_error_grid(config, {&tasks, 1})[0];
 }
 
 std::vector<double> cluster_prediction_error_grid(
@@ -165,23 +157,12 @@ io::Table metric_vs_scv(const ExperimentConfig& base,
     } else {
       config.shapes.remote_disk = ServiceShape::from_scv(scv_values[i]);
     }
-    switch (metric) {
-      case ScvMetric::kPredictionError: {
-        values[i] = cluster_makespan_grid(config, task_counts);
-        for (std::size_t jn = 0; jn < task_counts.size(); ++jn) {
-          values[i][jn] = core::prediction_error_percent(values[i][jn],
-                                                         exponential_et[jn]);
-        }
-        break;
-      }
-      case ScvMetric::kSpeedup: {
-        values[i] = cluster_makespan_grid(config, task_counts);
-        for (std::size_t jn = 0; jn < task_counts.size(); ++jn) {
-          values[i][jn] = core::speedup(
-              task_counts[jn], config.app.task_mean_time(), values[i][jn]);
-        }
-        break;
-      }
+    values[i] = cluster_makespan_grid(config, task_counts);
+    for (std::size_t jn = 0; jn < task_counts.size(); ++jn) {
+      double& v = values[i][jn];
+      v = metric == ScvMetric::kPredictionError
+              ? core::prediction_error_percent(v, exponential_et[jn])
+              : core::speedup(task_counts[jn], config.app.task_mean_time(), v);
     }
   });
 

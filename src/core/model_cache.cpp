@@ -17,7 +17,6 @@
 #include "obs/counters.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 
 namespace finwork::core {
 
@@ -26,59 +25,11 @@ namespace finwork::core {
 // ---------------------------------------------------------------------------
 
 ModelArtifacts::ModelArtifacts(const net::NetworkSpec& spec,
-                               std::size_t workstations, SolverOptions options)
+                               std::size_t workstations, ModelOptions options)
     : space_(spec, workstations), k_(workstations), opts_(options) {
   // Fail fast on networks whose first-passage times diverge.
   spec.validate_connectivity();
   levels_ = std::make_unique<Level[]>(k_ + 1);
-  if (!par::ThreadPool::on_worker_thread()) {
-    const obs::ObsSpan span("solver/prebuild_levels");
-    par::ThreadPool& pool = par::ThreadPool::global();
-    try {
-      // Levels big enough to parallelise their own assembly build inline,
-      // largest first, so the chunked triplet fan-out owns the pool; the
-      // small levels overlap with them as pool tasks.
-      constexpr std::size_t kInlineDim = 4096;
-      std::vector<std::size_t> inline_levels;
-      prebuild_.reserve(k_);
-      for (std::size_t k = 1; k <= k_; ++k) {
-        if (space_.dimension(k) < kInlineDim) {
-          prebuild_.push_back(
-              pool.submit([this, k] { (void)space_.level(k); }));
-        } else {
-          inline_levels.push_back(k);
-        }
-      }
-      for (auto it = inline_levels.rbegin(); it != inline_levels.rend();
-           ++it) {
-        (void)space_.level(*it);
-      }
-    } catch (...) {
-      // The pool tasks reference this object: never let the exception leave
-      // the constructor while they are still in flight.
-      for (auto& f : prebuild_) {
-        // NOLINTNEXTLINE(bugprone-empty-catch)
-        try {
-          f.get();
-        } catch (...) {
-        }
-      }
-      throw;
-    }
-  }
-}
-
-ModelArtifacts::~ModelArtifacts() {
-  for (auto& f : prebuild_) {
-    if (!f.valid()) continue;
-    // A failed prebuild leaves the level's once-flag unset, so the error
-    // resurfaces on first real use; here it only needs to be drained.
-    // NOLINTNEXTLINE(bugprone-empty-catch)
-    try {
-      f.get();
-    } catch (...) {
-    }
-  }
 }
 
 namespace {
@@ -320,7 +271,7 @@ const ModelArtifacts::Level& ModelArtifacts::prepared_level(
           ctx.dimension = d;
           ctx.condition_estimate = cond;
           ctx.detail =
-              "condition estimate beyond SolverOptions::max_condition in "
+              "condition estimate beyond ModelOptions::max_condition in "
               "strict mode";
           throw SolverError(SolverErrorKind::kIllConditioned,
                             SolverStage::kLuFactorize, std::move(ctx));
@@ -447,7 +398,7 @@ void put_matrix(std::vector<std::uint8_t>& out, const la::Matrix& m) {
 
 std::vector<std::uint8_t> canonical_model_key(const net::NetworkSpec& spec,
                                               std::size_t workstations,
-                                              const SolverOptions& options) {
+                                              const ModelOptions& options) {
   std::vector<std::uint8_t> key;
   key.reserve(256);
   key.push_back(4);  // encoding version (v4: solve tolerances now constants)
@@ -463,8 +414,6 @@ std::vector<std::uint8_t> canonical_model_key(const net::NetworkSpec& spec,
   put_vector(key, spec.entry());
   put_matrix(key, spec.routing());
   put_vector(key, spec.exit());
-  // Only the options that shape the built artifacts take part in the key;
-  // the per-query recursion controls (fast_forward etc.) do not.
   put_u64(key, options.dense_threshold);
   key.push_back(options.strict ? 1 : 0);
   put_double(key, options.max_condition);
@@ -490,7 +439,7 @@ ModelCache::ModelCache(std::size_t capacity, HashFn hash)
 
 std::shared_ptr<const ModelArtifacts> ModelCache::acquire(
     const net::NetworkSpec& spec, std::size_t workstations,
-    SolverOptions options) {
+    ModelOptions options) {
   const obs::ObsSpan span("cache/acquire");
   std::vector<std::uint8_t> key =
       canonical_model_key(spec, workstations, options);

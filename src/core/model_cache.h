@@ -47,14 +47,13 @@ namespace finwork::core {
 /// Immutable shared model: state space + per-level solve artifacts.
 ///
 /// The solve primitives mirror TransientSolver's private helpers; the
-/// model options (dense_threshold, strict, max_condition) are fixed at
-/// construction, which also prebuilds every level's matrices on the global
-/// pool unless it runs on a pool worker.
+/// ModelOptions are fixed at construction.  Construction enumerates the
+/// state space only: each level's matrices, factorization and drain vectors
+/// are built on first use, exactly once, by whichever thread asks first.
 class ModelArtifacts {
  public:
   ModelArtifacts(const net::NetworkSpec& spec, std::size_t workstations,
-                 SolverOptions options = {});
-  ~ModelArtifacts();
+                 ModelOptions options = {});
   ModelArtifacts(const ModelArtifacts&) = delete;
   ModelArtifacts& operator=(const ModelArtifacts&) = delete;
   ModelArtifacts(ModelArtifacts&&) = delete;
@@ -62,7 +61,6 @@ class ModelArtifacts {
 
   [[nodiscard]] const net::StateSpace& space() const noexcept { return space_; }
   [[nodiscard]] std::size_t workstations() const noexcept { return k_; }
-  [[nodiscard]] const SolverOptions& options() const noexcept { return opts_; }
 
   /// tau'_k = (I - P_k)^-1 M_k^-1 eps (built with the level on first use).
   [[nodiscard]] const la::Vector& tau(std::size_t k) const;
@@ -140,20 +138,18 @@ class ModelArtifacts {
 
   net::StateSpace space_;
   std::size_t k_;
-  SolverOptions opts_;
+  ModelOptions opts_;
   mutable std::unique_ptr<Level[]> levels_;
-  std::vector<std::future<void>> prebuild_;
 };
 
 /// Canonical byte encoding of the model inputs: a version tag, K, every
 /// station (name, multiplicity, entrance vector and rate matrix of its
 /// service distribution, bit-exact), the network's entry/routing/exit, and
-/// the numeric backend options that shape the artifacts.  Two models get
-/// the same key iff they are structurally identical and would build
-/// identical artifacts.
+/// every ModelOptions field.  Two models get the same key iff they are
+/// structurally identical and would build identical artifacts.
 [[nodiscard]] std::vector<std::uint8_t> canonical_model_key(
     const net::NetworkSpec& spec, std::size_t workstations,
-    const SolverOptions& options = {});
+    const ModelOptions& options = {});
 
 /// FNV-1a 64-bit fingerprint of a canonical key (stable across runs).
 [[nodiscard]] std::uint64_t model_fingerprint(
@@ -185,7 +181,7 @@ class ModelCache {
   /// entry behind.
   [[nodiscard]] std::shared_ptr<const ModelArtifacts> acquire(
       const net::NetworkSpec& spec, std::size_t workstations,
-      SolverOptions options = {});
+      ModelOptions options = {});
 
   [[nodiscard]] ModelCacheStats stats() const;
   /// Drop every entry (resident models survive via outstanding shared_ptrs).

@@ -148,14 +148,15 @@ std::vector<std::pair<std::size_t, std::size_t>> saturating_targets(
 
 TransientSolver::TransientSolver(const net::NetworkSpec& spec,
                                  std::size_t workstations,
-                                 SolverOptions options)
+                                 ModelOptions model_options,
+                                 QueryOptions options)
     : model_(std::make_shared<const ModelArtifacts>(spec, workstations,
-                                                    options)),
+                                                    model_options)),
       k_(workstations),
       opts_(options) {}
 
 TransientSolver::TransientSolver(std::shared_ptr<const ModelArtifacts> model,
-                                 SolverOptions options)
+                                 QueryOptions options)
     : model_(std::move(model)), k_(0), opts_(options) {
   if (!model_) {
     throw std::invalid_argument("TransientSolver: null model");

@@ -40,17 +40,12 @@ namespace finwork::core {
 
 class ModelArtifacts;
 
-/// The four solver knobs.  Three shape the model's artifacts and take part
-/// in its cache key (dense_threshold, strict, max_condition); fast_forward
-/// steers each query.  Solve tolerances and iteration caps are fixed
-/// constants of the solver (model_cache.cpp, transient_solver.cpp).
-struct SolverOptions {
+/// The options of a model, fixed when its artifacts are built; every field
+/// takes part in its cache key (canonical_model_key).  Solve tolerances and
+/// iteration caps are fixed constants of the solver (model_cache.cpp).
+struct ModelOptions {
   /// Use a dense LU of (I - P_k) when D(k) is at most this; iterative above.
   std::size_t dense_threshold = 3000;
-  /// Close the saturated phase analytically once the epoch iterates have
-  /// mixed to the steady state (see docs/PERFORMANCE.md).  Exact to solver
-  /// precision; turn off to force the full epoch-by-epoch recursion.
-  bool fast_forward = true;
   /// Fail-fast mode (docs/ROBUSTNESS.md): a degradation the fallback ladder
   /// would normally absorb — a singular dense factorization, a condition
   /// estimate beyond `max_condition`, an iterative backend that needs the
@@ -61,6 +56,14 @@ struct SolverOptions {
   /// it, strict mode throws and default mode routes every solve on that
   /// level through iterative refinement.
   double max_condition = 0.0;
+};
+
+/// The options of one solver's queries over a model.
+struct QueryOptions {
+  /// Close the saturated phase analytically once the epoch iterates have
+  /// mixed to the steady state (see docs/PERFORMANCE.md).  Exact to solver
+  /// precision; turn off to force the full epoch-by-epoch recursion.
+  bool fast_forward = true;
 };
 
 /// Per-epoch output of the transient model.
@@ -103,7 +106,7 @@ struct SteadyStateResult {
 
 /// Transient solver over a network's reduced-product state space.
 ///
-/// A solver instance is cheap when it shares a prebuilt ModelArtifacts; it is
+/// A solver instance is cheap when it shares an existing ModelArtifacts; it is
 /// not itself thread-safe — concurrent sweep points should each own a solver
 /// over the shared model.  Memoized per instance: the steady state, the
 /// time-stationary distribution, and the saturated mean and moments
@@ -118,12 +121,11 @@ class TransientSolver {
   /// `workstations` is K: the number of tasks held in service concurrently.
   /// Builds a private ModelArtifacts for the spec.
   TransientSolver(const net::NetworkSpec& spec, std::size_t workstations,
-                  SolverOptions options = {});
-  /// Evaluate over a shared (typically ModelCache-owned) model.  The model's
-  /// options (dense_threshold, strict, max_condition) were fixed when the
-  /// artifacts were built; of `options` only fast_forward takes effect.
+                  ModelOptions model_options = {}, QueryOptions options = {});
+  /// Evaluate over a shared (typically ModelCache-owned) model, whose
+  /// ModelOptions were fixed when its artifacts were built.
   explicit TransientSolver(std::shared_ptr<const ModelArtifacts> model,
-                           SolverOptions options = {});
+                           QueryOptions options = {});
   ~TransientSolver();
   TransientSolver(const TransientSolver&) = delete;
   TransientSolver& operator=(const TransientSolver&) = delete;
@@ -132,7 +134,6 @@ class TransientSolver {
 
   [[nodiscard]] const net::StateSpace& space() const noexcept;
   [[nodiscard]] std::size_t workstations() const noexcept { return k_; }
-  [[nodiscard]] const SolverOptions& options() const noexcept { return opts_; }
   /// The shared model this solver evaluates.
   [[nodiscard]] const std::shared_ptr<const ModelArtifacts>& model()
       const noexcept {
@@ -259,7 +260,7 @@ class TransientSolver {
 
   std::shared_ptr<const ModelArtifacts> model_;
   std::size_t k_;
-  SolverOptions opts_;
+  QueryOptions opts_;
   mutable std::optional<SteadyStateResult> steady_;
   mutable std::optional<la::Vector> time_stationary_;
   mutable std::optional<MeanTrajectory> mean_trajectory_;

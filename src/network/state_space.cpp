@@ -1,9 +1,10 @@
 #include "network/state_space.h"
 
-#include <future>
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
+#include "check/fault_inject.h"
 #include "check/invariants.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -134,9 +135,8 @@ void StateSpace::build_level(std::size_t k) const {
   lm.level = k;
   lm.event_rates = la::Vector(states_k.size(), 0.0);
 
-  // Per-state transition assembly is embarrassingly parallel: each worker
-  // fills its own triplet buffers (CsrMatrix sorts on construction, so
-  // buffer order is irrelevant) and writes disjoint event_rates entries.
+  // Per-state transition assembly: a range of states appends to its own
+  // triplet buffers and writes disjoint event_rates entries.
   const auto process_range = [&](std::size_t begin, std::size_t end,
                                  std::vector<la::Triplet>& p_trips,
                                  std::vector<la::Triplet>& q_trips) {
@@ -208,37 +208,35 @@ void StateSpace::build_level(std::size_t k) const {
   }
   };  // process_range
 
-  std::vector<la::Triplet> p_trips;
-  std::vector<la::Triplet> q_trips;
-  const std::size_t d = states_k.size();
+  // Levels of kParallelThreshold states or more assemble in contiguous
+  // chunks on the pool (inline on a pool worker); each chunk fills its own
+  // buffers and the merge runs in chunk order, so the triplets reach the
+  // CSR constructors in the serial order and the matrices match bit for bit.
   constexpr std::size_t kParallelThreshold = 4096;
-  // Stay serial on a pool worker: a chunked submit-and-wait from inside a
-  // pool task can deadlock once every worker is blocked on queued subtasks.
-  if (d < kParallelThreshold || par::ThreadPool::on_worker_thread()) {
-    process_range(0, d, p_trips, q_trips);
-  } else {
-    par::ThreadPool& pool = par::ThreadPool::global();
-    const std::size_t chunks = std::min<std::size_t>(pool.size() * 4,
-                                                     (d + 1023) / 1024);
-    const std::size_t step = (d + chunks - 1) / chunks;
-    struct Buffers {
-      std::vector<la::Triplet> p;
-      std::vector<la::Triplet> q;
-    };
-    std::vector<std::future<Buffers>> futures;
-    for (std::size_t lo = 0; lo < d; lo += step) {
-      const std::size_t hi = std::min(d, lo + step);
-      futures.push_back(pool.submit([&, lo, hi] {
-        Buffers buf;
-        process_range(lo, hi, buf.p, buf.q);
-        return buf;
-      }));
+  const std::size_t d = states_k.size();
+  const std::size_t chunks =
+      d < kParallelThreshold
+          ? 1
+          : std::min<std::size_t>(par::ThreadPool::global().size() * 4,
+                                  (d + 1023) / 1024);
+  const std::size_t step = (d + chunks - 1) / chunks;
+  struct Buffers {
+    std::vector<la::Triplet> p;
+    std::vector<la::Triplet> q;
+  };
+  std::vector<Buffers> bufs(chunks);
+  par::parallel_for(0, chunks, [&](std::size_t c) {
+    if (check::fault_at("state_space/assemble")) {
+      throw std::runtime_error("injected level assembly failure");
     }
-    for (auto& f : futures) {
-      Buffers buf = f.get();
-      p_trips.insert(p_trips.end(), buf.p.begin(), buf.p.end());
-      q_trips.insert(q_trips.end(), buf.q.begin(), buf.q.end());
-    }
+    const std::size_t lo = std::min(d, c * step);
+    process_range(lo, std::min(d, lo + step), bufs[c].p, bufs[c].q);
+  });
+  std::vector<la::Triplet> p_trips = std::move(bufs[0].p);
+  std::vector<la::Triplet> q_trips = std::move(bufs[0].q);
+  for (std::size_t c = 1; c < chunks; ++c) {
+    p_trips.insert(p_trips.end(), bufs[c].p.begin(), bufs[c].p.end());
+    q_trips.insert(q_trips.end(), bufs[c].q.begin(), bufs[c].q.end());
   }
 
   for (std::size_t i = 0; i < lm.event_rates.size(); ++i) {

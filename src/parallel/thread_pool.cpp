@@ -136,34 +136,4 @@ void parallel_for(std::size_t begin, std::size_t end,
   parallel_for(ThreadPool::global(), begin, end, body, grain);
 }
 
-double parallel_sum(ThreadPool& pool, std::size_t begin, std::size_t end,
-                    const std::function<double(std::size_t)>& map,
-                    std::size_t grain) {
-  if (begin >= end) return 0.0;
-  const std::size_t n = end - begin;
-  grain = std::max<std::size_t>(1, grain);
-  const std::size_t max_chunks = pool.size() * 4;
-  const std::size_t chunk = std::max(grain, (n + max_chunks - 1) / max_chunks);
-  const std::size_t chunks = (n + chunk - 1) / chunk;
-  const auto chunk_sum = [&](std::size_t c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    double s = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) s += map(i);
-    return s;
-  };
-
-  // Same chunk boundaries inline and pooled, combined in the same
-  // left-to-right order, so inline and pooled runs agree bitwise.
-  std::vector<double> partial(chunks, 0.0);
-  if (n <= chunk || ThreadPool::on_worker_thread()) {
-    for (std::size_t c = 0; c < chunks; ++c) partial[c] = chunk_sum(c);
-  } else {
-    run_chunks(pool, chunks, [&](std::size_t c) { partial[c] = chunk_sum(c); });
-  }
-  double total = 0.0;
-  for (double s : partial) total += s;
-  return total;
-}
-
 }  // namespace finwork::par

@@ -1,7 +1,8 @@
 #pragma once
-// A small fixed-size thread pool with a blocking task queue, plus
-// parallel_for / parallel_reduce helpers used by the sweep drivers and the
-// simulator's replication engine.
+// A small fixed-size thread pool with a blocking task queue, plus the
+// parallel_for helper behind every pool dispatch: sweep fan-out, the
+// makespan CDF's population blocks, the assembly of large levels and the
+// simulator's replications.
 //
 // Design notes (C++ Core Guidelines CP.*): tasks are type-erased
 // move-only callables; the pool owns its threads (RAII — the destructor joins
@@ -84,12 +85,5 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain = 1);
-
-/// Deterministic parallel reduction: result = reduce over i of map(i),
-/// combined left-to-right by chunk index so the result does not depend on
-/// thread scheduling.
-double parallel_sum(ThreadPool& pool, std::size_t begin, std::size_t end,
-                    const std::function<double(std::size_t)>& map,
-                    std::size_t grain = 1);
 
 }  // namespace finwork::par

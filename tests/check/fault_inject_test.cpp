@@ -23,6 +23,7 @@
 #include "core/transient_solver.h"
 #include "linalg/iterative.h"
 #include "linalg/solver_error.h"
+#include "network/state_space.h"
 #include "obs/counters.h"
 #include "obs/obs_config.h"
 #include "obs/sink.h"
@@ -65,7 +66,8 @@ TEST_F(FaultInjectTest, RegistryListsEveryLadderSite) {
   const std::vector<std::string_view> sites = check::fault_sites();
   for (const char* expected :
        {"lu/factorize", "ladder/refine", "ladder/rescue", "iterative/neumann",
-        "iterative/bicgstab", "iterative/gmres", "cache/build"}) {
+        "iterative/bicgstab", "iterative/gmres", "cache/build",
+        "state_space/assemble"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), expected), sites.end())
         << expected;
   }
@@ -97,7 +99,7 @@ TEST_F(FaultInjectTest, SingularFactorizationDegradesToIterativeBackend) {
 }
 
 TEST_F(FaultInjectTest, SingularFactorizationIsFatalUnderStrict) {
-  core::SolverOptions opts;
+  core::ModelOptions opts;
   opts.strict = true;
   const core::ModelArtifacts model(small_cluster(), 2, opts);
   check::arm_fault("lu/factorize", 1);
@@ -119,7 +121,7 @@ TEST_F(FaultInjectTest, StalledRefinementFallsBackToIterativeBackend) {
 
   // max_condition = 1 routes every dense solve through refinement; the armed
   // probe makes refinement report failure, forcing stage 3.
-  core::SolverOptions opts;
+  core::ModelOptions opts;
   opts.max_condition = 1.0;
   check::arm_fault("ladder/refine", 100000);
   const core::TransientSolver degraded(spec, 2, opts);
@@ -137,7 +139,7 @@ TEST_F(FaultInjectTest, ExhaustedKrylovBackendsRecoverViaShiftedRetry) {
   // armed failure per backend pushes a single solve into the rescue stage.
   // Both directions: the rescue gathers over P^T for a row solve and over
   // P for a column solve.
-  core::SolverOptions opts;
+  core::ModelOptions opts;
   opts.dense_threshold = 0;
   const core::ModelArtifacts model(small_cluster(), 2, opts);
   const finwork::la::Vector b(model.space().dimension(2), 1.0);
@@ -191,7 +193,7 @@ TEST_F(FaultInjectTest, NeumannKernelProbeReportsNonConvergence) {
 }
 
 TEST_F(FaultInjectTest, LadderExhaustionThrowsShiftedRetryError) {
-  core::SolverOptions opts;
+  core::ModelOptions opts;
   opts.dense_threshold = 0;
   const core::ModelArtifacts model(small_cluster(), 2, opts);
   const finwork::la::Vector b(model.space().dimension(2), 1.0);
@@ -213,7 +215,7 @@ TEST_F(FaultInjectTest, LadderExhaustionThrowsShiftedRetryError) {
 }
 
 TEST_F(FaultInjectTest, StrictModeStopsBeforeTheRescueStage) {
-  core::SolverOptions opts;
+  core::ModelOptions opts;
   opts.dense_threshold = 0;
   opts.strict = true;
   const core::ModelArtifacts model(small_cluster(), 2, opts);
@@ -293,6 +295,48 @@ TEST_F(FaultInjectTest, WaitersOfAFailedFlightAllSeeTheSolverError) {
   EXPECT_EQ(failures.load() + successes.load(), kThreads);
   // The key is never poisoned: a final acquire always succeeds.
   EXPECT_NE(cache.acquire(spec, 3, {}), nullptr);
+}
+
+TEST_F(FaultInjectTest, FailedLevelAssemblyReachesTheCallerAndRetries) {
+  // Distributed K = 5 with a C^2 = 10 remote disk and an H2 CPU: level 5
+  // (D(5) = 5908) assembles in chunks on the pool when built from the main
+  // thread.  One chunk throws; the error must reach the caller after every
+  // chunk has finished, and the level must stay unbuilt so a retry builds
+  // the same matrices as a healthy state space.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 5;
+  cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
+  cfg.shapes.cpu = cluster::ServiceShape::hyperexponential(2.0);
+  const finwork::net::NetworkSpec spec = cluster::build_cluster(cfg);
+  const finwork::net::StateSpace space(spec, 5);
+  ASSERT_GE(space.dimension(5), 4096u);
+
+  check::arm_fault("state_space/assemble", 1);
+  try {
+    (void)space.level(5);
+    FAIL() << "expected the injected assembly failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "injected level assembly failure");
+  }
+  EXPECT_EQ(check::fault_fire_count("state_space/assemble"), 1u);
+
+  const finwork::net::LevelMatrices& retried = space.level(5);
+  const finwork::net::StateSpace healthy_space(spec, 5);
+  const finwork::net::LevelMatrices& healthy = healthy_space.level(5);
+  const auto same_bits = [](const finwork::la::CsrMatrix& a,
+                            const finwork::la::CsrMatrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           a.row_ptr() == b.row_ptr() && a.col_idx() == b.col_idx() &&
+           a.values() == b.values();
+  };
+  ASSERT_EQ(retried.event_rates.size(), healthy.event_rates.size());
+  for (std::size_t i = 0; i < healthy.event_rates.size(); ++i) {
+    ASSERT_EQ(retried.event_rates[i], healthy.event_rates[i]) << i;
+  }
+  EXPECT_TRUE(same_bits(retried.p, healthy.p));
+  EXPECT_TRUE(same_bits(retried.q, healthy.q));
+  EXPECT_TRUE(same_bits(retried.r, healthy.r));
 }
 
 TEST_F(FaultInjectTest, DisarmCancelsRemainingFailures) {

@@ -55,9 +55,9 @@ TEST(FastForwardTest, MakespanMatchesExactRecursion) {
     SCOPED_TRACE(c.name);
     const net::NetworkSpec spec = make_spec(c);
     const core::TransientSolver on(spec, c.workstations);
-    core::SolverOptions exact;
+    core::QueryOptions exact;
     exact.fast_forward = false;
-    const core::TransientSolver off(spec, c.workstations, exact);
+    const core::TransientSolver off(spec, c.workstations, {}, exact);
 
     const std::size_t k = c.workstations;
     for (std::size_t n : {k, 2 * k, std::size_t{100}, std::size_t{5000}}) {
@@ -76,9 +76,9 @@ TEST(FastForwardTest, TimelineMatchesEpochByEpoch) {
   const Config c = configs()[1];  // central K=5, hyperexponential
   const net::NetworkSpec spec = make_spec(c);
   const core::TransientSolver on(spec, c.workstations);
-  core::SolverOptions exact;
+  core::QueryOptions exact;
   exact.fast_forward = false;
-  const core::TransientSolver off(spec, c.workstations, exact);
+  const core::TransientSolver off(spec, c.workstations, {}, exact);
 
   const core::DepartureTimeline ta = on.solve(400);
   const core::DepartureTimeline tb = off.solve(400);
@@ -95,9 +95,9 @@ TEST(FastForwardTest, MomentsMatchExactRecursion) {
     SCOPED_TRACE(c.name);
     const net::NetworkSpec spec = make_spec(c);
     const core::TransientSolver on(spec, c.workstations);
-    core::SolverOptions exact;
+    core::QueryOptions exact;
     exact.fast_forward = false;
-    const core::TransientSolver off(spec, c.workstations, exact);
+    const core::TransientSolver off(spec, c.workstations, {}, exact);
 
     const std::size_t k = c.workstations;
     for (std::size_t n : {k, 2 * k, std::size_t{100}, std::size_t{5000}}) {
@@ -131,9 +131,9 @@ TEST(FastForwardTest, ActivatesAndSkipsEpochsOnLongRuns) {
 
   // Turned off, every saturated epoch runs: makespan(N) advances the
   // recursion N - K times (the drain is column solves, not epochs).
-  core::SolverOptions exact;
+  core::QueryOptions exact;
   exact.fast_forward = false;
-  const core::TransientSolver off(spec, c.workstations, exact);
+  const core::TransientSolver off(spec, c.workstations, {}, exact);
   obs::counters_reset();
   (void)off.makespan(5000);
   EXPECT_EQ(obs::counter_value(obs::Counter::kFastForwardActivations), 0u);

@@ -58,9 +58,9 @@ TEST(MakespanGridTest, MatchesPerNMakespanAllConfigs) {
       SCOPED_TRACE(std::string(c.name) +
                    (fast_forward ? " ff=on" : " ff=off"));
       const net::NetworkSpec spec = make_spec(c);
-      core::SolverOptions opts;
+      core::QueryOptions opts;
       opts.fast_forward = fast_forward;
-      const core::TransientSolver solver(spec, c.workstations, opts);
+      const core::TransientSolver solver(spec, c.workstations, {}, opts);
 
       const std::size_t k = c.workstations;
       const std::vector<std::size_t> grid{k, 2 * k, 100, 5000};
@@ -130,9 +130,9 @@ TEST(MakespanMomentsGridTest, MatchesPerNMomentsAllConfigs) {
       SCOPED_TRACE(std::string(c.name) +
                    (fast_forward ? " ff=on" : " ff=off"));
       const net::NetworkSpec spec = make_spec(c);
-      core::SolverOptions opts;
+      core::QueryOptions opts;
       opts.fast_forward = fast_forward;
-      const core::TransientSolver solver(spec, c.workstations, opts);
+      const core::TransientSolver solver(spec, c.workstations, {}, opts);
 
       const std::size_t k = c.workstations;
       // 2000 keeps the ff=off double-pass affordable; ff=on covers the

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "core/transient_solver.h"
 #include "network/network_spec.h"
 #include "obs/counters.h"
+#include "parallel/thread_pool.h"
 
 namespace {
 
@@ -50,15 +53,32 @@ TEST(CanonicalKeyTest, DistinguishesShapePopulationAndOptions) {
   EXPECT_NE(base, core::canonical_model_key(make_cluster(3, 6.0), 3));
   // A different population bound changes the state space.
   EXPECT_NE(base, core::canonical_model_key(make_cluster(3, 4.0), 2));
-  // Backend options shape the artifacts, so they are part of the key.
-  core::SolverOptions iterative;
+  // Model options shape the artifacts, so they are part of the key.
+  core::ModelOptions iterative;
   iterative.dense_threshold = 0;
   EXPECT_NE(base,
             core::canonical_model_key(make_cluster(3, 4.0), 3, iterative));
-  // Per-query recursion controls do NOT change the artifacts.
-  core::SolverOptions no_ff;
-  no_ff.fast_forward = false;
-  EXPECT_EQ(base, core::canonical_model_key(make_cluster(3, 4.0), 3, no_ff));
+}
+
+TEST(CanonicalKeyTest, EncodesEveryModelOptionAtTheTail) {
+  // Version 4 layout: the model inputs, then dense_threshold (u64, little
+  // endian), strict (one byte) and max_condition (the double's bits).
+  const core::ModelOptions opts{7, true, 0.5};
+  const auto base = core::canonical_model_key(make_cluster(3, 4.0), 3);
+  const auto key = core::canonical_model_key(make_cluster(3, 4.0), 3, opts);
+  ASSERT_EQ(key.size(), base.size());
+  ASSERT_GT(key.size(), 17u);
+  EXPECT_EQ(key.front(), 4u);
+  const std::size_t tail = key.size() - 17;
+  EXPECT_TRUE(std::equal(key.begin(), key.begin() + tail, base.begin()));
+  std::vector<std::uint8_t> want;
+  for (int i = 0; i < 8; ++i) want.push_back(i == 0 ? 7 : 0);
+  want.push_back(1);
+  const auto bits = std::bit_cast<std::uint64_t>(0.5);
+  for (int i = 0; i < 8; ++i) {
+    want.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  EXPECT_EQ(std::vector<std::uint8_t>(key.begin() + tail, key.end()), want);
 }
 
 TEST(CanonicalKeyTest, ExponentializedModelIsSharedAcrossScvSweep) {
@@ -182,16 +202,34 @@ TEST(ModelCacheTest, SharedModelMatchesPrivatelyBuiltSolver) {
               direct.steady_state().interdeparture, 1e-12);
 }
 
+TEST(ModelCacheTest, SmallLevelsBuildOnTheCallingThread) {
+  // Central K = 4 with a C^2 = 10 remote disk: every level is below the
+  // 4096 states where assembly fans out, so building the model and
+  // answering mean and moments queries from the main thread leaves the pool
+  // idle — levels are built where they are first needed, not prefetched.
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const net::NetworkSpec spec = make_cluster(4, 10.0);
+  ASSERT_LT(net::StateSpace(spec, 4).dimension(4), 4096u);
+  ASSERT_FALSE(par::ThreadPool::on_worker_thread());
+  const std::uint64_t before =
+      obs::counter_value(obs::Counter::kPoolTasksExecuted);
+  const core::TransientSolver solver(
+      std::make_shared<const core::ModelArtifacts>(spec, 4));
+  EXPECT_GT(solver.makespan(50), 0.0);
+  EXPECT_GT(solver.makespan_moments(50).variance, 0.0);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPoolTasksExecuted), before);
+}
+
 TEST(ModelCacheTest, DrainVectorsBuiltOncePerLevel) {
   // Central K = 4 with level 4 iterative and levels 1..3 dense: the drain
   // vectors are one column solve per level, paid by the first query only.
   const net::NetworkSpec spec = make_cluster(4, 10.0);
-  core::SolverOptions opts;
+  core::ModelOptions opts;
   opts.dense_threshold = net::StateSpace(spec, 3).dimension(3);
   const auto model =
       std::make_shared<const core::ModelArtifacts>(spec, 4, opts);
   ASSERT_GT(model->space().dimension(4), opts.dense_threshold);
-  const core::TransientSolver solver(model, opts);
+  const core::TransientSolver solver(model);
   for (std::size_t k = 1; k <= 4; ++k) (void)model->tau(k);
   const auto bitwise_equal = [](const la::Vector& a, const la::Vector& b) {
     return a.size() == b.size() &&
@@ -211,7 +249,7 @@ TEST(ModelCacheTest, DrainVectorsBuiltOncePerLevel) {
     // first solver would answer from its saturated memo) but reuses h_k.
     obs::counters_reset();
     const std::vector<double> second =
-        core::TransientSolver(model, opts).makespan_grid(grid);
+        core::TransientSolver(model).makespan_grid(grid);
     const auto [dense2, iterative2] = solves();
     EXPECT_EQ(dense1, 3U);  // h_1, h_2, h_3
     EXPECT_EQ(dense2, 0U);

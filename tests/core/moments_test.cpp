@@ -176,7 +176,7 @@ TEST(MakespanMoments, IterativeLevelMatchesGridAndDenseOracle) {
   const std::size_t n = 1000;
   const core::TransientSolver iterative(spec, 6);
   ASSERT_GT(iterative.space().dimension(6),
-            core::SolverOptions{}.dense_threshold);
+            core::ModelOptions{}.dense_threshold);
   const core::MakespanMoments mm = iterative.makespan_moments(n);
   const std::vector<std::size_t> grid{n};
   const double e_t = iterative.makespan_grid(grid)[0];
@@ -186,7 +186,7 @@ TEST(MakespanMoments, IterativeLevelMatchesGridAndDenseOracle) {
   EXPECT_NEAR(mm_grid.mean, mm.mean, 1e-12 * mm.mean);
   EXPECT_NEAR(mm_grid.variance, mm.variance, 1e-9 * mm.variance);
 
-  core::SolverOptions dense_opts;
+  core::ModelOptions dense_opts;
   dense_opts.dense_threshold = iterative.space().dimension(6);
   const core::TransientSolver dense(spec, 6, dense_opts);
   const core::MakespanMoments oracle = dense.makespan_moments(n);
@@ -243,8 +243,8 @@ TEST(MakespanMoments, PairedAdmissionMatchesSingleColumnOracle) {
   const auto model = std::make_shared<const core::ModelArtifacts>(
       cluster::build_cluster(cfg), 6);
   ASSERT_GT(model->space().dimension(6),
-            core::SolverOptions{}.dense_threshold);
-  core::SolverOptions opts;
+            core::ModelOptions{}.dense_threshold);
+  core::QueryOptions opts;
   opts.fast_forward = false;
   const core::TransientSolver solver(model, opts);
   const std::vector<std::size_t> tasks{6, 7, 11, 40};

@@ -56,7 +56,7 @@ TEST(RobustnessTest, ConditionBreachDegradesToRefinementAndAgrees) {
   // Every (I - P_k) has condition > 1, so max_condition = 1 flags every
   // dense level as ill-conditioned and routes its solves through the
   // refinement stage.
-  core::SolverOptions opts;
+  core::ModelOptions opts;
   opts.max_condition = 1.0;
   const std::uint64_t fallback_before =
       obs::counter_value(obs::Counter::kFallbackActivations);
@@ -80,7 +80,7 @@ TEST(RobustnessTest, ConditionBreachDegradesToRefinementAndAgrees) {
 }
 
 TEST(RobustnessTest, StrictModeThrowsIllConditionedWithContext) {
-  core::SolverOptions opts;
+  core::ModelOptions opts;
   opts.max_condition = 1.0;
   opts.strict = true;
   const core::TransientSolver solver(small_cluster(), 2, opts);
@@ -98,7 +98,7 @@ TEST(RobustnessTest, StrictModeThrowsIllConditionedWithContext) {
 TEST(RobustnessTest, StrictModeWithHealthyModelMatchesDefault) {
   const finwork::net::NetworkSpec spec = small_cluster();
   const core::TransientSolver plain(spec, 2);
-  core::SolverOptions opts;
+  core::ModelOptions opts;
   opts.strict = true;  // no ceiling: healthy models never degrade
   const core::TransientSolver strict(spec, 2, opts);
   EXPECT_DOUBLE_EQ(strict.makespan(10), plain.makespan(10));
@@ -106,11 +106,11 @@ TEST(RobustnessTest, StrictModeWithHealthyModelMatchesDefault) {
 
 TEST(RobustnessTest, RobustnessOptionsTakePartInCacheKey) {
   const finwork::net::NetworkSpec spec = small_cluster();
-  const core::SolverOptions base;
+  const core::ModelOptions base;
 
-  core::SolverOptions strict = base;
+  core::ModelOptions strict = base;
   strict.strict = true;
-  core::SolverOptions capped = base;
+  core::ModelOptions capped = base;
   capped.max_condition = 1e8;
 
   const auto key_base = core::canonical_model_key(spec, 2, base);
@@ -136,7 +136,7 @@ TEST(RobustnessTest, FaultControlApiMatchesBuildFlavour) {
 TEST(RobustnessTest, CacheKeepsStrictAndDefaultModelsApart) {
   core::ModelCache cache(8);
   const finwork::net::NetworkSpec spec = small_cluster();
-  core::SolverOptions strict;
+  core::ModelOptions strict;
   strict.strict = true;
   const auto a = cache.acquire(spec, 2, {});
   const auto b = cache.acquire(spec, 2, strict);

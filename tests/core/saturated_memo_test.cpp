@@ -33,7 +33,7 @@ struct Case {
 std::shared_ptr<const core::ModelArtifacts> build(
     const cluster::ExperimentConfig& cfg) {
   return std::make_shared<const core::ModelArtifacts>(
-      cluster::build_cluster(cfg), cfg.workstations, core::SolverOptions{});
+      cluster::build_cluster(cfg), cfg.workstations, core::ModelOptions{});
 }
 
 // The large-N what-if model (distributed K = 6: D(6) = 3003, so level 6 is
@@ -220,7 +220,7 @@ TEST(SaturatedMemo, MemoHitsAgreeWithExactRecursion) {
   const core::TransientSolver solver(c.model);
   (void)solver.makespan_grid(c.grid);
   (void)solver.makespan_moments_grid(c.grid);
-  core::SolverOptions exact_opts;
+  core::QueryOptions exact_opts;
   exact_opts.fast_forward = false;
   const core::TransientSolver exact(c.model, exact_opts);
   for (std::size_t n : {9u, 60u, 2000u}) {
@@ -258,7 +258,7 @@ TEST(SaturatedMemo, PassThatDoesNotMixKeepsNoMemo) {
 TEST(SaturatedMemo, FastForwardOffNeitherReadsNorWrites) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const Case& c = cases()[1];  // K = 4
-  core::SolverOptions exact;
+  core::QueryOptions exact;
   exact.fast_forward = false;
   const core::TransientSolver solver(c.model, exact);
   constexpr std::size_t n = 300;

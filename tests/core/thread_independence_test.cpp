@@ -1,18 +1,22 @@
 // Thread independence of the per-level actions: every CSR action on a level
 // is the serial kernel, so a query returns the same bits whether it runs on
 // the main thread or inside a pool task — also on levels big enough that a
-// row-panel fan-out (and its reassociating merge) could pay off, and for the
+// row-panel fan-out (and its reassociating merge) could pay off, for the
 // makespan CDF, whose population blocks fan out onto the pool only from a
-// thread outside it.
+// thread outside it, and for the assembly of a large level, which does the
+// same with its chunks of states.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "cluster/builders.h"
 #include "cluster/experiments.h"
 #include "core/transient_solver.h"
+#include "network/state_space.h"
+#include "obs/counters.h"
 #include "parallel/thread_pool.h"
 
 namespace {
@@ -75,6 +79,54 @@ TEST(ThreadIndependence, MakespanCdfBitwiseOnAnyThread) {
     EXPECT_GT(main_thread[i], 0.0);
     EXPECT_LT(main_thread[i], 1.0);
   }
+}
+
+bool same_bits(const la::CsrMatrix& a, const la::CsrMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         a.row_ptr() == b.row_ptr() && a.col_idx() == b.col_idx() &&
+         a.values() == b.values();
+}
+
+TEST(ThreadIndependence, LevelAssemblyBitwiseOnAnyThread) {
+  // Distributed K = 5 with a C^2 = 10 remote disk and an H2 CPU: level 5
+  // has D(5) = 5908 states, above the 4096 where assembly fans out.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 5;
+  cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
+  cfg.shapes.cpu = cluster::ServiceShape::hyperexponential(2.0);
+  const net::NetworkSpec spec = cluster::build_cluster(cfg);
+  constexpr std::size_t k = 5;
+  const net::StateSpace on_main(spec, k);
+  const net::StateSpace on_pool(spec, k);
+  ASSERT_EQ(on_main.dimension(k), 5908u);
+
+  EXPECT_FALSE(par::ThreadPool::on_worker_thread());
+  const std::uint64_t tasks_before =
+      obs::counter_value(obs::Counter::kPoolTasksExecuted);
+  const net::LevelMatrices& a = on_main.level(k);
+  if (obs::kEnabled) {
+    // The main-thread build really spread its chunks over the pool.
+    EXPECT_GT(obs::counter_value(obs::Counter::kPoolTasksExecuted),
+              tasks_before);
+  }
+  const net::LevelMatrices& b =
+      *par::ThreadPool::global()
+           .submit([&] {
+             EXPECT_TRUE(par::ThreadPool::on_worker_thread());
+             return &on_pool.level(k);
+           })
+           .get();
+
+  EXPECT_EQ(a.event_rates.size(), b.event_rates.size());
+  for (std::size_t i = 0; i < a.event_rates.size(); ++i) {
+    ASSERT_EQ(a.event_rates[i], b.event_rates[i]) << "state " << i;
+  }
+  EXPECT_EQ(a.max_event_rate, b.max_event_rate);
+  EXPECT_TRUE(same_bits(a.p, b.p));
+  EXPECT_TRUE(same_bits(a.q, b.q));
+  EXPECT_TRUE(same_bits(a.r, b.r));
+  EXPECT_GT(a.p.nnz(), 0u);
 }
 
 }  // namespace

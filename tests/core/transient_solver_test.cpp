@@ -172,8 +172,8 @@ TEST(TransientSolver, DenseAndIterativeAgree) {
   cluster::ExperimentConfig cfg = central_config(4);
   cfg.shapes.remote_disk = cluster::ServiceShape::hyperexponential(8.0);
   const net::NetworkSpec spec = cluster::build_cluster(cfg);
-  core::SolverOptions dense_opts;
-  core::SolverOptions iter_opts;
+  core::ModelOptions dense_opts;
+  core::ModelOptions iter_opts;
   iter_opts.dense_threshold = 0;  // force the sparse iterative path
   const core::TransientSolver dense(spec, 4, dense_opts);
   const core::TransientSolver iterative(spec, 4, iter_opts);

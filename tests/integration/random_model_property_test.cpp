@@ -110,9 +110,8 @@ TEST_P(RandomModelPropertyTest, SolverInvariantsHold) {
   const finwork::net::NetworkSpec spec = cluster::build_cluster(m.config);
   const std::size_t k = m.workstations;
 
-  core::SolverOptions options;
-  const auto model = core::ModelCache::global().acquire(spec, k, options);
-  const core::TransientSolver solver(model, options);
+  const auto model = core::ModelCache::global().acquire(spec, k);
+  const core::TransientSolver solver(model);
 
   // E(T) nondecreasing in N (one extra task can never finish the run
   // earlier).  One single-pass grid covers the whole workload range.
@@ -148,7 +147,7 @@ TEST_P(RandomModelPropertyTest, SolverInvariantsHold) {
   // relative on both the makespan and its second moment.  Compared at a
   // moderate N so the exact (no fast-forward) recursion stays cheap.
   const std::size_t n_cmp = std::min<std::size_t>(m.n_max, 60);
-  core::SolverOptions exact = options;
+  core::QueryOptions exact;
   exact.fast_forward = false;
   const core::TransientSolver exact_solver(model, exact);
   const double ff_on = solver.makespan(n_cmp);

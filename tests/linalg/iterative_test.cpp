@@ -312,7 +312,7 @@ TEST(NeumannKernel, PairFaultProbeFiresPerColumn) {
   const finwork::core::ModelArtifacts model(distributed_k6(), 6);
   const finwork::net::LevelMatrices& lm = model.space().level(6);
   ASSERT_GT(model.space().dimension(6),
-            finwork::core::SolverOptions{}.dense_threshold);
+            finwork::core::ModelOptions{}.dense_threshold);
   const auto [b1, b2] = level6_column_pair(lm);
   const la::Vector lone1 = model.solve_right(6, b1);
   const la::Vector lone2 = model.solve_right(6, b2);

@@ -23,11 +23,10 @@ using namespace finwork;
 
 // Spans that are not nested inside any other span on a ctor + solve +
 // steady_state run; their totals partition the solver's wall time.
-// (state_space/build_level is NOT listed: on this run it happens inside
-// solver/prebuild_levels, which would double-count it.)
+// (state_space/build_level is NOT listed: each level is built on first use,
+// inside the solver/solve that needs it, which would double-count it.)
 const char* const kTopLevelSpans[] = {
     "state_space/enumerate",
-    "solver/prebuild_levels",
     "solver/solve",
     "solver/steady_state",
 };

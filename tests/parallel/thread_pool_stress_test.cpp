@@ -2,7 +2,7 @@
 //
 // These tests exist to give TSan (FINWORK_SANITIZE=thread / the debug-tsan
 // preset) real contention to chew on: many producer threads hammering
-// submit(), overlapping parallel_for / parallel_sum calls sharing one pool,
+// submit(), overlapping parallel_for calls sharing one pool,
 // exceptions crossing worker boundaries, and pool construction/destruction
 // races.  They also pass under plain builds — every assertion is about
 // observable results, not timing.
@@ -69,27 +69,6 @@ TEST(ThreadPoolStress, OverlappingParallelForCallsShareOnePool) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), kCallers);
 }
 
-TEST(ThreadPoolStress, ConcurrentParallelSumsAreDeterministic) {
-  par::ThreadPool pool(4);
-  constexpr int kCallers = 6;
-  const auto map = [](std::size_t i) {
-    return 1.0 / (1.0 + static_cast<double>(i));
-  };
-  const double expected = par::parallel_sum(pool, 0, 20000, map);
-
-  std::vector<double> results(kCallers, 0.0);
-  std::vector<std::thread> callers;
-  callers.reserve(kCallers);
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&, c] {
-      results[c] = par::parallel_sum(pool, 0, 20000, map);
-    });
-  }
-  for (auto& t : callers) t.join();
-  // Chunk-ordered reduction: bitwise equal no matter how calls interleave.
-  for (double r : results) EXPECT_DOUBLE_EQ(r, expected);
-}
-
 TEST(ThreadPoolStress, ExceptionsPropagateAcrossWorkersUnderContention) {
   par::ThreadPool pool(4);
   constexpr int kRounds = 20;
@@ -138,11 +117,6 @@ TEST(ThreadPoolStress, GlobalPoolSurvivesConcurrentMixedUse) {
       par::parallel_for(0, 500, [&](std::size_t i) {
         total += static_cast<long long>(i);
       });
-      const double s = par::parallel_sum(par::ThreadPool::global(), 0, 500,
-                                         [](std::size_t i) {
-                                           return static_cast<double>(i);
-                                         });
-      EXPECT_DOUBLE_EQ(s, 500.0 * 499.0 / 2.0);
     });
   }
   for (auto& t : callers) t.join();

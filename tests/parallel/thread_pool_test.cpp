@@ -83,33 +83,6 @@ TEST(ParallelFor, GlobalPoolWorks) {
   EXPECT_EQ(sum.load(), 4950u);
 }
 
-TEST(ParallelSum, MatchesSerialSum) {
-  par::ThreadPool pool(4);
-  const double got = par::parallel_sum(pool, 0, 10000, [](std::size_t i) {
-    return static_cast<double>(i) * 0.5;
-  });
-  EXPECT_DOUBLE_EQ(got, 0.5 * (10000.0 * 9999.0 / 2.0));
-}
-
-TEST(ParallelSum, DeterministicAcrossRuns) {
-  par::ThreadPool pool(8);
-  auto run = [&] {
-    return par::parallel_sum(pool, 0, 100000, [](std::size_t i) {
-      return 1.0 / (1.0 + static_cast<double>(i));
-    });
-  };
-  const double first = run();
-  for (int rep = 0; rep < 5; ++rep) {
-    EXPECT_DOUBLE_EQ(run(), first);  // bitwise equal: chunk-ordered reduction
-  }
-}
-
-TEST(ParallelSum, EmptyRangeIsZero) {
-  par::ThreadPool pool(2);
-  EXPECT_DOUBLE_EQ(
-      par::parallel_sum(pool, 3, 3, [](std::size_t) { return 1.0; }), 0.0);
-}
-
 // ---- edge cases ------------------------------------------------------------
 
 TEST(ParallelFor, InvertedRangeIsNoop) {
@@ -117,12 +90,6 @@ TEST(ParallelFor, InvertedRangeIsNoop) {
   bool touched = false;
   par::parallel_for(pool, 9, 3, [&](std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
-}
-
-TEST(ParallelSum, InvertedRangeIsZero) {
-  par::ThreadPool pool(2);
-  EXPECT_DOUBLE_EQ(
-      par::parallel_sum(pool, 9, 3, [](std::size_t) { return 1.0; }), 0.0);
 }
 
 TEST(ThreadPoolSizeOne, SubmitAndLoopsStillWork) {
@@ -134,11 +101,6 @@ TEST(ThreadPoolSizeOne, SubmitAndLoopsStillWork) {
   std::vector<std::atomic<int>> hits(257);
   par::parallel_for(pool, 0, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-
-  const double got = par::parallel_sum(pool, 0, 1000, [](std::size_t i) {
-    return static_cast<double>(i);
-  });
-  EXPECT_DOUBLE_EQ(got, 1000.0 * 999.0 / 2.0);
 }
 
 TEST(ThreadPoolSizeOne, ExceptionStillPropagates) {
@@ -172,14 +134,4 @@ TEST(ParallelFor, EveryChunkThrowsFirstExceptionWins) {
   // The pool remains usable afterwards.
   auto fut = pool.submit([] { return 3; });
   EXPECT_EQ(fut.get(), 3);
-}
-
-TEST(ParallelSum, EveryChunkThrowsStillRethrows) {
-  par::ThreadPool pool(3);
-  EXPECT_THROW((void)par::parallel_sum(pool, 0, 128,
-                                       [](std::size_t) -> double {
-                                         throw std::runtime_error("all fail");
-                                       },
-                                       /*grain=*/8),
-               std::runtime_error);
 }

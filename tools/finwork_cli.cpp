@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   using namespace finwork;
   std::string trace_out;
   bool stats = false;
-  core::SolverOptions solver_options;
+  core::ModelOptions model_options;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -93,22 +93,22 @@ int main(int argc, char** argv) {
     if (arg == "--stats") {
       stats = true;
     } else if (arg == "--strict") {
-      solver_options.strict = true;
+      model_options.strict = true;
     } else if (arg.rfind("--max-condition=", 0) == 0) {
       const std::string value = arg.substr(16);
       std::size_t used = 0;
       try {
-        solver_options.max_condition = std::stod(value, &used);
+        model_options.max_condition = std::stod(value, &used);
       } catch (const std::exception&) {
         used = 0;
       }
       // std::stod accepts "nan" and "inf" and stops at trailing junk.
       if (used == 0 || used != value.size() ||
-          !std::isfinite(solver_options.max_condition)) {
+          !std::isfinite(model_options.max_condition)) {
         std::cerr << "bad --max-condition value: " << value << '\n';
         return 2;
       }
-      if (solver_options.max_condition < 0.0) {
+      if (model_options.max_condition < 0.0) {
         std::cerr << "--max-condition must be >= 0\n";
         return 2;
       }
@@ -165,6 +165,12 @@ int main(int argc, char** argv) {
     const cluster::ExperimentSpec spec = cluster::parse_experiment(doc);
 
     if (!spec.sweep_parameter.empty()) {
+      // run_sweep builds every model with the default ModelOptions.
+      if (model_options.strict || model_options.max_condition > 0.0) {
+        std::cerr << "--strict and --max-condition apply to single-model "
+                     "configs, not to a sweep\n";
+        return 2;
+      }
       const io::Table table = cluster::run_sweep(spec);
       std::cout << "sweep over " << spec.sweep_parameter << ":\n";
       table.print(std::cout, 4);
@@ -172,10 +178,8 @@ int main(int argc, char** argv) {
     }
 
     const net::NetworkSpec network = spec.build();
-    const core::TransientSolver solver(
-        core::ModelCache::global().acquire(network, spec.workstations,
-                                           solver_options),
-        solver_options);
+    const core::TransientSolver solver(core::ModelCache::global().acquire(
+        network, spec.workstations, model_options));
     const core::DepartureTimeline tl = solver.solve(spec.tasks);
     const core::SteadyStateResult& ss = solver.steady_state();
 
@@ -230,11 +234,8 @@ int main(int argc, char** argv) {
       }
     }
     if (wants(spec, "prediction_error")) {
-      const core::TransientSolver expo(
-          core::ModelCache::global().acquire(network.exponentialized(),
-                                             spec.workstations,
-                                             solver_options),
-          solver_options);
+      const core::TransientSolver expo(core::ModelCache::global().acquire(
+          network.exponentialized(), spec.workstations, model_options));
       std::cout << "exponential-assumption error: "
                 << core::prediction_error_percent(tl.makespan,
                                                   expo.makespan(spec.tasks))

@@ -17,6 +17,10 @@ bench/ are allowed to print):
       src/linalg/sparse.{h,cpp} — every level action is the serial kernel
       (parallelism lives in the sweep, block and level-build fan-outs); the
       pooled row-panel kernel survives only for the perfbench SpMV probe
+  R6  no `.submit(` in src/ outside src/parallel/ — every pool dispatch
+      goes through par::parallel_for, which waits for every chunk before it
+      rethrows.  src/linalg/sparse.cpp is exempt while its pooled
+      `apply_left_parallel` kernel (R5) survives
 
 Usage:
   python3 tools/finwork_lint.py [paths...]
@@ -44,6 +48,8 @@ RAW_DELETE_RE = re.compile(r"(?<![=\w])\s*\bdelete\b(\s*\[\s*\])?\s+[A-Za-z_]")
 DELETED_FN_RE = re.compile(r"=\s*delete\b")
 POOLED_SPMV_RE = re.compile(r"\bapply(_left)?_parallel\b")
 SPARSE_FILES = {Path("src/linalg/sparse.h"), Path("src/linalg/sparse.cpp")}
+SUBMIT_RE = re.compile(r"\.\s*submit\s*\(")
+SUBMIT_EXEMPT = {Path("src/linalg/sparse.cpp")}
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -114,6 +120,8 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
     # address stdout/stderr directly (R3 exception; all other rules apply).
     in_obs = in_src and len(rel.parts) > 1 and rel.parts[1] == "obs"
     pooled_spmv_banned = in_src and rel not in SPARSE_FILES
+    in_parallel = in_src and len(rel.parts) > 1 and rel.parts[1] == "parallel"
+    submit_banned = in_src and not in_parallel and rel not in SUBMIT_EXEMPT
     try:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -145,6 +153,10 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
             problems.append(
                 f"{rel}:{lineno}: [pooled-spmv] pooled CSR action in src/; "
                 "level actions use the serial apply/apply_left kernels")
+        if submit_banned and SUBMIT_RE.search(line):
+            problems.append(
+                f"{rel}:{lineno}: [raw-submit] pool submit in src/ outside "
+                "src/parallel/; dispatch through par::parallel_for")
 
     if in_src and path.suffix in HEADER_SUFFIXES:
         first = next((ln.strip() for ln in code_lines if ln.strip()), "")

@@ -3,8 +3,9 @@
 
 Builds a throwaway tree with one known violation per rule plus the cases
 that must NOT fire (src/obs/ stream access, `= delete` declarations,
-prints under tools/, the pooled SpMV kernel in src/linalg/sparse.cpp), runs the linter in-process, and checks that exactly
-the expected rule tags fire on the expected files.
+prints under tools/, the pooled SpMV kernel in src/linalg/sparse.cpp,
+pool submits in src/parallel/), runs the linter in-process, and checks
+that exactly the expected rule tags fire on the expected files.
 
 Run directly or via ctest (registered as `lint_selftest`).
 """
@@ -69,10 +70,31 @@ FIXTURES = {
         "  return a.apply_parallel(x, pool);\n"
         "}\n"
     ),
-    # R5 negative: the sparse kernel itself defines it.
+    # R5 negative: the sparse kernel itself defines it (and, R6 negative,
+    # may still submit its row panels).
     "src/linalg/sparse.cpp": (
         "Vector CsrMatrix::apply_left_parallel(const Vector& x,\n"
-        "                                      ThreadPool& pool) const;\n"
+        "                                      ThreadPool& pool) const {\n"
+        "  auto f = pool.submit([] {});\n"
+        "}\n"
+    ),
+    # R6: a raw pool submit in src/ outside src/parallel/; the comment
+    # mention must not fire.
+    "src/network/bad_submit.cpp": (
+        "// pool.submit(task) in a comment is fine\n"
+        "void f(ThreadPool& pool) {\n"
+        "  auto fut = pool.submit([] { return 1; });\n"
+        "  auto g = ThreadPool::global()\n"
+        "               .submit([] {});\n"
+        "}\n"
+    ),
+    # R6 negative: the pool itself submits.
+    "src/parallel/good_pool.cpp": (
+        "void run(ThreadPool& pool) { (void)pool.submit([] {}); }\n"
+    ),
+    # R6 negative: outside src/ (tests, tools) submits freely.
+    "tests/good_submit_test.cpp": (
+        "void t(ThreadPool& pool) { (void)pool.submit([] {}); }\n"
     ),
 }
 
@@ -87,6 +109,8 @@ EXPECTED = [
     ("src/core/bad_alloc.cpp:4", "[raw-delete]"),
     ("src/core/bad_spmv.cpp:3", "[pooled-spmv]"),
     ("src/core/bad_spmv.cpp:6", "[pooled-spmv]"),
+    ("src/network/bad_submit.cpp:3", "[raw-submit]"),
+    ("src/network/bad_submit.cpp:5", "[raw-submit]"),
 ]
 
 # Files that must produce no findings at all.
@@ -95,6 +119,8 @@ CLEAN = [
     "tools/good_tool.cpp",
     "src/core/good_header.h",
     "src/linalg/sparse.cpp",
+    "src/parallel/good_pool.cpp",
+    "tests/good_submit_test.cpp",
 ]
 
 
@@ -108,7 +134,8 @@ def main() -> int:
             path.write_text(text, encoding="utf-8")
 
         problems: list[str] = []
-        for path in finwork_lint.collect_files([root / "src", root / "tools"]):
+        for path in finwork_lint.collect_files(
+                [root / "src", root / "tools", root / "tests"]):
             problems.extend(finwork_lint.lint_file(path, root))
 
         for prefix, tag in EXPECTED:
