@@ -18,7 +18,7 @@ constexpr std::array<std::string_view, 8> kFaultSites = {
     "iterative/neumann",     // Neumann series reports non-convergence
     "iterative/bicgstab",    // BiCGSTAB reports non-convergence
     "iterative/gmres",       // GMRES reports non-convergence
-    "cache/build",           // ModelCache single-flight build throws
+    "cache/build",           // ModelCache build on a miss throws
     "state_space/assemble",  // one chunk of a level's assembly throws
 };
 

@@ -1,8 +1,21 @@
 #include "cluster/config.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace finwork::cluster {
+
+namespace {
+
+/// A count field: an integer in [0, 2^53), so the cast is defined and exact.
+std::size_t to_count(double v, const std::string& what) {
+  if (!(v >= 0.0 && v < 0x1p53 && v == std::floor(v))) {
+    throw std::invalid_argument(what + " must be a non-negative integer");
+  }
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
 
 ServiceShape parse_shape(const io::JsonValue& value) {
   const std::string type = value.string_or("type", "exponential");
@@ -10,8 +23,8 @@ ServiceShape parse_shape(const io::JsonValue& value) {
     return ServiceShape::exponential();
   }
   if (type == "erlang") {
-    const auto stages = static_cast<std::size_t>(value.at("stages").as_number());
-    return ServiceShape::erlang(stages);
+    return ServiceShape::erlang(
+        to_count(value.at("stages").as_number(), "stages"));
   }
   if (type == "hyperexponential" || type == "h2") {
     return ServiceShape::hyperexponential(value.at("scv").as_number());
@@ -21,8 +34,8 @@ ServiceShape parse_shape(const io::JsonValue& value) {
   }
   if (type == "power_tail" || type == "tpt") {
     const double alpha = value.at("alpha").as_number();
-    const auto levels =
-        static_cast<std::size_t>(value.number_or("levels", 8.0));
+    const std::size_t levels =
+        to_count(value.number_or("levels", 8.0), "levels");
     return ServiceShape::power_tail(alpha, levels);
   }
   throw std::invalid_argument("unknown shape type '" + type + "'");
@@ -51,8 +64,8 @@ net::NetworkSpec parse_network(const io::JsonValue& value) {
   stations.reserve(stations_json.size());
   for (const io::JsonValue& sj : stations_json) {
     const double mean = sj.at("mean").as_number();
-    const auto mult =
-        static_cast<std::size_t>(sj.number_or("multiplicity", 1.0));
+    const std::size_t mult =
+        to_count(sj.number_or("multiplicity", 1.0), "multiplicity");
     const ServiceShape shape = sj.contains("shape")
                                    ? parse_shape(sj.at("shape"))
                                    : ServiceShape::exponential();
@@ -84,14 +97,15 @@ net::NetworkSpec parse_network(const io::JsonValue& value) {
 }
 
 ExperimentSpec parse_experiment(const io::JsonValue& value) {
+  if (!value.is_object()) throw io::JsonError("config must be a JSON object");
   ExperimentSpec spec;
-  spec.tasks = static_cast<std::size_t>(value.number_or("tasks", 1.0));
+  spec.tasks = to_count(value.number_or("tasks", 1.0), "tasks");
   if (spec.tasks == 0) throw std::invalid_argument("tasks must be >= 1");
 
   if (value.contains("network")) {
     spec.network = parse_network(value.at("network"));
     spec.workstations =
-        static_cast<std::size_t>(value.number_or("workstations", 1.0));
+        to_count(value.number_or("workstations", 1.0), "workstations");
   } else {
     ExperimentConfig cfg;
     const std::string arch = value.string_or("architecture", "central");
@@ -103,7 +117,7 @@ ExperimentSpec parse_experiment(const io::JsonValue& value) {
       throw std::invalid_argument("unknown architecture '" + arch + "'");
     }
     cfg.workstations =
-        static_cast<std::size_t>(value.number_or("workstations", 5.0));
+        to_count(value.number_or("workstations", 5.0), "workstations");
     if (value.contains("application")) {
       cfg.app = parse_application(value.at("application"));
     }
@@ -135,8 +149,8 @@ ExperimentSpec parse_experiment(const io::JsonValue& value) {
   if (value.contains("simulate")) {
     const io::JsonValue& simj = value.at("simulate");
     spec.replications =
-        static_cast<std::size_t>(simj.number_or("replications", 1000.0));
-    spec.seed = static_cast<std::uint64_t>(simj.number_or("seed", 1.0));
+        to_count(simj.number_or("replications", 1000.0), "replications");
+    spec.seed = to_count(simj.number_or("seed", 1.0), "seed");
   }
   if (value.contains("outputs")) {
     for (const io::JsonValue& o : value.at("outputs").as_array()) {
@@ -169,12 +183,12 @@ io::Table run_sweep(const ExperimentSpec& spec) {
     ExperimentConfig cfg = *spec.config;
     std::size_t tasks = spec.tasks;
     if (param == "workstations") {
-      cfg.workstations = static_cast<std::size_t>(value);
+      cfg.workstations = to_count(value, "run_sweep: workstations");
       if (cfg.workstations == 0) {
         throw std::invalid_argument("run_sweep: workstations must be >= 1");
       }
     } else if (param == "tasks") {
-      tasks = static_cast<std::size_t>(value);
+      tasks = to_count(value, "run_sweep: tasks");
       if (tasks == 0) {
         throw std::invalid_argument("run_sweep: tasks must be >= 1");
       }

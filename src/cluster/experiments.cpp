@@ -1,7 +1,6 @@
 #include "cluster/experiments.h"
 
 #include <array>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -10,18 +9,6 @@
 #include "parallel/thread_pool.h"
 
 namespace finwork::cluster {
-
-namespace {
-
-/// Shared model for a config, through the process-wide content-addressed
-/// cache: concurrent sweep points that differ only in N (or that collapse to
-/// the same exponentialized cluster) build the model once and share it.
-std::shared_ptr<const core::ModelArtifacts> cached_model(
-    const net::NetworkSpec& spec, std::size_t workstations) {
-  return core::ModelCache::global().acquire(spec, workstations);
-}
-
-}  // namespace
 
 net::NetworkSpec build_cluster(const ExperimentConfig& config) {
   switch (config.architecture) {
@@ -41,8 +28,8 @@ double cluster_makespan(const ExperimentConfig& config, std::size_t tasks) {
 
 std::vector<double> cluster_makespan_grid(const ExperimentConfig& config,
                                           std::span<const std::size_t> tasks) {
-  const core::TransientSolver solver(
-      cached_model(build_cluster(config), config.workstations));
+  const core::TransientSolver solver(core::ModelCache::global().acquire(
+      build_cluster(config), config.workstations));
   return solver.makespan_grid(tasks);
 }
 
@@ -60,9 +47,9 @@ std::vector<double> cluster_prediction_error_grid(
     const ExperimentConfig& config, std::span<const std::size_t> tasks) {
   const net::NetworkSpec actual = build_cluster(config);
   const core::TransientSolver actual_solver(
-      cached_model(actual, config.workstations));
-  const core::TransientSolver exp_solver(
-      cached_model(actual.exponentialized(), config.workstations));
+      core::ModelCache::global().acquire(actual, config.workstations));
+  const core::TransientSolver exp_solver(core::ModelCache::global().acquire(
+      actual.exponentialized(), config.workstations));
   const std::vector<double> actual_et = actual_solver.makespan_grid(tasks);
   const std::vector<double> exp_et = exp_solver.makespan_grid(tasks);
   std::vector<double> errors(tasks.size());
@@ -83,8 +70,8 @@ io::Table interdeparture_series(const ExperimentConfig& base,
   par::parallel_for(0, variants.size(), [&](std::size_t i) {
     ExperimentConfig config = base;
     config.shapes = variants[i].shapes;
-    const core::TransientSolver solver(
-        cached_model(build_cluster(config), config.workstations));
+    const core::TransientSolver solver(core::ModelCache::global().acquire(
+        build_cluster(config), config.workstations));
     timelines[i] = solver.solve(tasks);
   });
 
@@ -108,8 +95,8 @@ io::Table steady_state_vs_scv(const ExperimentConfig& base,
       config.shapes.remote_disk = ServiceShape::from_scv(scv_values[i]);
       config.contention =
           variant == 0 ? Contention::kShared : Contention::kNone;
-      const core::TransientSolver solver(
-          cached_model(build_cluster(config), config.workstations));
+      const core::TransientSolver solver(core::ModelCache::global().acquire(
+          build_cluster(config), config.workstations));
       rows[i][variant] = solver.steady_state().interdeparture;
     }
   });
@@ -144,7 +131,7 @@ io::Table metric_vs_scv(const ExperimentConfig& base,
   // N grid once, outside the row fan-out, instead of once per row.
   std::vector<double> exponential_et;
   if (metric == ScvMetric::kPredictionError) {
-    const core::TransientSolver expo(cached_model(
+    const core::TransientSolver expo(core::ModelCache::global().acquire(
         build_cluster(base).exponentialized(), base.workstations));
     exponential_et = expo.makespan_grid(task_counts);
   }

@@ -359,7 +359,7 @@ double ModelArtifacts::level_rcond(std::size_t k) const {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical key + fingerprint
+// Canonical key
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -420,114 +420,60 @@ std::vector<std::uint8_t> canonical_model_key(const net::NetworkSpec& spec,
   return key;
 }
 
-std::uint64_t model_fingerprint(std::span<const std::uint8_t> key) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64 offset basis
-  for (std::uint8_t b : key) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 // ---------------------------------------------------------------------------
 // ModelCache
 // ---------------------------------------------------------------------------
 
-ModelCache::ModelCache(std::size_t capacity, HashFn hash)
-    : capacity_(std::max<std::size_t>(1, capacity)),
-      hash_(hash != nullptr ? hash : &model_fingerprint) {}
+ModelCache::ModelCache(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(1, capacity)) {}
 
 std::shared_ptr<const ModelArtifacts> ModelCache::acquire(
     const net::NetworkSpec& spec, std::size_t workstations,
     ModelOptions options) {
   const obs::ObsSpan span("cache/acquire");
-  std::vector<std::uint8_t> key =
-      canonical_model_key(spec, workstations, options);
-  const std::uint64_t fp = hash_(key);
-
-  ModelFuture flight;
-  std::promise<std::shared_ptr<const ModelArtifacts>> build_promise;
-  std::list<Entry>::iterator my_entry;
-  bool builder = false;
+  Key key = canonical_model_key(spec, workstations, options);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto [first, last] = index_.equal_range(fp);
-    for (auto it = first; it != last; ++it) {
-      // Never hash-trust: a hit requires the full canonical key to match.
-      if (it->second->key == key) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        ++hits_;
-        obs::counter_add(obs::Counter::kModelCacheHits);
-        flight = it->second->model;
-        break;
-      }
+    if (const auto it = index_.find(key); it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++hits_;
+      obs::counter_add(obs::Counter::kModelCacheHits);
+      return it->second->model;
     }
-    if (!flight.valid()) {
-      ++misses_;
-      obs::counter_add(obs::Counter::kModelCacheMisses);
-      builder = true;
-      flight = build_promise.get_future().share();
-      lru_.push_front(Entry{std::move(key), fp, flight, /*ready=*/false});
-      my_entry = lru_.begin();
-      index_.emplace(fp, my_entry);
-    }
+    ++misses_;
+    obs::counter_add(obs::Counter::kModelCacheMisses);
   }
 
-  if (!builder) return flight.get();  // waiters block here during a flight
-
-  // Build outside the lock so concurrent acquires of *other* models proceed
-  // and waiters for this one just park on the shared future.  `my_entry`
-  // stays valid meanwhile: eviction and clear() both skip in-flight entries,
-  // and list iterators survive splicing.
-  try {
-    std::shared_ptr<const ModelArtifacts> model;
-    {
-      const obs::ObsSpan build_span("cache/build_model");
-      if (check::fault_at("cache/build")) {
-        SolverErrorContext ctx;
-        ctx.detail = "injected cache build failure";
-        throw SolverError(SolverErrorKind::kCacheBuildFailure,
-                          SolverStage::kCacheBuild, std::move(ctx));
-      }
-      model = std::make_shared<const ModelArtifacts>(spec, workstations,
-                                                     options);
+  // Build outside the lock so acquires of other models proceed.  A failure
+  // propagates from here with nothing inserted.
+  std::shared_ptr<const ModelArtifacts> model;
+  {
+    const obs::ObsSpan build_span("cache/build_model");
+    if (check::fault_at("cache/build")) {
+      SolverErrorContext ctx;
+      ctx.detail = "injected cache build failure";
+      throw SolverError(SolverErrorKind::kCacheBuildFailure,
+                        SolverStage::kCacheBuild, std::move(ctx));
     }
-    build_promise.set_value(model);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    my_entry->ready = true;
-    evict_over_capacity_locked();
-    return model;
-  } catch (...) {
-    build_promise.set_exception(std::current_exception());
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto [first, last] = index_.equal_range(fp);
-    for (auto ix = first; ix != last; ++ix) {
-      if (ix->second == my_entry) {
-        index_.erase(ix);
-        break;
-      }
-    }
-    lru_.erase(my_entry);
-    throw;
+    model = std::make_shared<const ModelArtifacts>(spec, workstations, options);
   }
-}
 
-void ModelCache::evict_over_capacity_locked() {
-  auto it = lru_.end();
-  while (lru_.size() > capacity_ && it != lru_.begin()) {
-    --it;
-    if (!it->ready) continue;  // never evict an in-flight build
-    auto [first, last] = index_.equal_range(it->fingerprint);
-    for (auto ix = first; ix != last; ++ix) {
-      if (ix->second == it) {
-        index_.erase(ix);
-        break;
-      }
-    }
-    it = lru_.erase(it);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (const auto it = index_.find(key); it != index_.end()) {
+    // A concurrent miss of the same key got here first; ours is dropped
+    // before any of its levels was built.
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->model;
+  }
+  lru_.push_front(Entry{key, model});
+  index_.emplace(std::move(key), lru_.begin());
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
     ++evictions_;
     obs::counter_add(obs::Counter::kModelCacheEvictions);
   }
+  return model;
 }
 
 ModelCacheStats ModelCache::stats() const {
@@ -537,21 +483,8 @@ ModelCacheStats ModelCache::stats() const {
 
 void ModelCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  // In-flight entries must survive: their builder will mark/erase them.
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (!it->ready) {
-      ++it;
-      continue;
-    }
-    auto [first, last] = index_.equal_range(it->fingerprint);
-    for (auto ix = first; ix != last; ++ix) {
-      if (ix->second == it) {
-        index_.erase(ix);
-        break;
-      }
-    }
-    it = lru_.erase(it);
-  }
+  index_.clear();
+  lru_.clear();
   hits_ = 0;
   misses_ = 0;
   evictions_ = 0;

@@ -14,27 +14,24 @@
 // rebuilding it.
 //
 // ModelCache maps a *canonical byte encoding* of the model inputs (station
-// shapes at double precision, routing, contention, K, and the numeric
-// backend options) to a shared ModelArtifacts.  Lookups hash the encoding
-// but NEVER trust the hash: a hit requires byte equality of the full key, so
-// a hash collision degrades to a miss-then-build, never to serving the wrong
-// model (tested with a deliberately colliding hash function).  Concurrent
-// requests for the same missing key are single-flighted: the first caller
-// builds, the rest block on the same shared future.  Capacity is bounded
-// with LRU eviction; evicted models stay alive for as long as any solver
-// still holds its shared_ptr.
+// shapes at double precision, routing, contention, K, and the model options)
+// to a shared ModelArtifacts: one mutex-guarded ordered map from the full key
+// bytes to an LRU list entry, so a hit is byte equality of the whole key.  A
+// miss builds outside the lock; building only enumerates the state space
+// (levels are built later, once, on first use), so two concurrent misses of
+// one key each enumerate it and the second insert returns the first model.
+// Capacity is bounded with LRU eviction; evicted models stay alive for as
+// long as any solver still holds its shared_ptr.
 
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/transient_solver.h"
@@ -151,34 +148,25 @@ class ModelArtifacts {
     const net::NetworkSpec& spec, std::size_t workstations,
     const ModelOptions& options = {});
 
-/// FNV-1a 64-bit fingerprint of a canonical key (stable across runs).
-[[nodiscard]] std::uint64_t model_fingerprint(
-    std::span<const std::uint8_t> key) noexcept;
-
 struct ModelCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  std::size_t size = 0;      ///< models currently resident (incl. in-flight)
+  std::size_t size = 0;      ///< models currently resident
   std::size_t capacity = 0;
 };
 
 /// Bounded, thread-safe, content-addressed cache of ModelArtifacts.
 class ModelCache {
  public:
-  /// Test seam: replaces the fingerprint function (e.g. with a constant, to
-  /// force collisions and prove byte-equality fallback).
-  using HashFn = std::uint64_t (*)(std::span<const std::uint8_t>);
-
   static constexpr std::size_t kDefaultCapacity = 32;
 
-  explicit ModelCache(std::size_t capacity = kDefaultCapacity,
-                      HashFn hash = nullptr);
+  explicit ModelCache(std::size_t capacity = kDefaultCapacity);
 
   /// Return the shared model for (spec, workstations, options), building it
-  /// at most once per distinct key across all concurrent callers.  A build
-  /// failure propagates to every waiter of that flight and leaves no cache
-  /// entry behind.
+  /// on a miss.  Concurrent misses of one key may each build, but all of
+  /// them return the model that was inserted first.  A build failure
+  /// propagates to its caller and inserts nothing.
   [[nodiscard]] std::shared_ptr<const ModelArtifacts> acquire(
       const net::NetworkSpec& spec, std::size_t workstations,
       ModelOptions options = {});
@@ -191,21 +179,16 @@ class ModelCache {
   [[nodiscard]] static ModelCache& global();
 
  private:
-  using ModelFuture = std::shared_future<std::shared_ptr<const ModelArtifacts>>;
+  using Key = std::vector<std::uint8_t>;
   struct Entry {
-    std::vector<std::uint8_t> key;
-    std::uint64_t fingerprint = 0;
-    ModelFuture model;
-    bool ready = false;  ///< build finished; entry is evictable
+    Key key;
+    std::shared_ptr<const ModelArtifacts> model;
   };
-
-  void evict_over_capacity_locked();
 
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  // front = most recently used
-  std::unordered_multimap<std::uint64_t, std::list<Entry>::iterator> index_;
+  std::map<Key, std::list<Entry>::iterator> index_;
   std::size_t capacity_;
-  HashFn hash_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

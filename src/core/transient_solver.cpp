@@ -691,31 +691,24 @@ TransientSolver::DepartureCorrelation TransientSolver::steady_state_lag1()
 const la::Vector& TransientSolver::time_stationary_distribution() const {
   if (time_stationary_) return *time_stationary_;
   const obs::ObsSpan span("solver/time_stationary");
-  // The saturated CTMC has off-diagonal rate matrix M (P + Q R).  With
-  // z = pi .* M, stationarity reads z (P + Q R) = z: find z by (damped)
-  // power iteration, then unscale by the rates and normalize.
-  const net::LevelMatrices& lm = space().level(k_);
-  const auto apply_jump = [&](const la::Vector& z) {
-    la::Vector next = lm.p.apply_left(z);
-    next += lm.r.apply_left(lm.q.apply_left(z));
-    next += z;
-    next *= 0.5;
-    return next;
-  };
-  const la::IterativeResult res = la::power_iteration_left(
-      apply_jump, initial_vector(), kTolerance, kMaxPowerIterations);
-  if (!res.converged) {
+  // The saturated CTMC has off-diagonal rate matrix M (P + Q R), so
+  // pi .* M is a fixed point of P + Q R.  One is z = p_ss (I - P)^-1, the
+  // expected visits per departure cycle: z P = z - p_ss and
+  // z Q R = p_ss Y R = p_ss, so z (P + Q R) = z.  Unscale by the rates and
+  // normalize.
+  const SteadyStateResult& ss = steady_state();
+  if (!ss.converged) {
     SolverErrorContext ctx;
     ctx.level = k_;
-    ctx.dimension = res.x.size();
-    ctx.residual = res.residual;
-    ctx.iterations = res.iterations;
-    ctx.detail = "time_stationary_distribution: power iteration stalled";
+    ctx.dimension = ss.distribution.size();
+    ctx.iterations = ss.iterations;
+    ctx.detail = "time_stationary_distribution: p_ss did not converge";
     throw SolverError(SolverErrorKind::kNonConvergence,
                       SolverStage::kPowerIteration, std::move(ctx));
   }
-  la::Vector pi = res.x;
-  for (std::size_t i = 0; i < pi.size(); ++i) pi[i] /= lm.event_rates[i];
+  la::Vector pi = model_->solve_left(k_, ss.distribution);
+  const la::Vector& rates = space().level(k_).event_rates;
+  for (std::size_t i = 0; i < pi.size(); ++i) pi[i] /= rates[i];
   pi /= pi.sum();
   time_stationary_ = std::move(pi);
   return *time_stationary_;

@@ -28,7 +28,7 @@ enum class SolverErrorKind {
   kIllConditioned,    ///< condition estimate beyond the configured ceiling
   kNonConvergence,    ///< an iterative method exhausted its iteration cap
   kNumericalBreakdown,///< an invariant of the numerical method collapsed
-  kCacheBuildFailure, ///< a ModelCache build flight failed
+  kCacheBuildFailure, ///< building a ModelCache entry failed
 };
 
 /// Where in the solve pipeline it failed.
@@ -43,7 +43,7 @@ enum class SolverStage {
   kPowerIteration,     ///< dominant-eigenvector power iteration
   kExpm,               ///< matrix exponential / its action
   kModelBuild,         ///< ModelArtifacts level preparation
-  kCacheBuild,         ///< ModelCache single-flight build
+  kCacheBuild,         ///< ModelCache model build on a miss
 };
 
 /// Stable lowercase names for logs and tests (e.g. "singular", "gmres").

@@ -152,9 +152,9 @@ TEST(MakespanMomentsGridTest, MatchesPerNMomentsAllConfigs) {
 }
 
 TEST(MakespanGridTest, ConcurrentSweepPointsShareOneCachedModel) {
-  // The figure-sweep shape: many threads, same cluster, different N — one
-  // single-flight build, every solver over the same artifacts, identical
-  // results.  This is the TSan target for the concurrent cache paths.
+  // The figure-sweep shape: many threads, same cluster, different N — every
+  // solver over the same cached artifacts, identical results.  This is the
+  // TSan target for the concurrent cache paths.
   const Config c = configs()[1];
   const net::NetworkSpec spec = make_spec(c);
   core::ModelCache cache(4);
@@ -162,20 +162,23 @@ TEST(MakespanGridTest, ConcurrentSweepPointsShareOneCachedModel) {
 
   constexpr std::size_t kThreads = 8;
   std::vector<std::vector<double>> results(kThreads);
+  std::vector<const core::ModelArtifacts*> models(kThreads);
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        const core::TransientSolver solver(
-            cache.acquire(spec, c.workstations));
+        const auto model = cache.acquire(spec, c.workstations);
+        models[t] = model.get();
+        const core::TransientSolver solver(model);
         results[t] = solver.makespan_grid(grid);
       });
     }
     for (std::thread& th : threads) th.join();
   }
-  EXPECT_EQ(cache.stats().misses, 1U);
+  EXPECT_EQ(cache.stats().size, 1U);
   for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(models[t], models[0]) << "thread " << t;
     ASSERT_EQ(results[t].size(), grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
       // Same artifacts, same deterministic recursion: bit-identical.

@@ -1,6 +1,6 @@
-// Content-addressed model cache: canonical fingerprinting with structural
-// equality (never hash-trust), single-flight build dedup, LRU capacity
-// bounds, and artifact sharing across solver instances.
+// Content-addressed model cache: canonical byte keys with structural
+// equality, concurrent misses that share one model, LRU capacity bounds, and
+// artifact sharing across solver instances.
 
 #include "core/model_cache.h"
 
@@ -36,15 +36,12 @@ net::NetworkSpec make_cluster(std::size_t workstations, double disk_scv) {
   return cluster::build_cluster(cfg);
 }
 
-std::uint64_t colliding_hash(std::span<const std::uint8_t>) { return 42; }
-
 TEST(CanonicalKeyTest, StructurallyEqualSpecsShareTheKey) {
   // Two independently built copies of the same cluster must encode to the
   // same bytes — the cache is content-addressed, not identity-addressed.
   const auto key_a = core::canonical_model_key(make_cluster(3, 4.0), 3);
   const auto key_b = core::canonical_model_key(make_cluster(3, 4.0), 3);
   EXPECT_EQ(key_a, key_b);
-  EXPECT_EQ(core::model_fingerprint(key_a), core::model_fingerprint(key_b));
 }
 
 TEST(CanonicalKeyTest, DistinguishesShapePopulationAndOptions) {
@@ -103,28 +100,6 @@ TEST(ModelCacheTest, HitsReuseTheSameArtifacts) {
   EXPECT_EQ(stats.size, 1U);
 }
 
-TEST(ModelCacheTest, HashCollisionFallsBackToFullEquality) {
-  // Every key hashes to the same bucket: distinct models must still come
-  // back distinct (and correct), proving the cache compares full keys and
-  // never serves on fingerprint alone.
-  core::ModelCache cache(8, &colliding_hash);
-  const auto erlang = cache.acquire(make_cluster(2, 0.5), 2);
-  const auto hyper = cache.acquire(make_cluster(2, 10.0), 2);
-  EXPECT_NE(erlang.get(), hyper.get());
-  EXPECT_EQ(cache.stats().misses, 2U);
-  EXPECT_EQ(cache.stats().hits, 0U);
-
-  // Each colliding entry still resolves to its own model on re-acquire...
-  EXPECT_EQ(cache.acquire(make_cluster(2, 0.5), 2).get(), erlang.get());
-  EXPECT_EQ(cache.acquire(make_cluster(2, 10.0), 2).get(), hyper.get());
-  EXPECT_EQ(cache.stats().hits, 2U);
-
-  // ...and the models themselves are genuinely different.
-  const core::TransientSolver se(erlang);
-  const core::TransientSolver sh(hyper);
-  EXPECT_NE(se.makespan(20), sh.makespan(20));
-}
-
 TEST(ModelCacheTest, LruEvictsTheColdestEntry) {
   core::ModelCache cache(2);
   const auto a = cache.acquire(make_cluster(2, 0.5), 2);
@@ -153,7 +128,9 @@ TEST(ModelCacheTest, EvictedModelSurvivesForHolders) {
   EXPECT_GT(solver.makespan(10), 0.0);
 }
 
-TEST(ModelCacheTest, SingleFlightDeduplicatesConcurrentBuilds) {
+TEST(ModelCacheTest, ConcurrentMissesShareOneModel) {
+  // Threads that miss the same key at once may each enumerate the state
+  // space, but every one of them returns the model inserted first.
   core::ModelCache cache(4);
   constexpr std::size_t kThreads = 8;
   std::vector<std::shared_ptr<const core::ModelArtifacts>> models(kThreads);
@@ -171,8 +148,8 @@ TEST(ModelCacheTest, SingleFlightDeduplicatesConcurrentBuilds) {
     EXPECT_EQ(models[t].get(), models[0].get());
   }
   const core::ModelCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1U);
-  EXPECT_EQ(stats.hits, kThreads - 1);
+  EXPECT_EQ(stats.size, 1U);
+  EXPECT_EQ(stats.hits + stats.misses, kThreads);
 }
 
 TEST(ModelCacheTest, ClearDropsEntriesAndResetsStats) {
