@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace finwork::cluster {
 
@@ -15,6 +16,26 @@ std::size_t to_count(double v, const std::string& what) {
   return static_cast<std::size_t>(v);
 }
 
+/// A shape's phase count: a count of at most kMaxShapePhases.
+std::size_t phase_count(double v, const std::string& what) {
+  const std::size_t n = to_count(v, what);
+  if (n > kMaxShapePhases) {
+    throw std::invalid_argument(what + " must be at most " +
+                                std::to_string(kMaxShapePhases));
+  }
+  return n;
+}
+
+/// A shape's "scv" field: finite and at least `lo`.
+double scv_at_least(const io::JsonValue& value, double lo) {
+  const double scv = value.at("scv").as_number();
+  if (!(scv >= lo && std::isfinite(scv))) {
+    throw std::invalid_argument("scv must be finite and >= " +
+                                std::to_string(lo));
+  }
+  return scv;
+}
+
 }  // namespace
 
 ServiceShape parse_shape(const io::JsonValue& value) {
@@ -24,18 +45,20 @@ ServiceShape parse_shape(const io::JsonValue& value) {
   }
   if (type == "erlang") {
     return ServiceShape::erlang(
-        to_count(value.at("stages").as_number(), "stages"));
+        phase_count(value.at("stages").as_number(), "stages"));
   }
   if (type == "hyperexponential" || type == "h2") {
-    return ServiceShape::hyperexponential(value.at("scv").as_number());
+    return ServiceShape::hyperexponential(scv_at_least(value, 1.0));
   }
   if (type == "scv") {
-    return ServiceShape::from_scv(value.at("scv").as_number());
+    // Below 1 the fit is a mixed Erlang of ceil(1 / scv) stages.
+    return ServiceShape::from_scv(
+        scv_at_least(value, 1.0 / static_cast<double>(kMaxShapePhases)));
   }
   if (type == "power_tail" || type == "tpt") {
     const double alpha = value.at("alpha").as_number();
     const std::size_t levels =
-        to_count(value.number_or("levels", 8.0), "levels");
+        phase_count(value.number_or("levels", 8.0), "levels");
     return ServiceShape::power_tail(alpha, levels);
   }
   throw std::invalid_argument("unknown shape type '" + type + "'");

@@ -56,7 +56,14 @@ struct ExperimentSpec {
 /// std::invalid_argument for unknown parameters or a custom-network spec.
 [[nodiscard]] io::Table run_sweep(const ExperimentSpec& spec);
 
-/// Parse a shape object into a ServiceShape.
+/// Most phases a parsed shape may give one service time: a dense phase-type
+/// matrix is its order squared, and a station's states grow with it.
+inline constexpr std::size_t kMaxShapePhases = 100;
+
+/// Parse a shape object into a ServiceShape.  Throws std::invalid_argument,
+/// naming the field, for an Erlang "stages" or power-tail "levels" above
+/// kMaxShapePhases, an "scv" shape below 1/kMaxShapePhases (it would fit
+/// that many Erlang stages), or a non-finite or out-of-range "scv".
 [[nodiscard]] ServiceShape parse_shape(const io::JsonValue& value);
 
 /// Parse an application-model object (all fields optional; defaults are the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/model_cache.h"
 #include "pf/product_form.h"
 
 namespace finwork::core {
@@ -46,13 +47,13 @@ ApproximateMakespan approximate_makespan(const TransientSolver& solver,
 
   // Drain from the steady-state distribution — or from the true state when
   // the warmup already covered every saturated epoch (then the result is
-  // exact).
-  la::Vector drain = warmup == saturated_epochs
-                         ? solver.apply_y(k, pi)
-                         : solver.apply_y(k, ss.distribution);
-  for (std::size_t level = k - 1; level >= 1; --level) {
-    result.draining_time += solver.mean_epoch_time(level, drain);
-    if (level > 1) drain = solver.apply_y(level, drain);
+  // exact): the mean drain time from level K-1 is pi Y_K h_{K-1}, with h the
+  // model's cached drain vector (model_cache.h).
+  if (k > 1) {
+    const la::Vector& start =
+        warmup == saturated_epochs ? pi : ss.distribution;
+    result.draining_time =
+        la::dot(solver.apply_y(k, start), solver.model()->drain_mean(k - 1));
   }
 
   result.makespan =

@@ -12,7 +12,6 @@
 #include "linalg/solver_error.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 
 namespace finwork::core {
 
@@ -97,6 +96,25 @@ class SaturatedMean {
   la::Vector w_;
   la::Vector last_solved_;  // the iterate that produced w_
 };
+
+/// One uniformized step of level lm's generator -M (I - P) on the row
+/// vector v, in place, with q >= max rate:
+///   v <- v - s + s P,   s = (v .* M) / q,
+/// leaving s (the old v's departing rate mass) in `scaled` for the caller to
+/// route through Q; `work` is scratch.
+void uniformized_step(const net::LevelMatrices& lm, double q, la::Vector& v,
+                      la::Vector& scaled, la::Vector& work) {
+  scaled.resize(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    scaled[i] = v[i] * lm.event_rates[i] / q;
+  }
+  work.resize(v.size());
+  work.fill(0.0);
+  lm.p.apply_left_add(scaled, work);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = (work[i] - scaled[i]) + v[i];
+  }
+}
 
 /// sum_n Poisson(n; qt) a_of(n) for qt > 0, the weights expanded outward
 /// from the mode in log space (exp(-qt) underflows beyond qt ~ 745), and
@@ -198,38 +216,27 @@ double TransientSolver::epoch_second_moment(std::size_t k,
 
 double TransientSolver::epoch_reliability(std::size_t k, const la::Vector& pi,
                                           double t) const {
-  if (t < 0.0) {
-    throw std::invalid_argument("epoch_reliability: t must be >= 0");
+  if (!std::isfinite(t) || t < 0.0) {
+    throw std::invalid_argument("epoch_reliability: t must be finite, >= 0");
   }
   if (t == 0.0) return pi.sum();
   // Uniformization of the level generator A = -B_k = -M_k (I - P_k):
-  // with q >= max rate, Pu = I + A/q acts on a row vector v as
-  //   v Pu = v - (v .* M)/q + ((v .* M) P)/q.
+  // R(t) = sum_n Poisson(n; qt) (pi Pu^n) eps with Pu = I + A/q; the
+  // survival mass -> 0.
   const net::LevelMatrices& lm = space().level(k);
   const double q = lm.max_event_rate * 1.0001;
-  const double qt = q * t;
-  auto step = [&](const la::Vector& v) {
-    la::Vector scaled = v;
-    for (std::size_t i = 0; i < scaled.size(); ++i) {
-      scaled[i] *= lm.event_rates[i];
-    }
-    la::Vector y = lm.p.apply_left(scaled);
-    y -= scaled;
-    y /= q;
-    y += v;
-    return y;
-  };
-  // R(t) = sum_n Poisson(n; qt) (pi Pu^n) eps; the survival mass -> 0.
   std::vector<double> survival{pi.sum()};
   la::Vector term = pi;
+  la::Vector scaled;
+  la::Vector work;
   const auto survival_at = [&](std::size_t n) {
     while (survival.size() <= n) {
-      term = step(term);
+      uniformized_step(lm, q, term, scaled, work);
       survival.push_back(term.sum());
     }
     return survival[n];
   };
-  return poisson_mixture(qt, survival_at, 0.0);
+  return poisson_mixture(q * t, survival_at, 0.0);
 }
 
 la::Vector TransientSolver::initial_vector() const {
@@ -498,27 +505,22 @@ std::vector<double> TransientSolver::makespan_cdf(
     throw std::invalid_argument("makespan_cdf: need >= 1 task");
   }
   for (double t : times) {
-    if (t < 0.0) throw std::invalid_argument("makespan_cdf: negative time");
+    if (!std::isfinite(t) || t < 0.0) {
+      throw std::invalid_argument("makespan_cdf: times must be finite, >= 0");
+    }
   }
   if (times.empty()) return {};
   const obs::ObsSpan span("solver/makespan_cdf");
   const net::StateSpace& sp = space();
   const std::size_t top = std::min(tasks, k_);
 
-  // Layered blocks: saturated segments with j admissions remaining
-  // (j = tasks - top .. 0), then draining levels top-1 .. 1.  Block b's
+  // Layered blocks b = 0 .. tasks-1: saturated segments with j admissions
+  // remaining (j = tasks - top .. 0) at level top, then draining levels
+  // top-1 .. 1, so block b sits at level min(top, tasks - b).  Block b's
   // dynamics are its level's (M, P); a departure feeds block b+1 (with the
-  // R_top re-entry while saturated); level 1 departures absorb.
-  struct Block {
-    std::size_t level;
-    bool replace;  // departure re-admits a task (saturated, j > 0)
-  };
-  std::vector<Block> blocks;
-  for (std::size_t j = tasks - top; j > 0; --j) blocks.push_back({top, true});
-  blocks.push_back({top, false});
-  for (std::size_t level = top - 1; level >= 1; --level) {
-    blocks.push_back({level, false});
-  }
+  // R_top re-entry while admissions remain); level 1 departures absorb.
+  const std::size_t saturated = tasks - top;  // blocks that re-admit
+  const auto level_of = [&](std::size_t b) { return std::min(top, tasks - b); };
 
   // Uniformization rate: the fastest event rate across all levels (cached
   // per level at build time).
@@ -533,77 +535,41 @@ std::vector<double> TransientSolver::makespan_cdf(
   const auto n_max = static_cast<std::size_t>(
       qt_max + 12.0 * std::sqrt(qt_max + 1.0) + 64.0);
 
-  // DTMC pass: track per-block row vectors and record the absorbed mass
-  // after each uniformized step.  All working buffers are sized once up
-  // front and reused every step.
+  // DTMC pass: one row vector per block, stepped in place, and the absorbed
+  // mass after each uniformized step.  The scratch vectors are sized once
+  // and reused every step.
   const net::LevelMatrices& ltop = sp.level(top);
-  par::ThreadPool& pool = par::ThreadPool::global();
-  std::vector<la::Vector> state(blocks.size());
-  std::vector<la::Vector> next(blocks.size());
-  std::vector<la::Vector> scaled(blocks.size());
-  std::vector<la::Vector> out(blocks.size());
-  std::vector<la::Vector> handoff(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const std::size_t d = sp.dimension(blocks[b].level);
-    state[b] = la::Vector(d, 0.0);
-    next[b] = la::Vector(d, 0.0);
-    scaled[b] = la::Vector(d, 0.0);
-    out[b] = la::Vector(sp.dimension(blocks[b].level - 1), 0.0);
-    if (blocks[b].replace) {
-      handoff[b] = la::Vector(sp.dimension(top), 0.0);
-    }
+  std::vector<la::Vector> state(tasks);
+  for (std::size_t b = 0; b < tasks; ++b) {
+    state[b] = la::Vector(sp.dimension(level_of(b)), 0.0);
   }
   state[0] = sp.initial_vector(top);
+  la::Vector scaled(sp.dimension(top));
+  la::Vector out(sp.dimension(top));
+  la::Vector handoff(sp.dimension(top));
   double absorbed = 0.0;
   std::vector<double> absorbed_after{absorbed};  // a_0
-  absorbed_after.reserve(n_max + 1);
 
-  // One uniformized step of block b into its own buffers:
-  //   next_b = v - (v .* M)/q + ((v .* M) P)/q,  out_b = (v .* M) Q / q,
-  // with the departing mass routed later in a serial merge so the block
-  // fan-out stays deterministic.
-  const auto step_block = [&](std::size_t b) {
-    const net::LevelMatrices& lm = sp.level(blocks[b].level);
-    const la::Vector& st = state[b];
-    la::Vector& sc = scaled[b];
-    for (std::size_t i = 0; i < sc.size(); ++i) {
-      sc[i] = st[i] * lm.event_rates[i] / q;
-    }
-    la::Vector& nb = next[b];
-    nb.fill(0.0);
-    lm.p.apply_left_add(sc, nb);
-    nb -= sc;
-    nb += st;
-    la::Vector& ob = out[b];
-    ob.fill(0.0);
-    lm.q.apply_left_add(sc, ob);
-    if (blocks[b].replace) {
-      la::Vector& hb = handoff[b];
-      hb.fill(0.0);
-      ltop.r.apply_left_add(ob, hb);
-    }
-  };
-
-  const bool fan_out = blocks.size() >= 4 && pool.size() > 1 &&
-                       !par::ThreadPool::on_worker_thread();
-  const std::size_t grain =
-      std::max<std::size_t>(1, blocks.size() / (4 * pool.size()));
   for (std::size_t step = 1; step <= n_max; ++step) {
-    if (fan_out) {
-      par::parallel_for(pool, 0, blocks.size(), step_block, grain);
-    } else {
-      for (std::size_t b = 0; b < blocks.size(); ++b) step_block(b);
-    }
-    // Serial merge in ascending block order: identical accumulation order
-    // whether or not the blocks fanned out above.
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      if (b + 1 < blocks.size()) {
-        next[b + 1] += blocks[b].replace ? handoff[b] : out[b];
+    // Descending blocks: block b still holds its old vector when it steps,
+    // and its departures (scaled Q) land in block b+1, which already holds
+    // its own stepped vector.
+    for (std::size_t b = tasks; b-- > 0;) {
+      const net::LevelMatrices& lm = sp.level(level_of(b));
+      uniformized_step(lm, q, state[b], scaled, out);
+      out.resize(sp.dimension(lm.level - 1));
+      out.fill(0.0);
+      lm.q.apply_left_add(scaled, out);
+      if (b < saturated) {
+        handoff.fill(0.0);
+        ltop.r.apply_left_add(out, handoff);
+        state[b + 1] += handoff;
+      } else if (b + 1 < tasks) {
+        state[b + 1] += out;
       } else {
-        absorbed += out[b].sum();
+        absorbed += out.sum();
       }
     }
-    state.swap(next);
     absorbed_after.push_back(absorbed);
     if (1.0 - absorbed < 1e-13) {
       // effectively done: later steps keep the same absorbed mass

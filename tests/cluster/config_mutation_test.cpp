@@ -1,12 +1,14 @@
 // Seeded mutation test of the JSON config path: thousands of byte flips,
-// insertions, deletions, slice copies, number edits and truncations of two
-// valid configs (the CLI's sweep fixture and a cluster-form config touching
-// every parser branch) go through io::JsonValue::parse and
-// cluster::parse_experiment.  Each mutant must either parse or throw
-// io::JsonError or std::invalid_argument — never crash or throw another type
-// (a hang shows as the ctest timeout).  A config that parses must be an
-// object and carry its counts exactly: every count field equals the JSON
-// number it came from.  No model is built.
+// insertions, deletions, slice copies, number edits and truncations of three
+// valid configs (the CLI's sweep fixture, a cluster-form config touching
+// every parser branch, and a custom-network config whose stations use every
+// shape type) go through io::JsonValue::parse and cluster::parse_experiment.
+// Each mutant must either parse or throw io::JsonError or
+// std::invalid_argument — never crash or throw another type (a hang shows as
+// the ctest timeout).  A config that parses must be an object and carry its
+// counts exactly: every count field equals the JSON number it came from.  No
+// model is built, but the custom form builds each station's phase-type
+// distribution while it parses.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "cluster/config.h"
 #include "io/json.h"
@@ -42,6 +45,24 @@ constexpr const char* kClusterConfig = R"({
   "outputs": ["summary", "moments", "simulate"],
   "simulate": {"replications": 2000, "seed": 7},
   "sweep": {"parameter": "tasks", "values": [8, 16, 1e2, -0.5]}
+})";
+
+constexpr const char* kNetworkConfig = R"({
+  "network": {
+    "stations": [
+      {"name": "App", "mean": 1.0, "multiplicity": 4,
+       "shape": {"type": "erlang", "stages": 3}},
+      {"name": "Disk", "mean": 0.5, "shape": {"type": "h2", "scv": 6}},
+      {"name": "Net", "mean": 0.2, "multiplicity": 2,
+       "shape": {"type": "scv", "scv": 0.25}},
+      {"name": "Store", "mean": 0.8,
+       "shape": {"type": "tpt", "alpha": 1.4, "levels": 5}}],
+    "entry": [1, 0, 0, 0],
+    "routing": [[0, 0.5, 0.3, 0], [0.6, 0, 0, 0.2],
+                [0, 0, 0, 0.9], [0.7, 0, 0, 0]],
+    "exit": [0.2, 0.2, 0.1, 0.3]},
+  "workstations": 4,
+  "tasks": 24
 })";
 
 std::string read_file(const std::string& path) {
@@ -159,6 +180,43 @@ TEST(ConfigMutation, SweepFixtureMutantsParseOrThrowCleanly) {
 
 TEST(ConfigMutation, ClusterConfigMutantsParseOrThrowCleanly) {
   run_mutants(kClusterConfig, 15);
+}
+
+TEST(ConfigMutation, NetworkConfigMutantsParseOrThrowCleanly) {
+  run_mutants(kNetworkConfig, 2004);
+}
+
+TEST(ConfigMutation, PhaseCountsAboveTheCeilingAreRejected) {
+  // A shape's phase count is bounded at parse time, in both config forms:
+  // the custom form builds each station's distribution while it parses, so
+  // 200 000 stages would be a dense 200 000^2 matrix.
+  const std::string max = std::to_string(cluster::kMaxShapePhases);
+  const std::string over = std::to_string(cluster::kMaxShapePhases + 1);
+  for (const std::string& shape : std::vector<std::string>{
+           R"({"type": "erlang", "stages": )" + over + "}",
+           R"({"type": "erlang", "stages": 200000})",
+           R"({"type": "tpt", "alpha": 1.4, "levels": )" + over + "}",
+           R"({"type": "scv", "scv": 1e-9})", R"({"type": "scv", "scv": 0})",
+           R"({"type": "h2", "scv": 0.5})"}) {
+    for (const std::string& config :
+         {R"({"shapes": {"cpu": )" + shape + "}}",
+          R"({"network": {"stations": [{"mean": 1, "shape": )" + shape +
+              R"(}], "entry": [1], "routing": [[0]], "exit": [1]}})"}) {
+      EXPECT_THROW(
+          (void)cluster::parse_experiment(io::JsonValue::parse(config)),
+          std::invalid_argument)
+          << config;
+    }
+  }
+  for (const std::string& shape : std::vector<std::string>{
+           R"({"type": "erlang", "stages": )" + max + "}",
+           R"({"type": "tpt", "alpha": 1.4, "levels": )" + max + "}",
+           R"({"type": "scv", "scv": 0.01})"}) {
+    EXPECT_NO_THROW((void)cluster::parse_experiment(io::JsonValue::parse(
+        R"({"network": {"stations": [{"mean": 1, "shape": )" + shape +
+        R"(}], "entry": [1], "routing": [[0]], "exit": [1]}})")))
+        << shape;
+  }
 }
 
 TEST(ConfigMutation, CountsOutsideTheIntegersAreRejected) {

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "cluster/experiments.h"
 #include "core/transient_solver.h"
@@ -61,9 +64,28 @@ TEST(MakespanCdf, BoundaryBehaviour) {
       one_station(ph::PhaseType::exponential(1.0), 1), 1);
   EXPECT_DOUBLE_EQ(solver.makespan_cdf(3, 0.0), 0.0);
   EXPECT_NEAR(solver.makespan_cdf(3, 100.0), 1.0, 1e-9);
+  // The chain absorbs long before qt = 1e12 steps, so a huge time costs
+  // about what absorption does.
+  EXPECT_NEAR(solver.makespan_cdf(3, 1e12), 1.0, 1e-9);
   EXPECT_THROW((void)solver.makespan_cdf(0, 1.0), std::invalid_argument);
   EXPECT_THROW((void)solver.makespan_cdf(3, -1.0), std::invalid_argument);
   EXPECT_TRUE(solver.makespan_cdf(3, std::vector<double>{}).empty());
+}
+
+TEST(MakespanCdf, RejectsNonFiniteTimes) {
+  // Non-finite times are bad input: NaN has no step count and +inf no
+  // Poisson mixture, so both are rejected before any step.
+  const core::TransientSolver solver(
+      one_station(ph::PhaseType::exponential(1.0), 2), 2);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)solver.makespan_cdf(3, bad), std::invalid_argument)
+        << bad;
+    EXPECT_THROW((void)solver.makespan_cdf(3, std::vector<double>{1.0, bad}),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(MakespanCdf, MonotoneInTime) {

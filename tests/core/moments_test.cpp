@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -93,6 +95,20 @@ TEST(EpochMoments, ReliabilityMonotoneAndBounded) {
   }
   EXPECT_THROW((void)solver.epoch_reliability(3, pi, -1.0),
                std::invalid_argument);
+}
+
+TEST(EpochMoments, ReliabilityRejectsNonFiniteTime) {
+  // A non-finite time has no Poisson mixture; it is rejected up front.
+  cluster::ExperimentConfig cfg;
+  cfg.workstations = 3;
+  const core::TransientSolver solver(cluster::build_cluster(cfg), 3);
+  const la::Vector pi = solver.initial_vector();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)solver.epoch_reliability(3, pi, bad),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(EpochMoments, ReliabilityMatchesCdfAtLongHorizons) {

@@ -2,9 +2,9 @@
 // is the serial kernel, so a query returns the same bits whether it runs on
 // the main thread or inside a pool task — also on levels big enough that a
 // row-panel fan-out (and its reassociating merge) could pay off, for the
-// makespan CDF, whose population blocks fan out onto the pool only from a
-// thread outside it, and for the assembly of a large level, which does the
-// same with its chunks of states.
+// makespan CDF, which steps its population blocks serially on the calling
+// thread, and for the assembly of a large level, whose chunks of states fan
+// out onto the pool only from a thread outside it.
 
 #include <gtest/gtest.h>
 
@@ -53,8 +53,8 @@ TEST(ThreadIndependence, EpochReliabilityBitwiseOnAnyThread) {
 
 TEST(ThreadIndependence, MakespanCdfBitwiseOnAnyThread) {
   // Central K = 5 with a C^2 = 4 remote disk at N = 12: 12 population
-  // blocks, so the main thread steps them on the pool and a worker steps
-  // them inline; the ascending merge keeps the two runs bit for bit equal.
+  // blocks, stepped in one serial descending pass per uniformization step
+  // on whichever thread calls, so a worker reproduces the main thread.
   cluster::ExperimentConfig cfg;
   cfg.workstations = 5;
   cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(4.0);
@@ -79,6 +79,26 @@ TEST(ThreadIndependence, MakespanCdfBitwiseOnAnyThread) {
     EXPECT_GT(main_thread[i], 0.0);
     EXPECT_LT(main_thread[i], 1.0);
   }
+}
+
+TEST(ThreadIndependence, MakespanCdfDispatchesNoPoolTask) {
+  // The same model and N as above, from the main thread: no solver query
+  // dispatches to the pool, so the pool's task counter stays put.
+  cluster::ExperimentConfig cfg;
+  cfg.workstations = 5;
+  cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(4.0);
+  const core::TransientSolver solver(cluster::build_cluster(cfg),
+                                     cfg.workstations);
+  constexpr std::size_t n = 12;
+  const double mean = solver.makespan(n);  // builds every level first
+  EXPECT_FALSE(par::ThreadPool::on_worker_thread());
+  const std::uint64_t tasks_before =
+      obs::counter_value(obs::Counter::kPoolTasksExecuted);
+  const std::vector<double> cdf = solver.makespan_cdf(n, {mean, 1.4 * mean});
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPoolTasksExecuted),
+            tasks_before);
+  EXPECT_GT(cdf[0], 0.0);
+  EXPECT_LT(cdf[1], 1.0);
 }
 
 bool same_bits(const la::CsrMatrix& a, const la::CsrMatrix& b) {

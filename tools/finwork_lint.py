@@ -15,12 +15,16 @@ bench/ are allowed to print):
   R4  no raw `new` / `delete` in src/ — containers and smart pointers only
   R5  no `apply_left_parallel` / `apply_parallel` in src/ outside
       src/linalg/sparse.{h,cpp} — every level action is the serial kernel
-      (parallelism lives in the sweep, block and level-build fan-outs); the
+      (parallelism lives in the sweep and level-assembly fan-outs); the
       pooled row-panel kernel survives only for the perfbench SpMV probe
   R6  no `.submit(` in src/ outside src/parallel/ — every pool dispatch
       goes through par::parallel_for, which waits for every chunk before it
       rethrows.  src/linalg/sparse.cpp is exempt while its pooled
       `apply_left_parallel` kernel (R5) survives
+  R7  no pool dispatch in src/core/: no `parallel_for`, `ThreadPool` or
+      `parallel/thread_pool.h` outside comments — every solver query runs
+      on its calling thread, and the pool serves the sweeps, the level
+      assembly and the simulator
 
 Usage:
   python3 tools/finwork_lint.py [paths...]
@@ -50,6 +54,8 @@ POOLED_SPMV_RE = re.compile(r"\bapply(_left)?_parallel\b")
 SPARSE_FILES = {Path("src/linalg/sparse.h"), Path("src/linalg/sparse.cpp")}
 SUBMIT_RE = re.compile(r"\.\s*submit\s*\(")
 SUBMIT_EXEMPT = {Path("src/linalg/sparse.cpp")}
+POOL_RE = re.compile(r"\bparallel_for\b|\bThreadPool\b")
+POOL_INCLUDE_RE = re.compile(r'\s*#\s*include\s*"parallel/thread_pool\.h"')
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -122,14 +128,16 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
     pooled_spmv_banned = in_src and rel not in SPARSE_FILES
     in_parallel = in_src and len(rel.parts) > 1 and rel.parts[1] == "parallel"
     submit_banned = in_src and not in_parallel and rel not in SUBMIT_EXEMPT
+    pool_banned = in_src and len(rel.parts) > 1 and rel.parts[1] == "core"
     try:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return [f"{rel}:0: [io] unreadable: {exc}"]
     code = strip_comments_and_strings(raw)
-    code_lines = code.splitlines()
+    code_lines = code.split("\n")
     problems: list[str] = []
 
+    raw_lines = raw.split("\n")  # line for line: stripping keeps newlines
     for lineno, line in enumerate(code_lines, start=1):
         if EIGEN_RE.search(line):
             problems.append(
@@ -157,6 +165,14 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
             problems.append(
                 f"{rel}:{lineno}: [raw-submit] pool submit in src/ outside "
                 "src/parallel/; dispatch through par::parallel_for")
+        # The include's path is a string literal, blanked in `line`, so it
+        # is matched on the raw line when the code line is a directive.
+        if pool_banned and (POOL_RE.search(line) or (
+                line.lstrip().startswith("#")
+                and POOL_INCLUDE_RE.match(raw_lines[lineno - 1]))):
+            problems.append(
+                f"{rel}:{lineno}: [core-pool] pool dispatch in src/core/; "
+                "solver queries run serially on the calling thread")
 
     if in_src and path.suffix in HEADER_SUFFIXES:
         first = next((ln.strip() for ln in code_lines if ln.strip()), "")

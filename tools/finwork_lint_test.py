@@ -4,7 +4,8 @@
 Builds a throwaway tree with one known violation per rule plus the cases
 that must NOT fire (src/obs/ stream access, `= delete` declarations,
 prints under tools/, the pooled SpMV kernel in src/linalg/sparse.cpp,
-pool submits in src/parallel/), runs the linter in-process, and checks
+pool submits in src/parallel/, pool dispatch outside src/core/), runs the
+linter in-process, and checks
 that exactly the expected rule tags fire on the expected files.
 
 Run directly or via ctest (registered as `lint_selftest`).
@@ -61,7 +62,7 @@ FIXTURES = {
     ),
     # R5: a pooled CSR action in src/ outside the sparse kernel files; the
     # comment mention must not fire.
-    "src/core/bad_spmv.cpp": (
+    "src/cluster/bad_spmv.cpp": (
         "// apply_left_parallel in a comment is fine\n"
         "Vector f(const CsrMatrix& a, const Vector& x, ThreadPool& pool) {\n"
         "  return a.apply_left_parallel(x, pool);\n"
@@ -88,6 +89,26 @@ FIXTURES = {
         "               .submit([] {});\n"
         "}\n"
     ),
+    # R7: pool dispatch in src/core/ — the include and a parallel_for call;
+    # the comment, block-comment and string mentions must not fire.
+    "src/core/bad_pool.cpp": (
+        "// parallel_for and ThreadPool in a comment are fine\n"
+        "/*\n"
+        "#include \"parallel/thread_pool.h\"\n"
+        "*/\n"
+        "#include \"parallel/thread_pool.h\"\n"
+        "void f() {\n"
+        "  par::parallel_for(par::ThreadPool::global(), 0, 8, [](int) {});\n"
+        "}\n"
+        "const char* name = \"ThreadPool\";\n"
+    ),
+    # R7 negative: the sweeps and level assembly outside src/core/ fan out.
+    "src/network/good_fan_out.cpp": (
+        "#include \"parallel/thread_pool.h\"\n"
+        "void g() {\n"
+        "  par::parallel_for(par::ThreadPool::global(), 0, 8, [](int) {});\n"
+        "}\n"
+    ),
     # R6 negative: the pool itself submits.
     "src/parallel/good_pool.cpp": (
         "void run(ThreadPool& pool) { (void)pool.submit([] {}); }\n"
@@ -107,10 +128,12 @@ EXPECTED = [
     ("src/linalg/bad_eigen.cpp:1", "[eigen-include]"),
     ("src/core/bad_alloc.cpp:3", "[raw-new]"),
     ("src/core/bad_alloc.cpp:4", "[raw-delete]"),
-    ("src/core/bad_spmv.cpp:3", "[pooled-spmv]"),
-    ("src/core/bad_spmv.cpp:6", "[pooled-spmv]"),
+    ("src/cluster/bad_spmv.cpp:3", "[pooled-spmv]"),
+    ("src/cluster/bad_spmv.cpp:6", "[pooled-spmv]"),
     ("src/network/bad_submit.cpp:3", "[raw-submit]"),
     ("src/network/bad_submit.cpp:5", "[raw-submit]"),
+    ("src/core/bad_pool.cpp:5", "[core-pool]"),
+    ("src/core/bad_pool.cpp:7", "[core-pool]"),
 ]
 
 # Files that must produce no findings at all.
@@ -121,6 +144,7 @@ CLEAN = [
     "src/linalg/sparse.cpp",
     "src/parallel/good_pool.cpp",
     "tests/good_submit_test.cpp",
+    "src/network/good_fan_out.cpp",
 ]
 
 
