@@ -1,7 +1,7 @@
 // Microbenchmarks of the solver kernels: state-space enumeration, level
-// matrix assembly, dense LU factorization and left solve, the Neumann level
-// solve, epoch propagation, steady-state iteration, matrix exponential, PH
-// sampling and one simulator replication.
+// matrix assembly, dense LU factorization and its column and row solves, the
+// Neumann level solve, epoch propagation, steady-state iteration, matrix
+// exponential, PH sampling and one simulator replication.
 
 #include <benchmark/benchmark.h>
 
@@ -50,14 +50,18 @@ void BM_LevelMatrixAssembly(benchmark::State& state) {
 }
 BENCHMARK(BM_LevelMatrixAssembly)->Arg(4)->Arg(8)->Arg(12);
 
-void BM_DenseLuFactorTopLevel(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const net::NetworkSpec spec = cluster::build_cluster(central_h2(k));
-  const net::StateSpace space(spec, k);
-  const net::LevelMatrices& lm = space.level(k);
-  la::Matrix a = lm.p.to_dense();
+/// I - P_k of the top level of the central H2 cluster with k workstations.
+la::Matrix top_level_operator(const net::StateSpace& space, std::size_t k) {
+  la::Matrix a = space.level(k).p.to_dense();
   a *= -1.0;
   for (std::size_t i = 0; i < a.rows(); ++i) a(i, i) += 1.0;
+  return a;
+}
+
+void BM_DenseLuFactorTopLevel(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const net::StateSpace space(cluster::build_cluster(central_h2(k)), k);
+  const la::Matrix a = top_level_operator(space, k);
   for (auto _ : state) {
     la::LuDecomposition lu(a);
     benchmark::DoNotOptimize(lu.determinant());
@@ -65,6 +69,41 @@ void BM_DenseLuFactorTopLevel(benchmark::State& state) {
   state.counters["dim"] = static_cast<double>(a.rows());
 }
 BENCHMARK(BM_DenseLuFactorTopLevel)->Arg(8)->Arg(12);
+
+// The two sweeps against the factor BM_DenseLuFactorTopLevel builds: a
+// column solve (I - P_K) x = eps and a row solve x (I - P_K) = p_K.  Each
+// walks the stored entries of L and U once.
+void BM_DenseLuSolveTopLevel(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const net::StateSpace space(cluster::build_cluster(central_h2(k)), k);
+  const la::LuDecomposition lu(top_level_operator(space, k));
+  const la::Vector eps = la::ones(lu.dim());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lu.solve(eps).data());
+  }
+  state.counters["dim"] = static_cast<double>(lu.dim());
+  state.counters["stored_entries"] = static_cast<double>(lu.stored_entries());
+}
+BENCHMARK(BM_DenseLuSolveTopLevel)
+    ->Arg(8)
+    ->Arg(12)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_DenseLuSolveLeftTopLevel(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const net::StateSpace space(cluster::build_cluster(central_h2(k)), k);
+  const la::LuDecomposition lu(top_level_operator(space, k));
+  const la::Vector pi = space.initial_vector(k);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lu.solve_left(pi).data());
+  }
+  state.counters["dim"] = static_cast<double>(lu.dim());
+  state.counters["stored_entries"] = static_cast<double>(lu.stored_entries());
+}
+BENCHMARK(BM_DenseLuSolveLeftTopLevel)
+    ->Arg(8)
+    ->Arg(12)
+    ->Unit(benchmark::kMicrosecond);
 
 // One row solve x (I - P_4) = pi against a prebuilt factorization: level 4
 // of the Figure 6 C^2 = 10 model (distributed K = 5, D = 1375), the dense

@@ -164,7 +164,7 @@ la::Vector ModelArtifacts::rescue_solve(std::size_t k,
           la::Matrix a = space_.level(k).p.to_dense();
           a *= -1.0;
           for (std::size_t i = 0; i < d; ++i) a(i, i) += 1.0 + sigma;
-          shifted.emplace(a);
+          shifted.emplace(std::move(a));
         } catch (const SolverError&) {
           continue;  // shifted factorization failed too: escalate sigma
         }
@@ -245,7 +245,7 @@ const ModelArtifacts::Level& ModelArtifacts::prepared_level(
       a *= -1.0;
       for (std::size_t i = 0; i < d; ++i) a(i, i) += 1.0;
       try {
-        lvl.lu.emplace(a);
+        lvl.lu.emplace(std::move(a));
       } catch (const SolverError& e) {
         if (e.kind() != SolverErrorKind::kSingular || opts_.strict) {
           SolverErrorContext ctx = e.context();

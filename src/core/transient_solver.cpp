@@ -116,12 +116,32 @@ void uniformized_step(const net::LevelMatrices& lm, double q, la::Vector& v,
   }
 }
 
+/// Marks a uniformized sequence whose limit was not reached while stepping.
+constexpr std::size_t kUnsettled = static_cast<std::size_t>(-1);
+
 /// sum_n Poisson(n; qt) a_of(n) for qt > 0, the weights expanded outward
 /// from the mode in log space (exp(-qt) underflows beyond qt ~ 745), and
 /// the far-tail mass neither loop reaches charged at a_inf = lim a_n.
 /// a_of sees n = mode, mode + 1, ... before any n below the mode.
+///
+/// Every term from index `settled` >= 1 on is a_inf (kUnsettled: not
+/// known).  When the terms below it hold under 1e-17 of the Poisson mass,
+/// the mixture is its limit and no loop runs, so a huge finite qt costs
+/// nothing and its mode is never cast to an index.
 template <class A>
-double poisson_mixture(double qt, A&& a_of, double a_inf) {
+double poisson_mixture(double qt, A&& a_of, double a_inf,
+                       std::size_t settled) {
+  if (settled != kUnsettled && static_cast<double>(settled) < qt) {
+    // Below n0 < qt the weights shrink at least by n0 / qt per index, so
+    // P(n <= n0) <= w_n0 / (1 - n0 / qt).  q t is +inf only for a time
+    // near DBL_MAX.
+    const auto n0 = static_cast<double>(settled - 1);
+    if (std::isinf(qt) || n0 * std::log(qt) - qt - std::lgamma(n0 + 1.0) -
+                                  std::log1p(-n0 / qt) <
+                              std::log(1e-17)) {
+      return std::min(1.0, std::max(0.0, a_inf));
+    }
+  }
   const auto mode = static_cast<std::size_t>(qt);
   const double log_w_mode = static_cast<double>(mode) * std::log(qt) - qt -
                             std::lgamma(static_cast<double>(mode) + 1.0);
@@ -222,21 +242,32 @@ double TransientSolver::epoch_reliability(std::size_t k, const la::Vector& pi,
   if (t == 0.0) return pi.sum();
   // Uniformization of the level generator A = -B_k = -M_k (I - P_k):
   // R(t) = sum_n Poisson(n; qt) (pi Pu^n) eps with Pu = I + A/q; the
-  // survival mass -> 0.
+  // survival mass -> 0.  Once it falls to 1e-17 of its start it counts as
+  // that limit, so no t steps further than the survival takes to settle.
   const net::LevelMatrices& lm = space().level(k);
   const double q = lm.max_event_rate * 1.0001;
+  const double qt = q * t;
   std::vector<double> survival{pi.sum()};
+  std::size_t settled = kUnsettled;
   la::Vector term = pi;
   la::Vector scaled;
   la::Vector work;
-  const auto survival_at = [&](std::size_t n) {
-    while (survival.size() <= n) {
-      uniformized_step(lm, q, term, scaled, work);
-      survival.push_back(term.sum());
+  const auto step = [&] {
+    uniformized_step(lm, q, term, scaled, work);
+    survival.push_back(term.sum());
+    if (survival.back() <= 1e-17 * survival.front()) {
+      settled = survival.size() - 1;
     }
-    return survival[n];
   };
-  return poisson_mixture(q * t, survival_at, 0.0);
+  // The mixture starts at the mode: step to it, or until the mass settles.
+  while (settled == kUnsettled && static_cast<double>(survival.size()) <= qt) {
+    step();
+  }
+  const auto survival_at = [&](std::size_t n) {
+    while (settled == kUnsettled && survival.size() <= n) step();
+    return n < settled ? survival[n] : 0.0;
+  };
+  return poisson_mixture(qt, survival_at, 0.0, settled);
 }
 
 la::Vector TransientSolver::initial_vector() const {
@@ -532,8 +563,10 @@ std::vector<double> TransientSolver::makespan_cdf(
 
   const double t_max = *std::max_element(times.begin(), times.end());
   const double qt_max = q * t_max;
+  // The pass stops at absorption long before this bound; the cap at 2^53
+  // keeps the cast defined for any finite time.
   const auto n_max = static_cast<std::size_t>(
-      qt_max + 12.0 * std::sqrt(qt_max + 1.0) + 64.0);
+      std::min(qt_max + 12.0 * std::sqrt(qt_max + 1.0) + 64.0, 0x1p53));
 
   // DTMC pass: one row vector per block, stepped in place, and the absorbed
   // mass after each uniformized step.  The scratch vectors are sized once
@@ -578,7 +611,8 @@ std::vector<double> TransientSolver::makespan_cdf(
   }
 
   // Evaluate each time point: F(t) = sum_n Poisson(n; qt) a_n, with the
-  // tail beyond the recorded steps charged at the final absorbed level.
+  // tail beyond the recorded steps charged at the final absorbed level, which
+  // every term from the last recorded step on equals.
   const auto a_of = [&](std::size_t n) {
     return n < absorbed_after.size() ? absorbed_after[n]
                                      : absorbed_after.back();
@@ -587,7 +621,8 @@ std::vector<double> TransientSolver::makespan_cdf(
   for (std::size_t ti = 0; ti < times.size(); ++ti) {
     const double t = times[ti];
     result[ti] = t == 0.0 ? 0.0
-                          : poisson_mixture(q * t, a_of, absorbed_after.back());
+                          : poisson_mixture(q * t, a_of, absorbed_after.back(),
+                                            absorbed_after.size() - 1);
   }
   return result;
 }

@@ -153,7 +153,9 @@ class TransientSolver {
   [[nodiscard]] double epoch_second_moment(std::size_t k,
                                            const la::Vector& pi) const;
   /// P(next departure later than t | state pi): pi exp(-t B_k) eps,
-  /// computed by uniformization on the level's sparse matrices.
+  /// computed by uniformization on the level's sparse matrices.  The
+  /// survival counts as 0 once it falls below 1e-17 of pi.sum(), so the
+  /// steps a call takes do not grow with t.
   [[nodiscard]] double epoch_reliability(std::size_t k, const la::Vector& pi,
                                          double t) const;
 
@@ -196,6 +198,9 @@ class TransientSolver {
   /// by uniformization of the layered absorbing chain (extension).  One
   /// discrete pass covers all time points; `times` need not be sorted.
   /// Accuracy ~1e-10 plus uniformization truncation at the largest time.
+  /// The pass stops once the chain has absorbed, and a time whose Poisson
+  /// mass lies wholly past that point reads the absorbed limit, so any
+  /// finite time returns promptly.
   [[nodiscard]] std::vector<double> makespan_cdf(
       std::size_t tasks, const std::vector<double>& times) const;
   /// Single-point convenience overload.

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "check/fault_inject.h"
 #include "linalg/solver_error.h"
@@ -33,13 +35,13 @@ namespace {
 
 }  // namespace
 
-LuDecomposition::LuDecomposition(const Matrix& a) : lu_(a) {
+LuDecomposition::LuDecomposition(Matrix a) {
   if (!a.square()) {
     throw std::invalid_argument("LuDecomposition: matrix is not square");
   }
   obs::counter_add(obs::Counter::kLuFactorizations);
   norm_inf_a_ = a.norm_inf();
-  const std::size_t n = lu_.rows();
+  const std::size_t n = a.rows();
   piv_.resize(n);
   for (std::size_t i = 0; i < n; ++i) piv_[i] = i;
 
@@ -50,9 +52,9 @@ LuDecomposition::LuDecomposition(const Matrix& a) : lu_(a) {
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: pick the largest |entry| in column k at/below row k.
     std::size_t p = k;
-    double best = std::abs(lu_(k, k));
+    double best = std::abs(a(k, k));
     for (std::size_t i = k + 1; i < n; ++i) {
-      const double v = std::abs(lu_(i, k));
+      const double v = std::abs(a(i, k));
       if (v > best) {
         best = v;
         p = i;
@@ -64,22 +66,55 @@ LuDecomposition::LuDecomposition(const Matrix& a) : lu_(a) {
     }
     max_pivot = std::max(max_pivot, best);
     if (p != k) {
-      auto rk = lu_.row(k);
-      auto rp = lu_.row(p);
+      auto rk = a.row(k);
+      auto rp = a.row(p);
       std::swap_ranges(rk.begin(), rk.end(), rp.begin());
       std::swap(piv_[k], piv_[p]);
       pivot_sign_ = -pivot_sign_;
     }
-    const double pivot = lu_(k, k);
+    const double pivot = a(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
-      const double m = lu_(i, k) / pivot;
-      lu_(i, k) = m;
+      const double m = a(i, k) / pivot;
+      a(i, k) = m;
       if (m == 0.0) continue;
-      const auto rowk = lu_.row(k);
-      auto rowi = lu_.row(i);
+      const auto rowk = a.row(k);
+      auto rowi = a.row(i);
       for (std::size_t j = k + 1; j < n; ++j) rowi[j] -= m * rowk[j];
     }
   }
+
+  // Keep the nonzeros of the packed factor, each row in ascending column
+  // order (the order the dense sweeps visit them); `a` is freed with the
+  // argument.  Column indices fit 32 bits: no n x n matrix of doubles with
+  // n >= 2^32 exists.
+  const auto compress = [&](Rows& rows, bool below) {
+    const auto columns = [&](std::size_t i) {
+      return below ? std::pair<std::size_t, std::size_t>{0, i}
+                   : std::pair<std::size_t, std::size_t>{i + 1, n};
+    };
+    std::size_t nnz = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto [lo, hi] = columns(i);
+      for (std::size_t j = lo; j < hi; ++j) nnz += a(i, j) != 0.0 ? 1 : 0;
+    }
+    rows.start.reserve(n + 1);
+    rows.col.reserve(nnz);
+    rows.val.reserve(nnz);
+    rows.start.push_back(0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto [lo, hi] = columns(i);
+      for (std::size_t j = lo; j < hi; ++j) {
+        if (a(i, j) == 0.0) continue;
+        rows.col.push_back(static_cast<std::uint32_t>(j));
+        rows.val.push_back(a(i, j));
+      }
+      rows.start.push_back(rows.val.size());
+    }
+  };
+  compress(lower_, true);
+  compress(upper_, false);
+  diag_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) diag_[i] = a(i, i);
 }
 
 Vector LuDecomposition::solve(const Vector& b) const {
@@ -89,14 +124,18 @@ Vector LuDecomposition::solve(const Vector& b) const {
   // Apply permutation, forward substitution with unit-lower L.
   for (std::size_t i = 0; i < n; ++i) {
     double s = b[piv_[i]];
-    for (std::size_t j = 0; j < i; ++j) s -= lu_(i, j) * x[j];
+    for (std::size_t p = lower_.start[i]; p < lower_.start[i + 1]; ++p) {
+      s -= lower_.val[p] * x[lower_.col[p]];
+    }
     x[i] = s;
   }
   // Back substitution with U.
   for (std::size_t ii = n; ii-- > 0;) {
     double s = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(ii, j) * x[j];
-    x[ii] = s / lu_(ii, ii);
+    for (std::size_t p = upper_.start[ii]; p < upper_.start[ii + 1]; ++p) {
+      s -= upper_.val[p] * x[upper_.col[p]];
+    }
+    x[ii] = s / diag_[ii];
   }
   return x;
 }
@@ -106,25 +145,27 @@ Vector LuDecomposition::solve_left(const Vector& b) const {
   // solve U^T z = b (forward), L^T w = z (backward), then x = P^T w,
   // i.e. x[piv[i]] = w[i].
   //
-  // U^T and L^T are read through the rows of the row-major packed factor:
-  // once unknown j is final, row j of LU is subtracted from the pending
-  // right-hand sides (an axpy) instead of walking column j.  The forward
-  // sweep subtracts in the same (ascending j) order as the column form, so
-  // it rounds identically; the backward sweep subtracts in descending j.
+  // U^T and L^T are read through the rows of the factors: once unknown j is
+  // final, row j is subtracted from the pending right-hand sides (an axpy)
+  // instead of walking column j.  The forward sweep subtracts in the same
+  // (ascending j) order as the column form, so it rounds identically; the
+  // backward sweep subtracts in descending j.
   const std::size_t n = dim();
   if (b.size() != n) throw std::invalid_argument("LU solve_left: size mismatch");
   Vector w = b;
   double* const wp = w.data();
   for (std::size_t j = 0; j < n; ++j) {
-    const double* const row = lu_.row(j).data();
-    const double zj = wp[j] / row[j];
+    const double zj = wp[j] / diag_[j];
     wp[j] = zj;
-    for (std::size_t i = j + 1; i < n; ++i) wp[i] -= row[i] * zj;
+    for (std::size_t p = upper_.start[j]; p < upper_.start[j + 1]; ++p) {
+      wp[upper_.col[p]] -= upper_.val[p] * zj;
+    }
   }
   for (std::size_t j = n; j-- > 0;) {
-    const double* const row = lu_.row(j).data();
     const double wj = wp[j];
-    for (std::size_t i = 0; i < j; ++i) wp[i] -= row[i] * wj;
+    for (std::size_t p = lower_.start[j]; p < lower_.start[j + 1]; ++p) {
+      wp[lower_.col[p]] -= lower_.val[p] * wj;
+    }
   }
   Vector x(n);
   for (std::size_t i = 0; i < n; ++i) x[piv_[i]] = w[i];
@@ -144,11 +185,9 @@ Matrix LuDecomposition::solve(const Matrix& b) const {
   return x;
 }
 
-Matrix LuDecomposition::inverse() const { return solve(identity(dim())); }
-
 double LuDecomposition::determinant() const noexcept {
   double d = pivot_sign_;
-  for (std::size_t i = 0; i < dim(); ++i) d *= lu_(i, i);
+  for (const double u : diag_) d *= u;
   return d;
 }
 
@@ -171,8 +210,6 @@ Vector solve(const Matrix& a, const Vector& b) {
 Vector solve_left(const Matrix& a, const Vector& b) {
   return LuDecomposition(a).solve_left(b);
 }
-
-Matrix inverse(const Matrix& a) { return LuDecomposition(a).inverse(); }
 
 double determinant(const Matrix& a) {
   return LuDecomposition(a).determinant();

@@ -7,6 +7,8 @@
 // which the factorization supports without refactorizing.
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "linalg/matrix.h"
 
@@ -14,16 +16,27 @@ namespace finwork::la {
 
 /// PLU factorization of a square matrix: P*A = L*U with unit-diagonal L.
 /// The factorization is computed once and supports repeated solves with both
-/// A and A^T, inversion, and the determinant.
+/// A and A^T, and the determinant.
+///
+/// Elimination runs densely, in place in the matrix it is given; afterwards
+/// only the pivots, the diagonal of U and the nonzeros of L and U are kept
+/// (the level matrices of a model leave their factors mostly zeros), and
+/// every solve walks those entries in the order the dense sweeps would, so a
+/// skipped zero term changes no result.
 class LuDecomposition {
  public:
-  /// Factorizes a copy of `a`.  Throws std::invalid_argument if `a` is not
-  /// square and finwork::SolverError (kind kSingular, with the dimension,
-  /// pivot column and a pivot-ratio condition estimate in its context) if
-  /// `a` is singular to working precision.
-  explicit LuDecomposition(const Matrix& a);
+  /// Factorizes `a` in place; pass an rvalue to avoid the copy.  Throws
+  /// std::invalid_argument if `a` is not square and finwork::SolverError
+  /// (kind kSingular, with the dimension, pivot column and a pivot-ratio
+  /// condition estimate in its context) if `a` is singular to working
+  /// precision.
+  explicit LuDecomposition(Matrix a);
 
-  [[nodiscard]] std::size_t dim() const noexcept { return lu_.rows(); }
+  [[nodiscard]] std::size_t dim() const noexcept { return diag_.size(); }
+  /// Entries the factor keeps: the nonzeros of L and U, diagonal included.
+  [[nodiscard]] std::size_t stored_entries() const noexcept {
+    return lower_.val.size() + upper_.val.size() + diag_.size();
+  }
 
   /// Solve A x = b (column-vector right-hand side).
   [[nodiscard]] Vector solve(const Vector& b) const;
@@ -31,8 +44,6 @@ class LuDecomposition {
   [[nodiscard]] Vector solve_left(const Vector& b) const;
   /// Solve A X = B column-by-column.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
-  /// A^-1 (computed by solving against the identity).
-  [[nodiscard]] Matrix inverse() const;
   /// det(A), including the pivot sign.
   [[nodiscard]] double determinant() const noexcept;
   /// Estimated reciprocal condition number in the infinity norm (cheap
@@ -40,7 +51,17 @@ class LuDecomposition {
   [[nodiscard]] double rcond_estimate() const;
 
  private:
-  Matrix lu_;                     // packed L (below diag) and U (on/above diag)
+  /// The off-diagonal nonzeros of one triangular factor, row-compressed:
+  /// row i holds col/val[start[i] .. start[i + 1]) in ascending column order.
+  struct Rows {
+    std::vector<std::size_t> start;
+    std::vector<std::uint32_t> col;
+    std::vector<double> val;
+  };
+
+  Rows lower_;                    // L below its unit diagonal
+  Rows upper_;                    // U above its diagonal
+  std::vector<double> diag_;      // diagonal of U
   std::vector<std::size_t> piv_;  // row permutation
   int pivot_sign_ = 1;
   double norm_inf_a_ = 0.0;  // infinity norm of the original matrix
@@ -49,7 +70,6 @@ class LuDecomposition {
 /// One-shot convenience wrappers.
 [[nodiscard]] Vector solve(const Matrix& a, const Vector& b);
 [[nodiscard]] Vector solve_left(const Matrix& a, const Vector& b);
-[[nodiscard]] Matrix inverse(const Matrix& a);
 [[nodiscard]] double determinant(const Matrix& a);
 
 }  // namespace finwork::la

@@ -72,6 +72,29 @@ TEST(MakespanCdf, BoundaryBehaviour) {
   EXPECT_TRUE(solver.makespan_cdf(3, std::vector<double>{}).empty());
 }
 
+TEST(MakespanCdf, HugeFiniteTimesCloseAtTheLimit) {
+  // Once the chain has absorbed, P(T <= t) is its limit however far t is:
+  // q t past 2^64 (t = 1e20), or overflowing to +inf (t = DBL_MAX), costs
+  // one absorption pass and casts no q t to an index.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kCentral;
+  cfg.workstations = 3;
+  const core::TransientSolver solver(cluster::build_cluster(cfg), 3);
+  const double at_1e9 = solver.makespan_cdf(5, 1e9);
+  EXPECT_NEAR(at_1e9, 1.0, 1e-12);
+  for (const double t : {1e12, 1e17, 1e20, std::numeric_limits<double>::max()}) {
+    EXPECT_EQ(solver.makespan_cdf(5, t), at_1e9) << t;
+  }
+  const double mean = solver.makespan(5);
+  const std::vector<double> cdf =
+      solver.makespan_cdf(5, std::vector<double>{mean, 1e17, 1e20});
+  EXPECT_GT(cdf[0], 0.1);
+  EXPECT_LT(cdf[0], 0.9);
+  EXPECT_NEAR(cdf[0], solver.makespan_cdf(5, mean), 1e-10);
+  EXPECT_EQ(cdf[1], at_1e9);
+  EXPECT_EQ(cdf[2], at_1e9);
+}
+
 TEST(MakespanCdf, RejectsNonFiniteTimes) {
   // Non-finite times are bad input: NaN has no step count and +inf no
   // Poisson mixture, so both are rejected before any step.

@@ -111,6 +111,24 @@ TEST(EpochMoments, ReliabilityRejectsNonFiniteTime) {
   }
 }
 
+TEST(EpochMoments, ReliabilityAtHugeTimesIsZero) {
+  // The survival mass settles after a number of uniformized steps that does
+  // not grow with t, so t = 1e12 (q t ~ 1e12 steps at one step per Poisson
+  // index), q t past 2^64 and q t overflowing to +inf all return at once.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kCentral;
+  cfg.workstations = 3;
+  const core::TransientSolver solver(cluster::build_cluster(cfg), 3);
+  const la::Vector pi = solver.initial_vector();
+  for (const double t : {1e12, 1e17, 1e20, std::numeric_limits<double>::max()}) {
+    EXPECT_EQ(solver.epoch_reliability(3, pi, t), 0.0) << t;
+  }
+  // Times on the epoch's own scale keep their mass.
+  const double mean = solver.mean_epoch_time(3, pi);
+  EXPECT_GT(solver.epoch_reliability(3, pi, mean), 0.05);
+  EXPECT_GT(solver.epoch_reliability(3, pi, 20.0 * mean), 0.0);
+}
+
 TEST(EpochMoments, ReliabilityMatchesCdfAtLongHorizons) {
   // N = 1 on a K = 2 cluster: the run is one level-1 epoch, so its
   // reliability is 1 - makespan_cdf(1, t), and both uniformize with the same
