@@ -128,19 +128,27 @@ BENCHMARK(BM_LuSolveLeft)->Unit(benchmark::kMicrosecond);
 
 enum class LevelSolve { kLeft, kRight, kPair };
 
-// One cold Neumann level solve on level 6 of the distributed K = 6 cluster
-// (D = 3003, above the dense threshold): the row solve pi (I - P_6)^-1 runs
-// the gather kernel over P_6^T, the column solve (I - P_6)^-1 M_6^-1 eps
-// over P_6 itself.  `pair` runs that column together with a second one, the
-// Q R image of the first as a moments admission pairs them, through the
-// two-column kernel: one pass over P_6 per iteration for both.
-void BM_NeumannLevelSolve(benchmark::State& state, LevelSolve kind) {
+/// The state space of the `large_n` model, the distributed K = 6 cluster,
+/// whose level 6 (D = 3003) is above the dense threshold.
+net::StateSpace distributed_k6_space() {
   cluster::ExperimentConfig cfg;
   cfg.architecture = cluster::Architecture::kDistributed;
   cfg.workstations = 6;
-  const net::StateSpace space(cluster::build_cluster(cfg), 6);
+  return net::StateSpace(cluster::build_cluster(cfg), 6);
+}
+
+// One cold Neumann level solve on level 6 of the distributed K = 6 cluster:
+// the row solve pi (I - P_6)^-1 runs the kernel over the grouped gather
+// operator of P_6^T, the column solve (I - P_6)^-1 M_6^-1 eps over that of
+// P_6 itself.  `pair` runs that column together with a second one, the Q R
+// image of the first as a moments admission pairs them, through the
+// two-column kernel: one pass over P_6 per iteration for both.
+void BM_NeumannLevelSolve(benchmark::State& state, LevelSolve kind) {
+  const net::StateSpace space = distributed_k6_space();
   const net::LevelMatrices& lm = space.level(6);
-  const la::CsrMatrix a = kind == LevelSolve::kLeft ? lm.p.transpose() : lm.p;
+  const la::GatherMatrix a = kind == LevelSolve::kLeft
+                                 ? la::GatherMatrix::transpose_of(lm.p)
+                                 : la::GatherMatrix(lm.p);
   la::Vector b = space.initial_vector(6);
   if (kind != LevelSolve::kLeft) {
     for (std::size_t i = 0; i < b.size(); ++i) b[i] = 1.0 / lm.event_rates[i];
@@ -169,6 +177,26 @@ BENCHMARK_CAPTURE(BM_NeumannLevelSolve, right, LevelSolve::kRight)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_NeumannLevelSolve, pair, LevelSolve::kPair)
     ->Unit(benchmark::kMillisecond);
+
+// One column action y = P_6 x on the same level: the CSR row loop
+// (CsrMatrix::apply) against the grouped gather operator, same bits.
+void BM_GatherApply(benchmark::State& state, bool grouped) {
+  const net::StateSpace space = distributed_k6_space();
+  const la::CsrMatrix& p = space.level(6).p;
+  const la::GatherMatrix g(p);
+  la::Vector x(p.cols());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 1.0 / (1.0 + static_cast<double>(i));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize((grouped ? g.apply(x) : p.apply(x)).data());
+  }
+  state.counters["dim"] = static_cast<double>(p.rows());
+  state.counters["nnz"] = static_cast<double>(p.nnz());
+}
+BENCHMARK_CAPTURE(BM_GatherApply, csr, false)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GatherApply, grouped, true)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_EpochStep(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));

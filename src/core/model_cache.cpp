@@ -69,7 +69,7 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
   // all through the gather operator: P_k for column solves, P_k^T for row
   // solves.
   obs::counter_add(obs::Counter::kIterativeSolves);
-  const la::CsrMatrix& gather = gather_operator(k, left);
+  const la::GatherMatrix& gather = gather_operator(k, left);
   la::IterativeResult res =
       la::neumann_solve(gather, b, kTolerance, kMaxNeumannIterations);
   if (res.converged) return std::move(res.x);
@@ -77,7 +77,7 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
 }
 
 la::Vector ModelArtifacts::krylov_solve(std::size_t k,
-                                        const la::CsrMatrix& gather,
+                                        const la::GatherMatrix& gather,
                                         const la::Vector& b, bool left) const {
   const auto apply_a = [&gather](const la::Vector& v) {
     la::Vector y = v;
@@ -107,17 +107,20 @@ la::Vector ModelArtifacts::krylov_solve(std::size_t k,
   return rescue_solve(k, gather, b, left);
 }
 
-const la::CsrMatrix& ModelArtifacts::gather_operator(std::size_t k,
-                                                     bool left) const {
-  if (!left) return space_.level(k).p;
+const la::GatherMatrix& ModelArtifacts::gather_operator(std::size_t k,
+                                                        bool left) const {
   Level& lvl = levels_[k];
-  std::call_once(lvl.pt_once,
-                 [&] { lvl.pt.emplace(space_.level(k).p.transpose()); });
-  return *lvl.pt;
+  const std::size_t side = left ? 0 : 1;
+  std::call_once(lvl.gather_once[side], [&] {
+    const la::CsrMatrix& p = space_.level(k).p;
+    lvl.gather[side].emplace(left ? la::GatherMatrix::transpose_of(p)
+                                  : la::GatherMatrix(p));
+  });
+  return *lvl.gather[side];
 }
 
 bool ModelArtifacts::refine_solution(const Level& lvl,
-                                     const la::CsrMatrix& gather,
+                                     const la::GatherMatrix& gather,
                                      const la::Vector& b, la::Vector& x,
                                      bool left) const {
   const double target = kTolerance * std::max(b.norm_inf(), 1e-300);
@@ -140,7 +143,7 @@ bool ModelArtifacts::refine_solution(const Level& lvl,
 }
 
 la::Vector ModelArtifacts::rescue_solve(std::size_t k,
-                                        const la::CsrMatrix& gather,
+                                        const la::GatherMatrix& gather,
                                         const la::Vector& b, bool left) const {
   const std::size_t d = space_.dimension(k);
   const double target = kTolerance * std::max(b.norm_inf(), 1e-300);
@@ -323,7 +326,7 @@ std::array<la::Vector, 2> ModelArtifacts::solve_right(
             ladder_solve(lvl, k, b2, /*left=*/false)};
   }
   obs::counter_add(obs::Counter::kIterativeSolves, 2);
-  const la::CsrMatrix& p = space_.level(k).p;
+  const la::GatherMatrix& p = gather_operator(k, /*left=*/false);
   auto [r1, r2] =
       la::neumann_solve(p, b1, b2, kTolerance, kMaxNeumannIterations);
   return {r1.converged ? std::move(r1.x) : krylov_solve(k, p, b1, false),

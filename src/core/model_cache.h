@@ -6,12 +6,12 @@
 // independent of the query: the reduced-product StateSpace, the per-level
 // LU factorization of (I - P_k), the per-level tau'_k vectors, the drain
 // vectors h_k and x_k (mean and half second moment of the time to empty
-// level k) and the lazily transposed P_k^T.  It is immutable from the
-// outside and safe to share across threads — every lazily-built piece is
-// published through a once-flag or an acquire/release atomic — so any number
-// of TransientSolver instances (e.g. the points of a figure sweep running
-// under parallel_for) can evaluate the same model concurrently without
-// rebuilding it.
+// level k) and the lazily built grouped gather operators of P_k and P_k^T.
+// It is immutable from the outside and safe to share across threads — every
+// lazily-built piece is published through a once-flag or an acquire/release
+// atomic — so any number of TransientSolver instances (e.g. the points of a
+// figure sweep running under parallel_for) can evaluate the same model
+// concurrently without rebuilding it.
 //
 // ModelCache maps a *canonical byte encoding* of the model inputs (station
 // shapes at double precision, routing, contention, K, and the model options)
@@ -37,6 +37,7 @@
 #include "core/transient_solver.h"
 #include "linalg/lu.h"
 #include "linalg/matrix.h"
+#include "linalg/sparse.h"
 #include "network/state_space.h"
 
 namespace finwork::core {
@@ -86,10 +87,11 @@ class ModelArtifacts {
     std::once_flag once;
     std::atomic<bool> prepared{false};
     std::optional<la::LuDecomposition> lu;
-    /// P_k^T, the gather operator of left solves; built on the level's first
-    /// left solve that reaches refinement or the iterative stage.
-    std::once_flag pt_once;
-    std::optional<la::CsrMatrix> pt;
+    /// The grouped gather operators, P_k^T for left solves [0] and P_k for
+    /// column solves [1]; each built on the level's first solve in its
+    /// direction that reaches refinement or the iterative stage.
+    std::array<std::once_flag, 2> gather_once;
+    std::array<std::optional<la::GatherMatrix>, 2> gather;
     la::Vector tau;
     /// Reciprocal condition estimate of the factorization (0 = no LU).
     double rcond = 0.0;
@@ -115,22 +117,23 @@ class ModelArtifacts {
   la::Vector ladder_solve(const Level& lvl, std::size_t k, const la::Vector& b,
                           bool left) const;
   /// The operator every stage past the plain LU solve applies, as a serial
-  /// gather: P_k^T for row solves (transposed once, on first use, so dense
-  /// levels that never refine and column-only levels never store it), P_k
-  /// for column solves.  `gather.apply(v)` is v P_k or P_k v respectively;
-  /// below, `left` only picks the direction of the LU solves.
-  const la::CsrMatrix& gather_operator(std::size_t k, bool left) const;
+  /// grouped gather (la::GatherMatrix): P_k^T for row solves, P_k for column
+  /// solves, each built once, on first use, so dense levels that never
+  /// refine hold neither and a level keeps only the directions it solves in.
+  /// `gather.apply(v)` is v P_k or P_k v respectively; below, `left` only
+  /// picks the direction of the LU solves.
+  const la::GatherMatrix& gather_operator(std::size_t k, bool left) const;
   /// The ladder past a Neumann stage that did not converge.
-  la::Vector krylov_solve(std::size_t k, const la::CsrMatrix& gather,
+  la::Vector krylov_solve(std::size_t k, const la::GatherMatrix& gather,
                           const la::Vector& b, bool left) const;
   /// Refinement stage: correct `x` against the true operator until the
   /// residual meets the solve tolerance; false when the cap runs out.
-  bool refine_solution(const Level& lvl, const la::CsrMatrix& gather,
+  bool refine_solution(const Level& lvl, const la::GatherMatrix& gather,
                        const la::Vector& b, la::Vector& x, bool left) const;
   /// Rescue stage: shifted-operator Richardson iteration (dense levels
   /// re-factor I - P + sigma I; iterative levels run the shifted Neumann
   /// series).  Throws SolverError on failure.
-  la::Vector rescue_solve(std::size_t k, const la::CsrMatrix& gather,
+  la::Vector rescue_solve(std::size_t k, const la::GatherMatrix& gather,
                           const la::Vector& b, bool left) const;
 
   net::StateSpace space_;

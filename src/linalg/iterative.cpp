@@ -49,14 +49,12 @@ namespace {
 /// the others go on alone in the W = 1 instantiation from their current
 /// terms, so every column equals a lone series bit for bit.
 template <std::size_t W>
-void neumann_series(const CsrMatrix& a, std::array<IterativeResult*, W> res,
+void neumann_series(const GatherMatrix& a,
+                    std::array<IterativeResult*, W> res,
                     std::vector<double> term, double tol,
                     std::size_t max_iter) {
   const std::size_t n = a.rows();
   std::vector<double> next(W * n);
-  const std::size_t* const row_ptr = a.row_ptr().data();
-  const std::size_t* const col = a.col_idx().data();
-  const double* const val = a.values().data();
   std::array<double*, W> x;
   for (std::size_t w = 0; w < W; ++w) x[w] = res[w]->x.data();
   if (term.empty()) {
@@ -67,21 +65,8 @@ void neumann_series(const CsrMatrix& a, std::array<IterativeResult*, W> res,
   for (bool stopped = false; !stopped && it < max_iter;) {
     ++it;
     // next = A term, x += next and t = max |next|, in one pass over A.
-    const double* const cur = term.data();
-    double* const out = next.data();
-    std::array<double, W> t{};
-    for (std::size_t r = 0; r < n; ++r) {
-      std::array<double, W> s{};
-      for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        const double* const c = cur + W * col[k];
-        for (std::size_t w = 0; w < W; ++w) s[w] += val[k] * c[w];
-      }
-      for (std::size_t w = 0; w < W; ++w) {
-        out[W * r + w] = s[w];
-        x[w][r] += s[w];
-        t[w] = std::max(t[w], std::abs(s[w]));
-      }
-    }
+    const std::array<double, W> t =
+        a.neumann_sweep<W>(term.data(), next.data(), x);
     std::swap(term, next);
     for (std::size_t w = 0; w < W; ++w) {
       res[w]->iterations = it;
@@ -105,7 +90,8 @@ void neumann_series(const CsrMatrix& a, std::array<IterativeResult*, W> res,
 /// cap reports.  False when an injected "iterative/neumann" fault fires: the
 /// solve then reports non-convergence exactly as an exhausted cap would, so
 /// callers exercise their real fallback path.
-bool neumann_start(const CsrMatrix& a, const Vector& b, IterativeResult& res) {
+bool neumann_start(const GatherMatrix& a, const Vector& b,
+                   IterativeResult& res) {
   if (a.cols() != a.rows() || b.size() != a.rows()) {
     throw std::invalid_argument("neumann_solve: size mismatch");
   }
@@ -116,14 +102,14 @@ bool neumann_start(const CsrMatrix& a, const Vector& b, IterativeResult& res) {
 
 }  // namespace
 
-IterativeResult neumann_solve(const CsrMatrix& a, const Vector& b, double tol,
-                              std::size_t max_iter) {
+IterativeResult neumann_solve(const GatherMatrix& a, const Vector& b,
+                              double tol, std::size_t max_iter) {
   IterativeResult res;
   if (neumann_start(a, b, res)) neumann_series<1>(a, {&res}, {}, tol, max_iter);
   return res;
 }
 
-std::array<IterativeResult, 2> neumann_solve(const CsrMatrix& a,
+std::array<IterativeResult, 2> neumann_solve(const GatherMatrix& a,
                                              const Vector& b1,
                                              const Vector& b2, double tol,
                                              std::size_t max_iter) {

@@ -35,22 +35,23 @@ struct IterativeResult {
                                                  std::size_t max_iter = 200000);
 
 /// Neumann series x = sum_n A^n b for (I - A) x = b, as one serial in-place
-/// kernel over the CSR matrix: each iteration gathers the next term row by
-/// row (term' = A term), adds it to x and takes its inf-norm in the same
-/// pass, with two preallocated term buffers, no callable indirection and no
-/// per-iteration allocation.  A left solve x (I - P) = b passes A = P^T
-/// (CsrMatrix::transpose), whose gather reproduces
+/// kernel over the grouped gather operator: each iteration is one
+/// GatherMatrix::neumann_sweep (term' = A term, added to x, its inf-norm
+/// taken in the same pass), with two preallocated term buffers, no callable
+/// indirection and no per-iteration allocation.  A left solve x (I - P) = b
+/// passes A = GatherMatrix::transpose_of(P), which reproduces
 /// neumann_solve_left(row_operator(P)) bit for bit.  Same stopping rule,
 /// counters and "iterative/neumann" fault probe as neumann_solve_left.
-[[nodiscard]] IterativeResult neumann_solve(const CsrMatrix& a, const Vector& b,
+[[nodiscard]] IterativeResult neumann_solve(const GatherMatrix& a,
+                                            const Vector& b,
                                             double tol = 1e-12,
                                             std::size_t max_iter = 200000);
 
 /// neumann_solve(a, b1) and neumann_solve(a, b2), bit for bit, in one pass
 /// over A per iteration; the fault probe fires once per column, b1 first.
 [[nodiscard]] std::array<IterativeResult, 2> neumann_solve(
-    const CsrMatrix& a, const Vector& b1, const Vector& b2, double tol = 1e-12,
-    std::size_t max_iter = 200000);
+    const GatherMatrix& a, const Vector& b1, const Vector& b2,
+    double tol = 1e-12, std::size_t max_iter = 200000);
 
 /// BiCGSTAB for x A = b given the row action y = x * A.  General-purpose
 /// fallback when Neumann is slow.  No preconditioner (the systems are well

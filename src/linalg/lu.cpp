@@ -49,6 +49,16 @@ LuDecomposition::LuDecomposition(Matrix a) {
     throw_singular(n, 0, norm_inf_a_, 0.0, "injected singular factorization");
   }
   double max_pivot = 0.0;
+  // Elimination skips zeros: a zero multiplier, or a pivot-row column
+  // outside the span from its first to its last nonzero right of the
+  // diagonal, would subtract m * 0, which leaves every nonzero as it is
+  // (zeros are dropped below).  The span stays one contiguous loop, which
+  // the compiler vectorizes; a loop over the nonzero columns alone does not
+  // vectorize and gained less.  Pivot row k right of the diagonal is U's
+  // row k, final from step k on; counting its nonzeros and the nonzero
+  // multipliers sizes the compressed factor exactly.
+  std::size_t nnz_lower = 0;
+  std::size_t nnz_upper = 0;
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: pick the largest |entry| in column k at/below row k.
     std::size_t p = k;
@@ -73,13 +83,23 @@ LuDecomposition::LuDecomposition(Matrix a) {
       pivot_sign_ = -pivot_sign_;
     }
     const double pivot = a(k, k);
+    const auto rowk = a.row(k);
+    std::size_t lo = n;
+    std::size_t hi = n;
+    for (std::size_t j = k + 1; j < n; ++j) {
+      if (rowk[j] == 0.0) continue;
+      if (lo == n) lo = j;
+      hi = j + 1;
+      ++nnz_upper;
+    }
     for (std::size_t i = k + 1; i < n; ++i) {
+      if (a(i, k) == 0.0) continue;
       const double m = a(i, k) / pivot;
       a(i, k) = m;
       if (m == 0.0) continue;
-      const auto rowk = a.row(k);
+      ++nnz_lower;
       auto rowi = a.row(i);
-      for (std::size_t j = k + 1; j < n; ++j) rowi[j] -= m * rowk[j];
+      for (std::size_t j = lo; j < hi; ++j) rowi[j] -= m * rowk[j];
     }
   }
 
@@ -87,16 +107,11 @@ LuDecomposition::LuDecomposition(Matrix a) {
   // order (the order the dense sweeps visit them); `a` is freed with the
   // argument.  Column indices fit 32 bits: no n x n matrix of doubles with
   // n >= 2^32 exists.
-  const auto compress = [&](Rows& rows, bool below) {
+  const auto compress = [&](Rows& rows, bool below, std::size_t nnz) {
     const auto columns = [&](std::size_t i) {
       return below ? std::pair<std::size_t, std::size_t>{0, i}
                    : std::pair<std::size_t, std::size_t>{i + 1, n};
     };
-    std::size_t nnz = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [lo, hi] = columns(i);
-      for (std::size_t j = lo; j < hi; ++j) nnz += a(i, j) != 0.0 ? 1 : 0;
-    }
     rows.start.reserve(n + 1);
     rows.col.reserve(nnz);
     rows.val.reserve(nnz);
@@ -111,8 +126,8 @@ LuDecomposition::LuDecomposition(Matrix a) {
       rows.start.push_back(rows.val.size());
     }
   };
-  compress(lower_, true);
-  compress(upper_, false);
+  compress(lower_, true, nnz_lower);
+  compress(upper_, false, nnz_upper);
   diag_.resize(n);
   for (std::size_t i = 0; i < n; ++i) diag_[i] = a(i, i);
 }

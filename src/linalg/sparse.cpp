@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <future>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/counters.h"
@@ -145,28 +147,6 @@ Vector CsrMatrix::apply_left_parallel(const Vector& x,
   return y;
 }
 
-CsrMatrix CsrMatrix::transpose() const {
-  // Counting sort by column: scanning rows in ascending order appends each
-  // transposed row's entries with ascending column index.
-  CsrMatrix t;
-  t.rows_ = cols_;
-  t.cols_ = rows_;
-  t.row_ptr_.assign(cols_ + 1, 0);
-  for (const std::size_t c : col_idx_) ++t.row_ptr_[c + 1];
-  for (std::size_t c = 0; c < cols_; ++c) t.row_ptr_[c + 1] += t.row_ptr_[c];
-  t.col_idx_.resize(values_.size());
-  t.values_.resize(values_.size());
-  std::vector<std::size_t> next(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::size_t dst = next[col_idx_[k]]++;
-      t.col_idx_[dst] = r;
-      t.values_[dst] = values_[k];
-    }
-  }
-  return t;
-}
-
 Vector CsrMatrix::row_sums() const {
   Vector s(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -207,6 +187,170 @@ double CsrMatrix::norm_inf() const noexcept {
   }
   return m;
 }
+
+GatherMatrix::GatherMatrix(const CsrMatrix& a) : GatherMatrix(a, false) {}
+
+GatherMatrix GatherMatrix::transpose_of(const CsrMatrix& a) {
+  return GatherMatrix(a, true);
+}
+
+GatherMatrix::GatherMatrix(const CsrMatrix& a, bool transpose)
+    : rows_(transpose ? a.cols() : a.rows()),
+      cols_(transpose ? a.rows() : a.cols()) {
+  if (std::max(rows_, cols_) > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("GatherMatrix: dimension exceeds 32-bit indices");
+  }
+  const std::vector<std::size_t>& row_ptr = a.row_ptr();
+  const std::vector<std::size_t>& col = a.col_idx();
+  const std::vector<double>& val = a.values();
+  std::vector<std::size_t> length(rows_, 0);
+  if (transpose) {
+    for (const std::size_t c : col) ++length[c];
+  } else {
+    for (std::size_t r = 0; r < rows_; ++r) {
+      length[r] = row_ptr[r + 1] - row_ptr[r];
+    }
+  }
+  // Counting sort by length: one group per length that occurs (length 0
+  // included), ascending, each holding its rows in ascending order.
+  const std::size_t longest =
+      rows_ == 0 ? 0 : *std::max_element(length.begin(), length.end());
+  std::vector<std::size_t> count(longest + 1, 0);
+  for (const std::size_t len : length) ++count[len];
+  std::vector<std::size_t> group_of(longest + 1, 0);
+  std::size_t first_row = 0;
+  std::size_t first_entry = 0;
+  for (std::size_t len = 0; len <= longest; ++len) {
+    if (count[len] == 0) continue;
+    group_of[len] = groups_.size();
+    groups_.push_back({len, count[len], first_row, first_entry});
+    first_row += count[len];
+    first_entry += count[len] * len;
+  }
+  // Slot of each row's first entry and the step to its next one: kLanes
+  // inside an interleaved block, 1 in a group's tail.
+  row_.resize(rows_);
+  col_.resize(val.size());
+  val_.resize(val.size());
+  std::vector<std::size_t> slot(rows_);
+  std::vector<std::uint8_t> step(rows_);
+  std::vector<std::size_t> placed(groups_.size(), 0);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const Group& g = groups_[group_of[length[r]]];
+    const std::size_t i = placed[group_of[length[r]]]++;
+    row_[g.first_row + i] = static_cast<std::uint32_t>(r);
+    const std::size_t blocked = g.rows - g.rows % kLanes;
+    if (i < blocked) {
+      slot[r] = g.first_entry + (i - i % kLanes) * g.length + i % kLanes;
+      step[r] = static_cast<std::uint8_t>(kLanes);
+    } else {
+      slot[r] = g.first_entry + i * g.length;
+      step[r] = 1;
+    }
+  }
+  // Each gathered row takes its entries in ascending source order: the
+  // columns of a CSR row, or the rows of A when gathering over A^T.
+  const auto put = [&](std::size_t r, std::size_t c, double v) {
+    col_[slot[r]] = static_cast<std::uint32_t>(c);
+    val_[slot[r]] = v;
+    slot[r] += step[r];
+  };
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      if (transpose) {
+        put(col[k], r, val[k]);
+      } else {
+        put(r, col[k], val[k]);
+      }
+    }
+  }
+}
+
+template <std::size_t W, class Emit>
+std::array<double, W> GatherMatrix::gather(const double* in,
+                                           Emit emit) const {
+  // Four named sums per block, each passed by value: GCC keeps them in
+  // registers, where sums indexed by lane or updated through a reference
+  // stay on the stack and lose most of the gain.  The norm is a local for
+  // the same reason: kept by the caller, its max chain would run through
+  // memory once per row.
+  static_assert(kLanes == 4, "a block body names its four sums");
+  using Sums = std::array<double, W>;
+  Sums norm{};
+  const auto finish = [&](std::size_t r, Sums s) {
+    emit(r, s);
+    for (std::size_t w = 0; w < W; ++w) {
+      norm[w] = std::max(norm[w], std::abs(s[w]));
+    }
+  };
+  for (const Group& g : groups_) {
+    const std::uint32_t* row = row_.data() + g.first_row;
+    const std::uint32_t* col = col_.data() + g.first_entry;
+    const double* val = val_.data() + g.first_entry;
+    const auto add = [&](Sums s, std::size_t lane) {
+      const double* const x = in + W * col[lane];
+      for (std::size_t w = 0; w < W; ++w) s[w] += val[lane] * x[w];
+      return s;
+    };
+    const std::size_t blocked = g.rows - g.rows % kLanes;
+    std::size_t i = 0;
+    for (; i < blocked; i += kLanes) {
+      Sums s0{}, s1{}, s2{}, s3{};
+      for (std::size_t j = 0; j < g.length; ++j) {
+        s0 = add(s0, 0);
+        s1 = add(s1, 1);
+        s2 = add(s2, 2);
+        s3 = add(s3, 3);
+        col += kLanes;
+        val += kLanes;
+      }
+      finish(row[i], s0);
+      finish(row[i + 1], s1);
+      finish(row[i + 2], s2);
+      finish(row[i + 3], s3);
+    }
+    for (; i < g.rows; ++i) {
+      Sums s{};
+      for (std::size_t j = 0; j < g.length; ++j) {
+        s = add(s, 0);
+        ++col;
+        ++val;
+      }
+      finish(row[i], s);
+    }
+  }
+  return norm;
+}
+
+Vector GatherMatrix::apply(const Vector& x) const {
+  if (x.size() != cols_) {
+    throw std::invalid_argument("GatherMatrix apply: size mismatch");
+  }
+  Vector y(rows_);
+  double* const out = y.data();
+  (void)gather<1>(x.data(),
+                  [out](std::size_t r, const std::array<double, 1>& s) {
+                    out[r] = s[0];
+                  });
+  return y;
+}
+
+template <std::size_t W>
+std::array<double, W> GatherMatrix::neumann_sweep(
+    const double* term, double* next, std::array<double*, W> x) const {
+  return gather<W>(term, [next, x](std::size_t r,
+                                   const std::array<double, W>& s) {
+    for (std::size_t w = 0; w < W; ++w) {
+      next[W * r + w] = s[w];
+      x[w][r] += s[w];
+    }
+  });
+}
+
+template std::array<double, 1> GatherMatrix::neumann_sweep<1>(
+    const double*, double*, std::array<double*, 1>) const;
+template std::array<double, 2> GatherMatrix::neumann_sweep<2>(
+    const double*, double*, std::array<double*, 2>) const;
 
 CsrMatrix to_csr(const Matrix& a, double drop_tol) {
   std::vector<Triplet> trips;

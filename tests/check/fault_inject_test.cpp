@@ -179,7 +179,7 @@ TEST_F(FaultInjectTest, NeumannKernelProbeReportsNonConvergence) {
   // The in-place gather kernel the ladder runs carries the same probe as
   // the RowOperator Neumann solve: armed, it returns b unconverged.
   const finwork::net::StateSpace space(small_cluster(), 2);
-  const finwork::la::CsrMatrix pt = space.level(2).p.transpose();
+  const auto pt = finwork::la::GatherMatrix::transpose_of(space.level(2).p);
   const finwork::la::Vector b(space.dimension(2), 1.0);
   const std::uint64_t fired = check::fault_fire_count("iterative/neumann");
   check::arm_fault("iterative/neumann", 1);

@@ -209,9 +209,9 @@ TEST_P(IterativeAgreement, NeumannAndBicgstabMatch) {
 INSTANTIATE_TEST_SUITE_P(ExitMasses, IterativeAgreement,
                          ::testing::Values(0.5, 0.1, 0.02, 0.005));
 
-// The in-place gather kernel over P^T is the scatter row action over P with
-// the same accumulation order: on level 6 of the distributed K = 6 cluster
-// it must reproduce the RowOperator Neumann solve bit for bit.
+// The in-place grouped gather kernel over P^T is the scatter row action over
+// P with the same accumulation order: on level 6 of the distributed K = 6
+// cluster it must reproduce the RowOperator Neumann solve bit for bit.
 TEST(NeumannKernel, GatherOverTransposeMatchesRowOperatorBitwise) {
   finwork::cluster::ExperimentConfig cfg;
   cfg.architecture = finwork::cluster::Architecture::kDistributed;
@@ -222,7 +222,7 @@ TEST(NeumannKernel, GatherOverTransposeMatchesRowOperatorBitwise) {
   const la::IterativeResult scatter =
       la::neumann_solve_left(la::row_operator(p), b, 1e-12, 20000);
   const la::IterativeResult gather =
-      la::neumann_solve(p.transpose(), b, 1e-12, 20000);
+      la::neumann_solve(la::GatherMatrix::transpose_of(p), b, 1e-12, 20000);
   ASSERT_TRUE(scatter.converged);
   ASSERT_TRUE(gather.converged);
   EXPECT_EQ(gather.iterations, scatter.iterations);
@@ -239,14 +239,14 @@ TEST(NeumannKernel, ColumnSolveMatchesApplyBitwise) {
   }
   const auto apply = [&p](const la::Vector& v) { return p.apply(v); };
   const la::IterativeResult ref = la::neumann_solve_left(apply, b);
-  const la::IterativeResult res = la::neumann_solve(p, b);
+  const la::IterativeResult res = la::neumann_solve(la::GatherMatrix(p), b);
   ASSERT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, ref.iterations);
   EXPECT_TRUE(bitwise_equal(res.x, ref.x));
 }
 
 TEST(NeumannKernel, ReportsNonConvergenceWhenCapped) {
-  const la::CsrMatrix p = random_sparse_substochastic(50, 4, 0.001, 9);
+  const la::GatherMatrix p(random_sparse_substochastic(50, 4, 0.001, 9));
   const la::IterativeResult res = la::neumann_solve(p, la::Vector(50, 1.0),
                                                     1e-14, 5);
   EXPECT_FALSE(res.converged);
@@ -255,7 +255,7 @@ TEST(NeumannKernel, ReportsNonConvergenceWhenCapped) {
 }
 
 TEST(NeumannKernel, SizeMismatchThrows) {
-  const la::CsrMatrix p = random_sparse_substochastic(10, 2, 0.2, 1);
+  const la::GatherMatrix p(random_sparse_substochastic(10, 2, 0.2, 1));
   EXPECT_THROW((void)la::neumann_solve(p, la::Vector(9, 1.0)),
                std::invalid_argument);
 }
@@ -266,7 +266,7 @@ TEST(NeumannKernel, SizeMismatchThrows) {
 TEST(NeumannKernel, PairMatchesTwoSolvesBitwise) {
   const finwork::net::StateSpace space(distributed_k6(), 6);
   const finwork::net::LevelMatrices& lm = space.level(6);
-  const la::CsrMatrix& p = lm.p;
+  const la::GatherMatrix p(lm.p);
   const auto [b1, b2] = level6_column_pair(lm);
   const la::IterativeResult r1 = la::neumann_solve(p, b1, 1e-12, 20000);
   const la::IterativeResult r2 = la::neumann_solve(p, b2, 1e-12, 20000);

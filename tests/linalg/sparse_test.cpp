@@ -110,16 +110,16 @@ TEST_P(CsrDenseAgreement, BothActionsMatchDense) {
   for (auto& v : y) v = dist(gen);
   EXPECT_TRUE(la::allclose(s.apply(x), d * x, 1e-12, 1e-13));
   EXPECT_TRUE(la::allclose(s.apply_left(y), y * d, 1e-12, 1e-13));
-  // The transpose: exact entries (at() binary-searches, so this also checks
-  // that each row's columns come out sorted), and a gather over it that
-  // reproduces the scatter row action bit for bit.
-  const la::CsrMatrix t = s.transpose();
+  // The grouped gather operators: over A it is the CSR column action, over
+  // A^T the scatter row action, bit for bit.
+  const la::GatherMatrix g(s);
+  const la::GatherMatrix t = la::GatherMatrix::transpose_of(s);
   ASSERT_EQ(t.rows(), cols);
   ASSERT_EQ(t.cols(), rows);
   EXPECT_EQ(t.nnz(), s.nnz());
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) EXPECT_EQ(t.at(c, r), d(r, c));
-  }
+  const la::Vector applied = s.apply(x);
+  const la::Vector grouped = g.apply(x);
+  for (std::size_t r = 0; r < rows; ++r) EXPECT_EQ(grouped[r], applied[r]);
   const la::Vector gathered = t.apply(y);
   const la::Vector scattered = s.apply_left(y);
   for (std::size_t c = 0; c < cols; ++c) EXPECT_EQ(gathered[c], scattered[c]);
