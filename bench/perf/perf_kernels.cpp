@@ -1,7 +1,8 @@
 // Microbenchmarks of the solver kernels: state-space enumeration, level
-// matrix assembly, dense LU factorization and its column and row solves, the
-// Neumann level solve, epoch propagation, steady-state iteration, matrix
-// exponential, PH sampling and one simulator replication.
+// matrix assembly, LU factorization (dense input and sparse levels) and its
+// column and row solves, the Neumann level solve, epoch propagation,
+// steady-state iteration, matrix exponential, PH sampling and one simulator
+// replication.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "linalg/expm.h"
 #include "linalg/iterative.h"
 #include "linalg/lu.h"
+#include "linalg/sparse.h"
 #include "pf/product_form.h"
 #include "ph/fitting.h"
 #include "sim/simulator.h"
@@ -125,6 +127,51 @@ void BM_LuSolveLeft(benchmark::State& state) {
   state.counters["dim"] = static_cast<double>(a.rows());
 }
 BENCHMARK(BM_LuSolveLeft)->Unit(benchmark::kMicrosecond);
+
+// One sparse factorization of I - P_k, assembled from the CSR level as the
+// model cache assembles it: Figure 6 C^2 = 10 level 4 (distributed K = 5,
+// D = 1375), level 5 of the `large_n` model (distributed K = 6, D = 1287)
+// and Figure 10's H2 CPU level 5 (coarse-grained, D = 1287, the most fill).
+void BM_LuFactorLevel(benchmark::State& state, cluster::ExperimentConfig cfg,
+                      std::size_t level) {
+  const net::StateSpace space(cluster::build_cluster(cfg), cfg.workstations);
+  const la::CsrMatrix a =
+      la::CsrMatrix::identity_minus(space.level(level).p, 1.0);
+  for (auto _ : state) {
+    la::LuDecomposition lu(a);
+    benchmark::DoNotOptimize(lu.determinant());
+  }
+  state.counters["dim"] = static_cast<double>(a.rows());
+  state.counters["stored_entries"] =
+      static_cast<double>(la::LuDecomposition(a).stored_entries());
+}
+
+cluster::ExperimentConfig distributed(std::size_t k) {
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = k;
+  return cfg;
+}
+
+cluster::ExperimentConfig fig06_scv10() {
+  cluster::ExperimentConfig cfg = distributed(5);
+  cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
+  return cfg;
+}
+
+cluster::ExperimentConfig fig10_h2() {
+  cluster::ExperimentConfig cfg = distributed(5);
+  cfg.app = cluster::ApplicationModel::coarse_grained();
+  cfg.shapes.cpu = cluster::ServiceShape::hyperexponential(2.0);
+  return cfg;
+}
+
+BENCHMARK_CAPTURE(BM_LuFactorLevel, fig06_l4, fig06_scv10(), 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LuFactorLevel, large_n_l5, distributed(6), 5)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LuFactorLevel, fig10_h2_l5, fig10_h2(), 5)
+    ->Unit(benchmark::kMillisecond);
 
 enum class LevelSolve { kLeft, kRight, kPair };
 

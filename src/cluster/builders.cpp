@@ -12,7 +12,7 @@ ServiceShape ServiceShape::exponential() {
 
 ServiceShape ServiceShape::erlang(std::size_t stages) {
   return {[stages](double mean) { return ph::PhaseType::erlang(stages, mean); },
-          "E" + std::to_string(stages)};
+          std::string("E").append(std::to_string(stages))};
 }
 
 ServiceShape ServiceShape::hyperexponential(double scv) {
@@ -123,7 +123,7 @@ net::NetworkSpec distributed_cluster(std::size_t workstations,
       {"LDisk", shapes.local_disk.make(app.local_disk_service()), workstations});
   stations.push_back({"Comm", shapes.comm.make(app.comm_service()), shared_mult});
   for (std::size_t i = 0; i < workstations; ++i) {
-    stations.push_back({"D" + std::to_string(i + 1),
+    stations.push_back({std::string("D").append(std::to_string(i + 1)),
                         shapes.remote_disk.make(app.remote_disk_service()),
                         shared_mult});
   }

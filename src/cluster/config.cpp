@@ -93,7 +93,8 @@ net::NetworkSpec parse_network(const io::JsonValue& value) {
                                    ? parse_shape(sj.at("shape"))
                                    : ServiceShape::exponential();
     stations.push_back(
-        {sj.string_or("name", "S" + std::to_string(stations.size())),
+        {sj.string_or("name",
+                      std::string("S").append(std::to_string(stations.size()))),
          shape.make(mean), mult});
   }
   const std::size_t s = stations.size();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -164,10 +165,8 @@ la::Vector ModelArtifacts::rescue_solve(std::size_t k,
       std::optional<la::LuDecomposition> shifted;
       if (d <= opts_.dense_threshold) {
         try {
-          la::Matrix a = space_.level(k).p.to_dense();
-          a *= -1.0;
-          for (std::size_t i = 0; i < d; ++i) a(i, i) += 1.0 + sigma;
-          shifted.emplace(std::move(a));
+          shifted.emplace(
+              la::CsrMatrix::identity_minus(space_.level(k).p, 1.0 + sigma));
         } catch (const SolverError&) {
           continue;  // shifted factorization failed too: escalate sigma
         }
@@ -244,11 +243,8 @@ const ModelArtifacts::Level& ModelArtifacts::prepared_level(
     const std::size_t d = space_.dimension(k);
     if (d <= opts_.dense_threshold) {
       const obs::ObsSpan factor_span("solver/factorize_level");
-      la::Matrix a = lm.p.to_dense();
-      a *= -1.0;
-      for (std::size_t i = 0; i < d; ++i) a(i, i) += 1.0;
       try {
-        lvl.lu.emplace(std::move(a));
+        lvl.lu.emplace(la::CsrMatrix::identity_minus(lm.p, 1.0));
       } catch (const SolverError& e) {
         if (e.kind() != SolverErrorKind::kSingular || opts_.strict) {
           SolverErrorContext ctx = e.context();
@@ -361,6 +357,11 @@ double ModelArtifacts::level_rcond(std::size_t k) const {
   return prepared_level(k).rcond;
 }
 
+std::size_t ModelArtifacts::level_factor_entries(std::size_t k) const {
+  const Level& lvl = prepared_level(k);
+  return lvl.lu ? lvl.lu->stored_entries() : 0;
+}
+
 // ---------------------------------------------------------------------------
 // Canonical key
 // ---------------------------------------------------------------------------
@@ -426,6 +427,12 @@ std::vector<std::uint8_t> canonical_model_key(const net::NetworkSpec& spec,
 // ---------------------------------------------------------------------------
 // ModelCache
 // ---------------------------------------------------------------------------
+
+bool ModelCache::KeyLess::operator()(const Key& a,
+                                     const Key& b) const noexcept {
+  if (a.size() != b.size()) return a.size() < b.size();
+  return std::memcmp(a.data(), b.data(), a.size()) < 0;
+}
 
 ModelCache::ModelCache(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}

@@ -79,6 +79,10 @@ class ModelArtifacts {
   /// Reciprocal condition estimate of level k's dense factorization of
   /// (I - P_k); 0 when the level is iterative or its factorization failed.
   [[nodiscard]] double level_rcond(std::size_t k) const;
+  /// Entries kept by level k's factorization of (I - P_k), its diagonal
+  /// included (la::LuDecomposition::stored_entries); 0 when the level is
+  /// iterative or its factorization failed.
+  [[nodiscard]] std::size_t level_factor_entries(std::size_t k) const;
 
  private:
   // Per-level artifacts.  Non-movable (once_flag, atomic), so levels_ is a
@@ -183,6 +187,11 @@ class ModelCache {
 
  private:
   using Key = std::vector<std::uint8_t>;
+  /// Keys by length, then bytes: the total order the index needs (the
+  /// vector's own operator<=> trips GCC 12's -Wstringop-overread at -O3).
+  struct KeyLess {
+    bool operator()(const Key& a, const Key& b) const noexcept;
+  };
   struct Entry {
     Key key;
     std::shared_ptr<const ModelArtifacts> model;
@@ -190,7 +199,7 @@ class ModelCache {
 
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  // front = most recently used
-  std::map<Key, std::list<Entry>::iterator> index_;
+  std::map<Key, std::list<Entry>::iterator, KeyLess> index_;
   std::size_t capacity_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

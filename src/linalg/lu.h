@@ -14,22 +14,35 @@
 
 namespace finwork::la {
 
+class CsrMatrix;
+
 /// PLU factorization of a square matrix: P*A = L*U with unit-diagonal L.
 /// The factorization is computed once and supports repeated solves with both
 /// A and A^T, and the determinant.
 ///
-/// Elimination runs densely, in place in the matrix it is given; afterwards
-/// only the pivots, the diagonal of U and the nonzeros of L and U are kept
-/// (the level matrices of a model leave their factors mostly zeros), and
-/// every solve walks those entries in the order the dense sweeps would, so a
-/// skipped zero term changes no result.
+/// Elimination is sparse and left-looking (docs/PERFORMANCE.md §8): column j
+/// of A is scattered into one dense work column, the earlier columns of L
+/// are subtracted from it in ascending pivot order, and its pivot is the
+/// largest |entry| among the rows not yet pivoted, ties to the lowest slot of
+/// the row permutation.  Every entry so receives the subtractions, in the
+/// order, of the dense right-looking elimination with row exchanges, and the
+/// factor holds only the pivots, the diagonal of U and the nonzeros of L and
+/// U.  Runs of columns of L whose rows nest (each holds the previous one's
+/// rows but its pivot row) are kept as one dense trapezoid over a shared row
+/// list and applied together, each entry still in ascending column order.
+/// Every solve walks the stored entries in the order the dense sweeps would,
+/// so a skipped zero term changes no result.
 class LuDecomposition {
  public:
-  /// Factorizes `a` in place; pass an rvalue to avoid the copy.  Throws
+  /// Factorizes the sparse matrix `a`; the factorization holds no more than
+  /// A, L, U and a few work vectors of its dimension.  Throws
   /// std::invalid_argument if `a` is not square and finwork::SolverError
   /// (kind kSingular, with the dimension, pivot column and a pivot-ratio
   /// condition estimate in its context) if `a` is singular to working
   /// precision.
+  explicit LuDecomposition(const CsrMatrix& a);
+  /// Factorizes the nonzeros of the dense matrix `a` through the same
+  /// elimination.
   explicit LuDecomposition(Matrix a);
 
   [[nodiscard]] std::size_t dim() const noexcept { return diag_.size(); }
@@ -58,6 +71,10 @@ class LuDecomposition {
     std::vector<std::uint32_t> col;
     std::vector<double> val;
   };
+
+  /// Eliminates `a` (row-compressed columns of A, i.e. the rows of A^T)
+  /// left-looking and stores the compact factor.
+  void factor(const Rows& a);
 
   Rows lower_;                    // L below its unit diagonal
   Rows upper_;                    // U above its diagonal

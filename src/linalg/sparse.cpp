@@ -68,6 +68,43 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
   }
 }
 
+CsrMatrix CsrMatrix::identity_minus(const CsrMatrix& p, double diagonal) {
+  const std::size_t n = p.rows_;
+  if (p.cols_ != n) {
+    throw std::invalid_argument("CsrMatrix::identity_minus: not square");
+  }
+  CsrMatrix a;
+  a.rows_ = n;
+  a.cols_ = n;
+  a.row_ptr_.assign(n + 1, 0);
+  a.col_idx_.reserve(p.nnz() + n);
+  a.values_.reserve(p.nnz() + n);
+  const auto push = [&a](std::size_t c, double v) {
+    if (v == 0.0) return;
+    a.col_idx_.push_back(c);
+    a.values_.push_back(v);
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    bool diag_done = false;
+    for (std::size_t k = p.row_ptr_[r]; k < p.row_ptr_[r + 1]; ++k) {
+      const std::size_t c = p.col_idx_[k];
+      if (c > r && !diag_done) {
+        push(r, diagonal);
+        diag_done = true;
+      }
+      if (c == r) {
+        push(r, -p.values_[k] + diagonal);
+        diag_done = true;
+      } else {
+        push(c, -p.values_[k]);
+      }
+    }
+    if (!diag_done) push(r, diagonal);
+    a.row_ptr_[r + 1] = a.values_.size();
+  }
+  return a;
+}
+
 Vector CsrMatrix::apply(const Vector& x) const {
   if (x.size() != cols_) throw std::invalid_argument("CSR apply: size mismatch");
   Vector y(rows_, 0.0);

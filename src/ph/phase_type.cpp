@@ -85,7 +85,7 @@ PhaseType PhaseType::erlang(std::size_t stages, double mean) {
     if (i + 1 < stages) b(i, i + 1) = -rate;
   }
   return PhaseType(std::move(p), std::move(b),
-                   "E" + std::to_string(stages));
+                   std::string("E").append(std::to_string(stages)));
 }
 
 PhaseType PhaseType::hyperexponential(std::vector<double> probs,
@@ -104,7 +104,7 @@ PhaseType PhaseType::hyperexponential(std::vector<double> probs,
     b(i, i) = rates[i];
   }
   return PhaseType(std::move(p), std::move(b),
-                   "H" + std::to_string(m));
+                   std::string("H").append(std::to_string(m)));
 }
 
 double PhaseType::phase_rate(std::size_t i) const {

@@ -18,6 +18,8 @@
 #include "cluster/experiments.h"
 #include "core/model_cache.h"
 #include "core/transient_solver.h"
+#include "linalg/lu.h"
+#include "linalg/sparse.h"
 #include "linalg/solver_error.h"
 #include "obs/counters.h"
 #include "obs/obs_config.h"
@@ -46,6 +48,37 @@ TEST(RobustnessTest, LevelRcondIsSaneForHealthyDenseLevels) {
     EXPECT_GT(rc, 0.0) << "level " << k;
     EXPECT_LE(rc, 1.0) << "level " << k;
   }
+}
+
+TEST(RobustnessTest, LevelFactorEntriesFollowTheBackend) {
+  namespace check = finwork::check;
+  namespace la = finwork::la;
+  const finwork::net::NetworkSpec spec = small_cluster();
+  const core::ModelArtifacts dense(spec, 2);
+  for (std::size_t k = 1; k <= 2; ++k) {
+    const la::LuDecomposition lu(
+        la::CsrMatrix::identity_minus(dense.space().level(k).p, 1.0));
+    EXPECT_EQ(dense.level_factor_entries(k), lu.stored_entries())
+        << "level " << k;
+    EXPECT_GE(dense.level_factor_entries(k), dense.space().dimension(k));
+  }
+  // Every level iterative: no factor.
+  core::ModelOptions iterative_opts;
+  iterative_opts.dense_threshold = 0;
+  const core::ModelArtifacts iterative(spec, 2, iterative_opts);
+  for (std::size_t k = 1; k <= 2; ++k) {
+    EXPECT_EQ(iterative.level_factor_entries(k), 0u) << "level " << k;
+  }
+  if constexpr (check::kFaultInjectEnabled) {
+    // A failed factorization degrades the level to the iterative backend.
+    check::arm_fault("lu/factorize", 1);
+    const core::ModelArtifacts failed(spec, 2);
+    EXPECT_EQ(failed.level_factor_entries(1), 0u);
+    check::disarm_all_faults();
+    EXPECT_EQ(failed.level_factor_entries(2), dense.level_factor_entries(2));
+  }
+  EXPECT_THROW((void)dense.level_factor_entries(0), std::out_of_range);
+  EXPECT_THROW((void)dense.level_factor_entries(3), std::out_of_range);
 }
 
 TEST(RobustnessTest, ConditionBreachDegradesToRefinementAndAgrees) {

@@ -1,6 +1,7 @@
 // Unit and property tests for the PLU factorization: solves, transpose
-// solves, determinant, conditioning, and the compact factor's bits against
-// the dense sweeps it replaced.
+// solves, determinant, conditioning, the compact factor's bits against the
+// dense sweeps it replaced, and the sparse left-looking elimination's bits
+// against the right-looking elimination it replaced.
 
 #include "linalg/lu.h"
 
@@ -10,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -20,6 +22,7 @@
 #include "check/fault_inject.h"
 #include "cluster/experiments.h"
 #include "linalg/solver_error.h"
+#include "linalg/sparse.h"
 #include "network/state_space.h"
 
 namespace la = finwork::la;
@@ -200,6 +203,7 @@ struct DenseLu {
   std::vector<std::size_t> piv;
   int pivot_sign = 1;
 
+  DenseLu() = default;
   explicit DenseLu(la::Matrix a) : lu(std::move(a)), piv(lu.rows()) {
     const std::size_t n = lu.rows();
     for (std::size_t i = 0; i < n; ++i) piv[i] = i;
@@ -469,4 +473,346 @@ TEST(LuCompact, FaultSiteUnchanged) {
   }
   // Disarmed (or compiled out), the site never fires.
   EXPECT_EQ(la::LuDecomposition(la::identity(4)).determinant(), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// The sparse left-looking elimination against the right-looking one it
+// replaced.
+
+namespace {
+
+/// The right-looking elimination the sparse factorization replaced, kept as
+/// the oracle: rows exchanged in a packed dense copy, zero multipliers
+/// skipped, each row updated over the span of the pivot row's nonzeros right
+/// of the diagonal, and the same SolverError on a zero pivot.  Its sweeps
+/// are DenseLu's; it also counts the steps that met an exact pivot tie.
+struct RightLookingLu : DenseLu {
+  double norm_inf = 0.0;
+  std::size_t ties = 0;
+
+  explicit RightLookingLu(la::Matrix a) {
+    norm_inf = a.norm_inf();
+    lu = std::move(a);
+    const std::size_t n = lu.rows();
+    piv.resize(n);
+    for (std::size_t i = 0; i < n; ++i) piv[i] = i;
+    double max_pivot = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t p = k;
+      double best = std::abs(lu(k, k));
+      for (std::size_t i = k + 1; i < n; ++i) {
+        const double v = std::abs(lu(i, k));
+        if (v > best) {
+          best = v;
+          p = i;
+        }
+      }
+      for (std::size_t i = k; i < n; ++i) {
+        if (i != p && best > 0.0 && std::abs(lu(i, k)) == best) {
+          ++ties;
+          break;
+        }
+      }
+      if (best == 0.0) {
+        finwork::SolverErrorContext ctx;
+        ctx.dimension = n;
+        ctx.pivot = k;
+        ctx.condition_estimate = std::numeric_limits<double>::infinity();
+        ctx.detail = "matrix is singular to working precision";
+        throw SolverError(SolverErrorKind::kSingular, SolverStage::kLuFactorize,
+                          std::move(ctx));
+      }
+      max_pivot = std::max(max_pivot, best);
+      if (p != k) {
+        auto rk = lu.row(k);
+        auto rp = lu.row(p);
+        std::swap_ranges(rk.begin(), rk.end(), rp.begin());
+        std::swap(piv[k], piv[p]);
+        pivot_sign = -pivot_sign;
+      }
+      const double pivot = lu(k, k);
+      const auto rowk = lu.row(k);
+      std::size_t lo = n;
+      std::size_t hi = n;
+      for (std::size_t j = k + 1; j < n; ++j) {
+        if (rowk[j] == 0.0) continue;
+        if (lo == n) lo = j;
+        hi = j + 1;
+      }
+      for (std::size_t i = k + 1; i < n; ++i) {
+        if (lu(i, k) == 0.0) continue;
+        const double m = lu(i, k) / pivot;
+        lu(i, k) = m;
+        if (m == 0.0) continue;
+        auto rowi = lu.row(i);
+        for (std::size_t j = lo; j < hi; ++j) rowi[j] -= m * rowk[j];
+      }
+    }
+  }
+
+  /// The nonzeros of L and U, diagonal included.
+  [[nodiscard]] std::size_t stored_entries() const {
+    const std::size_t n = lu.rows();
+    std::size_t nnz = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i != j && lu(i, j) != 0.0) ++nnz;
+      }
+    }
+    return nnz;
+  }
+
+  [[nodiscard]] double rcond_estimate() const {
+    const std::size_t n = lu.rows();
+    la::Vector probe(n);
+    for (std::size_t i = 0; i < n; ++i) probe[i] = (i % 2 == 0) ? 1.0 : -1.0;
+    const double inv_norm = solve(probe).norm_inf();
+    if (inv_norm == 0.0 || norm_inf == 0.0) return 0.0;
+    return 1.0 / (norm_inf * inv_norm);
+  }
+};
+
+/// The factor of `lu` carries the oracle's bits: solve and solve_left on
+/// several right-hand sides, the determinant, the condition estimate and the
+/// stored entries.
+void expect_matches(const la::LuDecomposition& lu, const RightLookingLu& ref,
+                    unsigned seed, const std::string& what) {
+  const std::size_t n = ref.lu.rows();
+  ASSERT_EQ(lu.dim(), n) << what;
+  const std::vector<la::Vector> rhs{la::ones(n), random_vector(n, seed),
+                                    la::unit(n, n / 2)};
+  for (std::size_t r = 0; r < rhs.size(); ++r) {
+    EXPECT_EQ(bit_mismatches(lu.solve(rhs[r]), ref.solve(rhs[r])), 0u)
+        << what << ": solve, rhs " << r;
+    EXPECT_EQ(bit_mismatches(lu.solve_left(rhs[r]), ref.solve_left(rhs[r])),
+              0u)
+        << what << ": solve_left, rhs " << r;
+  }
+  EXPECT_EQ(bits(lu.determinant()), bits(ref.determinant())) << what;
+  EXPECT_EQ(bits(lu.rcond_estimate()), bits(ref.rcond_estimate())) << what;
+  EXPECT_EQ(lu.stored_entries(), ref.stored_entries()) << what;
+}
+
+/// Both entry points, dense and CSR, against the oracle on `a`.
+void expect_sparse_bit_identical(const la::Matrix& a, unsigned seed) {
+  const RightLookingLu ref(a);
+  expect_matches(la::LuDecomposition(a), ref, seed, "dense input");
+  expect_matches(la::LuDecomposition(la::to_csr(a)), ref, seed, "CSR input");
+}
+
+/// A sparse matrix whose pivots tie: every column holds two entries of
+/// magnitude exactly 4 in random rows, the rest random in (-1, 1), so rows
+/// no step has touched yet meet at the same |entry|.
+la::Matrix tied_sparse(std::size_t n, unsigned seed) {
+  std::mt19937 gen(seed);
+  std::uniform_real_distribution<double> value(-1.0, 1.0);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  std::uniform_int_distribution<std::size_t> row(0, n - 1);
+  la::Matrix m(n, n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (coin(gen) < 0.08) m(r, c) = value(gen);
+    }
+  }
+  for (std::size_t c = 0; c < n; ++c) {
+    m(row(gen), c) = 4.0;
+    m(row(gen), c) = -4.0;
+  }
+  return m;
+}
+
+/// The factorization's singular error, or a failure if it succeeds.
+SolverError singular_error(const std::function<void()>& factor) {
+  try {
+    factor();
+  } catch (const SolverError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected SolverError";
+  return SolverError(SolverErrorKind::kSingular, SolverStage::kLuFactorize,
+                     {});
+}
+
+void expect_same_singular(const la::Matrix& a) {
+  const SolverError want = singular_error([&] { (void)RightLookingLu(a); });
+  for (const bool csr : {false, true}) {
+    const SolverError got = singular_error([&] {
+      if (csr) {
+        (void)la::LuDecomposition(la::to_csr(a));
+      } else {
+        (void)la::LuDecomposition(a);
+      }
+    });
+    EXPECT_EQ(got.kind(), want.kind()) << "csr " << csr;
+    EXPECT_EQ(got.stage(), want.stage()) << "csr " << csr;
+    EXPECT_EQ(got.context().pivot, want.context().pivot) << "csr " << csr;
+    EXPECT_EQ(got.context().dimension, want.context().dimension)
+        << "csr " << csr;
+    EXPECT_EQ(got.context().condition_estimate,
+              want.context().condition_estimate)
+        << "csr " << csr;
+  }
+}
+
+/// Every level of the model with D <= 3000 (the dense threshold), factored
+/// from its CSR as the model cache assembles it, against the oracle on the
+/// densified operator.
+void expect_levels_bit_identical(const cluster::ExperimentConfig& cfg) {
+  const net::StateSpace space(cluster::build_cluster(cfg), cfg.workstations);
+  std::size_t checked = 0;
+  for (std::size_t k = 1; k <= cfg.workstations; ++k) {
+    if (space.dimension(k) > 3000) continue;
+    const la::CsrMatrix a = la::CsrMatrix::identity_minus(space.level(k).p, 1.0);
+    la::Matrix dense = space.level(k).p.to_dense();
+    dense *= -1.0;
+    for (std::size_t i = 0; i < dense.rows(); ++i) dense(i, i) += 1.0;
+    expect_matches(la::LuDecomposition(a), RightLookingLu(std::move(dense)),
+                   static_cast<unsigned>(k), "level " + std::to_string(k));
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+cluster::ExperimentConfig large_n_model() {
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 6;
+  return cfg;
+}
+
+/// Figures 10 and 11: the coarse-grained application, H2 (C^2 = 2) CPUs.
+cluster::ExperimentConfig coarse_h2_cpu(cluster::Architecture arch,
+                                        std::size_t k) {
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = arch;
+  cfg.workstations = k;
+  cfg.app = cluster::ApplicationModel::coarse_grained();
+  cfg.shapes.cpu = cluster::ServiceShape::hyperexponential(2.0);
+  return cfg;
+}
+
+}  // namespace
+
+class LuSparseRandom
+    : public ::testing::TestWithParam<std::pair<std::size_t, double>> {};
+
+TEST_P(LuSparseRandom, BitIdenticalToRightLooking) {
+  const auto [n, density] = GetParam();
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    expect_sparse_bit_identical(
+        random_sparse_pivoted(n, density, seed + 7 * static_cast<unsigned>(n)),
+        seed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, LuSparseRandom,
+    ::testing::Values(std::make_pair(std::size_t{1}, 1.0),
+                      std::make_pair(std::size_t{9}, 0.3),
+                      std::make_pair(std::size_t{80}, 0.04),
+                      std::make_pair(std::size_t{250}, 0.01),
+                      std::make_pair(std::size_t{250}, 0.1),
+                      std::make_pair(std::size_t{120}, 1.0)));
+
+TEST(LuSparse, PivotTiesGoToTheLowestSlot) {
+  std::size_t ties = 0;
+  for (unsigned seed = 1; seed <= 6; ++seed) {
+    const la::Matrix a = tied_sparse(60, seed);
+    ties += RightLookingLu(a).ties;
+    expect_sparse_bit_identical(a, seed);
+  }
+  EXPECT_GT(ties, 20u);  // the family does exercise the tie-break
+}
+
+TEST(LuSparse, LargeNLevelsBitIdentical) {
+  expect_levels_bit_identical(large_n_model());
+}
+
+TEST(LuSparse, Fig5LevelsBitIdentical) {
+  expect_levels_bit_identical(fig5_central_k8());
+}
+
+TEST(LuSparse, Fig6LevelsBitIdentical) {
+  expect_levels_bit_identical(fig6_scv10());
+}
+
+TEST(LuSparse, Fig10LevelsBitIdentical) {
+  expect_levels_bit_identical(
+      coarse_h2_cpu(cluster::Architecture::kDistributed, 5));
+}
+
+TEST(LuSparse, Fig11LevelsBitIdentical) {
+  expect_levels_bit_identical(coarse_h2_cpu(cluster::Architecture::kCentral, 8));
+}
+
+TEST(LuSparse, SingularInputsFailLikeRightLooking) {
+  // Column 2's pivot is exactly zero after a largest pivot of 2.
+  expect_same_singular(
+      la::Matrix{{2.0, 4.0, 8.0}, {1.0, 3.0, 5.0}, {2.0, 4.0, 8.0}});
+  // An empty column.
+  la::Matrix zero_col = random_sparse_pivoted(30, 0.1, 5);
+  for (std::size_t i = 0; i < 30; ++i) zero_col(i, 17) = 0.0;
+  expect_same_singular(zero_col);
+  // A zero first column, and the all-zero matrix.
+  la::Matrix zero_first = random_sparse_pivoted(12, 0.3, 6);
+  for (std::size_t i = 0; i < 12; ++i) zero_first(i, 0) = 0.0;
+  expect_same_singular(zero_first);
+  expect_same_singular(la::Matrix(4, 4, 0.0));
+  // Two equal rows of integers: elimination cancels one of them exactly.
+  la::Matrix twin(6, 6, 0.0);
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) {
+      twin(i, j) = static_cast<double>((3 * i + 5 * j) % 7) - 3.0;
+    }
+  }
+  for (std::size_t j = 0; j < 6; ++j) twin(4, j) = twin(1, j);
+  expect_same_singular(twin);
+}
+
+TEST(LuSparse, FaultSiteFiresBeforeElimination) {
+  if constexpr (check::kFaultInjectEnabled) {
+    const std::uint64_t fired = check::fault_fire_count("lu/factorize");
+    check::arm_fault("lu/factorize", 1);
+    try {
+      const la::LuDecomposition lu(la::to_csr(la::identity(5)));
+      check::disarm_all_faults();
+      FAIL() << "expected SolverError";
+    } catch (const SolverError& e) {
+      check::disarm_all_faults();
+      EXPECT_EQ(e.kind(), SolverErrorKind::kSingular);
+      EXPECT_EQ(e.stage(), SolverStage::kLuFactorize);
+      EXPECT_EQ(e.context().dimension, 5u);
+      EXPECT_EQ(e.context().pivot, 0u);
+      EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos);
+    }
+    EXPECT_EQ(check::fault_fire_count("lu/factorize"), fired + 1);
+  }
+  EXPECT_EQ(la::LuDecomposition(la::to_csr(la::identity(5))).determinant(),
+            1.0);
+}
+
+TEST(LuSparse, RejectsNonSquareCsr) {
+  EXPECT_THROW(la::LuDecomposition(la::CsrMatrix(3, 4, {})),
+               std::invalid_argument);
+  EXPECT_THROW((void)la::CsrMatrix::identity_minus(la::CsrMatrix(3, 4, {}), 1.0),
+               std::invalid_argument);
+}
+
+TEST(LuSparse, IdentityMinusMatchesTheDenseAssembly) {
+  // Diagonal entries stored, missing and cancelling to zero.
+  const la::CsrMatrix p(3, 3,
+                        {{0, 0, 0.25}, {0, 2, 0.5}, {1, 0, 0.125},
+                         {2, 2, 1.0}, {2, 1, 0.1}});
+  const double sigma = 1e-5;
+  const la::CsrMatrix a = la::CsrMatrix::identity_minus(p, 1.0 + sigma);
+  la::Matrix want = p.to_dense();
+  want *= -1.0;
+  for (std::size_t i = 0; i < 3; ++i) want(i, i) += 1.0 + sigma;
+  const la::Matrix got = a.to_dense();
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(bits(got(i, j) + 0.0), bits(want(i, j) + 0.0)) << i << j;
+    }
+  }
+  EXPECT_EQ(la::CsrMatrix::identity_minus(p, 1.0).nnz(), 5u);  // (2,2) drops
 }

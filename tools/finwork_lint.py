@@ -25,6 +25,9 @@ bench/ are allowed to print):
       `parallel/thread_pool.h` outside comments — every solver query runs
       on its calling thread, and the pool serves the sweeps, the level
       assembly and the simulator
+  R8  no `.to_dense(` in src/ outside src/linalg/sparse.{h,cpp} — level
+      operators stay sparse from assembly to factorization, so no model
+      path holds a D x D buffer (tests and tools may densify)
 
 Usage:
   python3 tools/finwork_lint.py [paths...]
@@ -56,6 +59,7 @@ SUBMIT_RE = re.compile(r"\.\s*submit\s*\(")
 SUBMIT_EXEMPT = {Path("src/linalg/sparse.cpp")}
 POOL_RE = re.compile(r"\bparallel_for\b|\bThreadPool\b")
 POOL_INCLUDE_RE = re.compile(r'\s*#\s*include\s*"parallel/thread_pool\.h"')
+DENSIFY_RE = re.compile(r"\.\s*to_dense\s*\(")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -126,6 +130,7 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
     # address stdout/stderr directly (R3 exception; all other rules apply).
     in_obs = in_src and len(rel.parts) > 1 and rel.parts[1] == "obs"
     pooled_spmv_banned = in_src and rel not in SPARSE_FILES
+    densify_banned = in_src and rel not in SPARSE_FILES
     in_parallel = in_src and len(rel.parts) > 1 and rel.parts[1] == "parallel"
     submit_banned = in_src and not in_parallel and rel not in SUBMIT_EXEMPT
     pool_banned = in_src and len(rel.parts) > 1 and rel.parts[1] == "core"
@@ -161,6 +166,10 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
             problems.append(
                 f"{rel}:{lineno}: [pooled-spmv] pooled CSR action in src/; "
                 "level actions use the serial apply/apply_left kernels")
+        if densify_banned and DENSIFY_RE.search(line):
+            problems.append(
+                f"{rel}:{lineno}: [no-densify] densified sparse matrix in "
+                "src/; factor and apply level operators in sparse form")
         if submit_banned and SUBMIT_RE.search(line):
             problems.append(
                 f"{rel}:{lineno}: [raw-submit] pool submit in src/ outside "

@@ -3,9 +3,10 @@
 
 Builds a throwaway tree with one known violation per rule plus the cases
 that must NOT fire (src/obs/ stream access, `= delete` declarations,
-prints under tools/, the pooled SpMV kernel in src/linalg/sparse.cpp,
-pool submits in src/parallel/, pool dispatch outside src/core/), runs the
-linter in-process, and checks
+prints under tools/, the pooled SpMV kernel and densification in
+src/linalg/sparse.cpp, pool submits in src/parallel/, pool dispatch
+outside src/core/, densification in tests/), runs the linter in-process,
+and checks
 that exactly the expected rule tags fire on the expected files.
 
 Run directly or via ctest (registered as `lint_selftest`).
@@ -78,6 +79,22 @@ FIXTURES = {
         "                                      ThreadPool& pool) const {\n"
         "  auto f = pool.submit([] {});\n"
         "}\n"
+        "Matrix densify(const CsrMatrix& a) { return a.to_dense(); }\n"
+    ),
+    # R8: a level operator densified in src/; the comment and string
+    # mentions must not fire.
+    "src/core/bad_densify.cpp": (
+        "// lm.p.to_dense() in a comment is fine\n"
+        "void f(const LevelMatrices& lm) {\n"
+        "  la::Matrix a = lm.p.to_dense();\n"
+        "  const char* s = \"p.to_dense()\";\n"
+        "  la::Matrix b = space_.level(k).p\n"
+        "                     .to_dense();\n"
+        "}\n"
+    ),
+    # R8 negative: tests densify small operators for their oracles.
+    "tests/good_densify_test.cpp": (
+        "la::Matrix oracle(const CsrMatrix& p) { return p.to_dense(); }\n"
     ),
     # R6: a raw pool submit in src/ outside src/parallel/; the comment
     # mention must not fire.
@@ -134,6 +151,8 @@ EXPECTED = [
     ("src/network/bad_submit.cpp:5", "[raw-submit]"),
     ("src/core/bad_pool.cpp:5", "[core-pool]"),
     ("src/core/bad_pool.cpp:7", "[core-pool]"),
+    ("src/core/bad_densify.cpp:3", "[no-densify]"),
+    ("src/core/bad_densify.cpp:6", "[no-densify]"),
 ]
 
 # Files that must produce no findings at all.
@@ -145,6 +164,7 @@ CLEAN = [
     "src/parallel/good_pool.cpp",
     "tests/good_submit_test.cpp",
     "src/network/good_fan_out.cpp",
+    "tests/good_densify_test.cpp",
 ]
 
 
