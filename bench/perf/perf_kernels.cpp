@@ -52,6 +52,22 @@ void BM_LevelMatrixAssembly(benchmark::State& state) {
 }
 BENCHMARK(BM_LevelMatrixAssembly)->Arg(4)->Arg(8)->Arg(12);
 
+// Enumeration and every level of one benchmark model: all the state-space
+// work a model does before its first solve.
+void BM_LevelMatrixAssembly(benchmark::State& state,
+                            const cluster::ExperimentConfig& cfg) {
+  const net::NetworkSpec spec = cluster::build_cluster(cfg);
+  const std::size_t k = cfg.workstations;
+  std::size_t nnz = 0;
+  for (auto _ : state) {
+    net::StateSpace space(spec, k);
+    nnz = 0;
+    for (std::size_t j = 1; j <= k; ++j) nnz += space.level(j).p.nnz();
+    benchmark::DoNotOptimize(nnz);
+  }
+  state.counters["nnz_p"] = static_cast<double>(nnz);
+}
+
 /// I - P_k of the top level of the central H2 cluster with k workstations.
 la::Matrix top_level_operator(const net::StateSpace& space, std::size_t k) {
   la::Matrix a = space.level(k).p.to_dense();
@@ -165,6 +181,9 @@ cluster::ExperimentConfig fig10_h2() {
   cfg.shapes.cpu = cluster::ServiceShape::hyperexponential(2.0);
   return cfg;
 }
+
+BENCHMARK_CAPTURE(BM_LevelMatrixAssembly, fig06_scv10, fig06_scv10());
+BENCHMARK_CAPTURE(BM_LevelMatrixAssembly, large_n, distributed(6));
 
 BENCHMARK_CAPTURE(BM_LuFactorLevel, fig06_l4, fig06_scv10(), 4)
     ->Unit(benchmark::kMillisecond);

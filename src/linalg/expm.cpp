@@ -43,23 +43,34 @@ Matrix expm(const Matrix& a) {
   const Matrix a2 = as * as;
   const Matrix a4 = a2 * a2;
   const Matrix a6 = a2 * a4;
-  const Matrix eye = identity(n);
 
+  // b[0] A6 + b[1] A4 + b[2] A2 (+ b[3] I), entry by entry, summed left
+  // to right.
+  const auto combine = [&](const double (&b)[4], bool with_identity) {
+    Matrix m(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        double x = a6(i, j) * b[0] + a4(i, j) * b[1] + a2(i, j) * b[2];
+        if (with_identity) x += (i == j ? 1.0 : 0.0) * b[3];
+        m(i, j) = x;
+      }
+    }
+    return m;
+  };
   // U = A * (A6*(b13*A6 + b11*A4 + b9*A2) + b7*A6 + b5*A4 + b3*A2 + b1*I)
-  Matrix w1 = kPade13[13] * a6 + kPade13[11] * a4 + kPade13[9] * a2;
-  Matrix w2 = kPade13[7] * a6 + kPade13[5] * a4 + kPade13[3] * a2 +
-              kPade13[1] * eye;
-  const Matrix u = as * (a6 * w1 + w2);
+  Matrix u = a6 * combine({kPade13[13], kPade13[11], kPade13[9], 0.0}, false);
+  u += combine({kPade13[7], kPade13[5], kPade13[3], kPade13[1]}, true);
+  u = as * u;
   // V = A6*(b12*A6 + b10*A4 + b8*A2) + b6*A6 + b4*A4 + b2*A2 + b0*I
-  Matrix z1 = kPade13[12] * a6 + kPade13[10] * a4 + kPade13[8] * a2;
-  Matrix z2 = kPade13[6] * a6 + kPade13[4] * a4 + kPade13[2] * a2 +
-              kPade13[0] * eye;
-  const Matrix v = a6 * z1 + z2;
+  Matrix v = a6 * combine({kPade13[12], kPade13[10], kPade13[8], 0.0}, false);
+  v += combine({kPade13[6], kPade13[4], kPade13[2], kPade13[0]}, true);
 
   // exp(As) ~= (V - U)^-1 (V + U)
   Matrix r;
   try {
-    r = LuDecomposition(v - u).solve(v + u);
+    const LuDecomposition lu(v - u);
+    v += u;
+    r = lu.solve(v);
   } catch (const SolverError& e) {
     // Re-stage: the caller sees the Padé denominator failure as an expm
     // failure, with the LU diagnostics carried along.

@@ -34,16 +34,19 @@ class CsrMatrix;
 /// so a skipped zero term changes no result.
 class LuDecomposition {
  public:
-  /// Factorizes the sparse matrix `a`; the factorization holds no more than
-  /// A, L, U and a few work vectors of its dimension.  Throws
+  /// Factorizes the sparse matrix `a`.  Elimination holds A by columns, L
+  /// and U by columns (U in fixed chunks, so nothing is copied to grow) and
+  /// one block of work vectors of its dimension; U is then stored by rows
+  /// before L, so the peak is L by columns plus U both ways
+  /// (docs/PERFORMANCE.md §10).  Throws
   /// std::invalid_argument if `a` is not square and finwork::SolverError
   /// (kind kSingular, with the dimension, pivot column and a pivot-ratio
   /// condition estimate in its context) if `a` is singular to working
   /// precision.
   explicit LuDecomposition(const CsrMatrix& a);
   /// Factorizes the nonzeros of the dense matrix `a` through the same
-  /// elimination.
-  explicit LuDecomposition(Matrix a);
+  /// elimination, reading its columns in place.
+  explicit LuDecomposition(const Matrix& a);
 
   [[nodiscard]] std::size_t dim() const noexcept { return diag_.size(); }
   /// Entries the factor keeps: the nonzeros of L and U, diagonal included.
@@ -55,7 +58,7 @@ class LuDecomposition {
   [[nodiscard]] Vector solve(const Vector& b) const;
   /// Solve x A = b, i.e. A^T x^T = b^T (row-vector right-hand side).
   [[nodiscard]] Vector solve_left(const Vector& b) const;
-  /// Solve A X = B column-by-column.
+  /// Solve A X = B; each column of X is bit-identical to solve() on it.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
   /// det(A), including the pivot sign.
   [[nodiscard]] double determinant() const noexcept;
@@ -72,9 +75,13 @@ class LuDecomposition {
     std::vector<double> val;
   };
 
-  /// Eliminates `a` (row-compressed columns of A, i.e. the rows of A^T)
-  /// left-looking and stores the compact factor.
-  void factor(const Rows& a);
+  struct Columns;
+  /// Eliminates A left-looking into `f`; column_of_a(j, put) calls
+  /// put(row, value) for the nonzeros of column j of A in ascending row.
+  template <class ColumnOfA>
+  void eliminate(Columns& f, const ColumnOfA& column_of_a);
+  /// Stores the compact factor from the columns elimination left.
+  void store(Columns& f);
 
   Rows lower_;                    // L below its unit diagonal
   Rows upper_;                    // U above its diagonal

@@ -167,15 +167,34 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("matmul: inner dimensions disagree");
   }
-  Matrix c(a.rows(), b.cols(), 0.0);
-  // i-k-j loop order keeps the inner loop streaming over contiguous rows.
+  const std::size_t n = b.cols();
+  Matrix c(a.rows(), n, 0.0);
+  // c(i, j) starts at +0.0 and adds a(i, k) b(k, j) over the nonzero
+  // a(i, k) in ascending k.  A strip of kStrip entries of row i stays in
+  // registers across k; the tail of the row adds row after row of b.
+  constexpr std::size_t kStrip = 8;
+  const std::size_t strips = n - n % kStrip;
+  std::vector<std::size_t> nonzero(a.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
+    const double* const ai = a.row(i).data();
+    double* const ci = c.row(i).data();
+    std::size_t nnz = 0;
     for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      const auto brow = b.row(k);
-      auto crow = c.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
+      if (ai[k] != 0.0) nonzero[nnz++] = k;
+    }
+    for (std::size_t j0 = 0; j0 < strips; j0 += kStrip) {
+      double acc[kStrip] = {};
+      for (std::size_t p = 0; p < nnz; ++p) {
+        const double aik = ai[nonzero[p]];
+        const double* const bk = b.row(nonzero[p]).data() + j0;
+        for (std::size_t t = 0; t < kStrip; ++t) acc[t] += aik * bk[t];
+      }
+      std::copy_n(acc, kStrip, ci + j0);
+    }
+    for (std::size_t p = 0; p < nnz && strips < n; ++p) {
+      const double aik = ai[nonzero[p]];
+      const double* const bk = b.row(nonzero[p]).data();
+      for (std::size_t j = strips; j < n; ++j) ci[j] += aik * bk[j];
     }
   }
   return c;

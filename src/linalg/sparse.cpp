@@ -36,6 +36,9 @@ std::vector<std::size_t> panel_bounds(std::size_t rows, std::size_t workers) {
 CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
                      std::vector<Triplet> triplets)
     : rows_(rows), cols_(cols) {
+  if (cols > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("CsrMatrix: columns exceed 32-bit indices");
+  }
   for (const Triplet& t : triplets) {
     if (t.row >= rows || t.col >= cols) {
       throw std::out_of_range("CsrMatrix: triplet index out of range");
@@ -60,7 +63,7 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
         ++i;
       }
       if (v != 0.0) {
-        col_idx_.push_back(c);
+        col_idx_.push_back(static_cast<std::uint32_t>(c));
         values_.push_back(v);
       }
     }
@@ -81,7 +84,7 @@ CsrMatrix CsrMatrix::identity_minus(const CsrMatrix& p, double diagonal) {
   a.values_.reserve(p.nnz() + n);
   const auto push = [&a](std::size_t c, double v) {
     if (v == 0.0) return;
-    a.col_idx_.push_back(c);
+    a.col_idx_.push_back(static_cast<std::uint32_t>(c));
     a.values_.push_back(v);
   };
   for (std::size_t r = 0; r < n; ++r) {
@@ -198,7 +201,7 @@ double CsrMatrix::at(std::size_t r, std::size_t c) const {
   if (r >= rows_ || c >= cols_) throw std::out_of_range("CSR at: out of range");
   const auto first = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r]);
   const auto last = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r + 1]);
-  const auto it = std::lower_bound(first, last, c);
+  const auto it = std::lower_bound(first, last, static_cast<std::uint32_t>(c));
   if (it == last || *it != c) return 0.0;
   return values_[static_cast<std::size_t>(it - col_idx_.begin())];
 }
@@ -238,11 +241,11 @@ GatherMatrix::GatherMatrix(const CsrMatrix& a, bool transpose)
     throw std::length_error("GatherMatrix: dimension exceeds 32-bit indices");
   }
   const std::vector<std::size_t>& row_ptr = a.row_ptr();
-  const std::vector<std::size_t>& col = a.col_idx();
+  const std::vector<std::uint32_t>& col = a.col_idx();
   const std::vector<double>& val = a.values();
   std::vector<std::size_t> length(rows_, 0);
   if (transpose) {
-    for (const std::size_t c : col) ++length[c];
+    for (const std::uint32_t c : col) ++length[c];
   } else {
     for (std::size_t r = 0; r < rows_; ++r) {
       length[r] = row_ptr[r + 1] - row_ptr[r];

@@ -1,7 +1,9 @@
 #pragma once
 // Compressed sparse row matrices for the transition structure of large state
-// spaces.  P_k for a distributed cluster with K=8 has ~25k states but only a
-// handful of transitions per state; dense storage would be gigabytes.
+// spaces.  P_k for a distributed cluster with K=8 has ~680k states but only a
+// handful of transitions per state; dense storage would be terabytes.  Row
+// starts are std::size_t and column indices 32-bit, so a CSR matrix takes 12
+// bytes per stored entry plus 8 per row (docs/PERFORMANCE.md §10).
 
 #include <array>
 #include <cstddef>
@@ -25,7 +27,8 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
   /// Assemble from triplets; duplicate (row, col) entries are summed and
-  /// exact zeros are dropped.
+  /// exact zeros are dropped.  Throws std::length_error, before allocating,
+  /// for more columns than 32-bit indices address.
   CsrMatrix(std::size_t rows, std::size_t cols, std::vector<Triplet> triplets);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
@@ -65,7 +68,7 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<std::size_t>& row_ptr() const noexcept {
     return row_ptr_;
   }
-  [[nodiscard]] const std::vector<std::size_t>& col_idx() const noexcept {
+  [[nodiscard]] const std::vector<std::uint32_t>& col_idx() const noexcept {
     return col_idx_;
   }
   [[nodiscard]] const std::vector<double>& values() const noexcept {
@@ -76,7 +79,7 @@ class CsrMatrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::size_t> row_ptr_{0};
-  std::vector<std::size_t> col_idx_;
+  std::vector<std::uint32_t> col_idx_;
   std::vector<double> values_;
 };
 

@@ -1,6 +1,7 @@
 #include "network/state_space.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,6 +13,59 @@
 
 namespace finwork::net {
 
+namespace {
+
+/// a * b + c, or std::length_error if it overflows: the state counts of a
+/// model too large to enumerate.
+std::size_t mul_add(std::size_t a, std::size_t b, std::size_t c) {
+  std::size_t r = 0;
+  if (__builtin_mul_overflow(a, b, &r) || __builtin_add_overflow(r, c, &r)) {
+    throw std::length_error("StateSpace: state count overflows");
+  }
+  return r;
+}
+
+}  // namespace
+
+StateSpace::StationTable StateSpace::make_table(const StationModel& m) {
+  if (m.total_codes() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("StateSpace: local codes beyond 32 bits");
+  }
+  StationTable t;
+  t.act_begin.push_back(0);
+  t.arr_begin.push_back(0);
+  const auto code = [&m](std::size_t n, std::size_t idx) {
+    return static_cast<std::uint32_t>(m.code_offset(n) + idx);
+  };
+  const auto at = [&t] { return static_cast<std::uint32_t>(t.moves.size()); };
+  for (std::size_t n = 0; n <= m.max_population(); ++n) {
+    t.first.push_back(code(n, 0));
+    for (std::size_t idx = 0; idx < m.count(n); ++idx) {
+      t.pop.push_back(static_cast<std::uint32_t>(n));
+      for (const LocalActivity& a : m.activities(n, idx)) {
+        Activity act{a.rate, at(), 0, 0};
+        for (const LocalOutcome& o : a.internal) {
+          t.moves.push_back({code(n, o.index), o.probability});
+        }
+        act.internal_end = at();
+        for (const LocalOutcome& o : a.completion) {
+          t.moves.push_back({code(n - 1, o.index), o.probability});
+        }
+        act.end = at();
+        t.acts.push_back(act);
+      }
+      t.act_begin.push_back(static_cast<std::uint32_t>(t.acts.size()));
+      if (n < m.max_population()) {
+        for (const LocalOutcome& o : m.arrival(n, idx)) {
+          t.arrivals.push_back({code(n + 1, o.index), o.probability});
+        }
+      }
+      t.arr_begin.push_back(static_cast<std::uint32_t>(t.arrivals.size()));
+    }
+  }
+  return t;
+}
+
 StateSpace::StateSpace(const NetworkSpec& spec, std::size_t max_population)
     : spec_(spec), max_pop_(max_population) {
   if (max_pop_ == 0) {
@@ -21,89 +75,131 @@ StateSpace::StateSpace(const NetworkSpec& spec, std::size_t max_population)
     // The per-station local state tables are part of the enumeration's
     // cost, so the span covers them too.
     const obs::ObsSpan span("state_space/enumerate");
-    models_.reserve(spec_.num_stations());
-    for (std::size_t j = 0; j < spec_.num_stations(); ++j) {
+    const std::size_t s = spec_.num_stations();
+    const std::size_t stride = max_pop_ + 1;
+    models_.reserve(s);
+    tables_.reserve(s);
+    for (std::size_t j = 0; j < s; ++j) {
       models_.emplace_back(spec_.station(j), max_pop_);
+      tables_.push_back(make_table(models_.back()));
     }
-    level_states_.resize(max_pop_ + 1);
-    level_index_.resize(max_pop_ + 1);
+    // N(s, r) is 1 for r = 0 and 0 otherwise; N(j, r) sums, over the
+    // customers n at station j, count_j(n) N(j + 1, r - n), and below
+    // keeps the partial sums.
+    ways_.assign((s + 1) * stride, 0);
+    ways_[s * stride] = 1;
+    for (std::size_t j = s; j-- > 0;) {
+      StationTable& t = tables_[j];
+      t.below.assign(stride * stride, 0);
+      for (std::size_t r = 0; r <= max_pop_; ++r) {
+        std::size_t sum = 0;
+        for (std::size_t n = 0; n <= r; ++n) {
+          t.below[r * stride + n] = sum;
+          sum = mul_add(models_[j].count(n), ways(j + 1, r - n), sum);
+        }
+        ways_[j * stride + r] = sum;
+      }
+    }
+    level_codes_.resize(max_pop_ + 1);
     level_matrices_.resize(max_pop_ + 1);
     level_once_ = std::make_unique<std::once_flag[]>(max_pop_ + 1);
     for (std::size_t k = 0; k <= max_pop_; ++k) enumerate_level(k);
   }
   if constexpr (obs::kEnabled) {
     std::uint64_t total = 0;
-    for (const auto& states : level_states_) total += states.size();
+    for (std::size_t k = 0; k <= max_pop_; ++k) total += dimension(k);
     obs::counter_add(obs::Counter::kStatesEnumerated, total);
   }
 }
 
 void StateSpace::enumerate_level(std::size_t k) {
   const std::size_t s = models_.size();
-  std::vector<GlobalState>& out = level_states_[k];
-  GlobalState current(s, 0);
+  std::vector<std::uint32_t>& out = level_codes_[k];
+  out.resize(mul_add(ways(0, k), s, 0));
+  std::uint32_t* next = out.data();
+  std::vector<std::uint32_t> current(s, 0);
 
-  // Distribute k customers over stations recursively; for each station count,
-  // iterate its local states.
-  auto recurse = [&](auto&& self, std::size_t station,
-                     std::size_t remaining) -> void {
-    if (station == s - 1) {
-      if (remaining > max_pop_) return;
-      const std::size_t cnt = models_[station].count(remaining);
-      const std::size_t base = models_[station].code_offset(remaining);
-      for (std::size_t idx = 0; idx < cnt; ++idx) {
-        current[station] = static_cast<std::uint32_t>(base + idx);
-        out.push_back(current);
-      }
-      return;
-    }
+  // Distribute k customers over the stations in ascending code order at
+  // each station, so the states come out in lexicographic order; a branch
+  // that leaves customers no later station can hold is skipped.
+  auto recurse = [&](auto&& self, std::size_t j, std::size_t remaining)
+      -> void {
+    const StationTable& t = tables_[j];
     for (std::size_t n = 0; n <= remaining; ++n) {
-      const std::size_t cnt = models_[station].count(n);
-      const std::size_t base = models_[station].code_offset(n);
-      for (std::size_t idx = 0; idx < cnt; ++idx) {
-        current[station] = static_cast<std::uint32_t>(base + idx);
-        self(self, station + 1, remaining - n);
+      if (ways(j + 1, remaining - n) == 0) continue;
+      const std::size_t end = t.first[n] + models_[j].count(n);
+      for (std::uint32_t c = t.first[n]; c < end; ++c) {
+        current[j] = c;
+        if (j + 1 == s) {
+          next = std::copy(current.begin(), current.end(), next);
+        } else {
+          self(self, j + 1, remaining - n);
+        }
       }
     }
   };
   recurse(recurse, 0, k);
-
-  auto& index = level_index_[k];
-  index.reserve(out.size() * 2);
-  for (std::size_t i = 0; i < out.size(); ++i) index.emplace(out[i], i);
 }
 
 std::size_t StateSpace::dimension(std::size_t k) const {
   if (k > max_pop_) throw std::out_of_range("StateSpace::dimension");
-  return level_states_[k].size();
+  return ways(0, k);
 }
 
-const std::vector<GlobalState>& StateSpace::states(std::size_t k) const {
-  if (k > max_pop_) throw std::out_of_range("StateSpace::states");
-  return level_states_[k];
+std::span<const std::uint32_t> StateSpace::state(std::size_t k,
+                                                 std::size_t i) const {
+  if (i >= dimension(k)) throw std::out_of_range("StateSpace::state");
+  const std::size_t s = models_.size();
+  return {level_codes_[k].data() + i * s, s};
 }
 
-std::size_t StateSpace::index_of(std::size_t k, const GlobalState& s) const {
-  const auto& index = level_index_.at(k);
-  const auto it = index.find(s);
-  if (it == index.end()) {
-    throw std::out_of_range("StateSpace::index_of: unknown state");
+std::size_t StateSpace::rank(std::size_t k,
+                             const std::uint32_t* codes) const noexcept {
+  // States before this one: for each station j, those that agree on
+  // stations 0..j-1 and hold a smaller code at j.  With r customers left
+  // for stations j..s-1 and n = pop(c_j), they are the ones with fewer than
+  // n customers at j, then (c_j - first(n)) blocks of N(j + 1, r - n).
+  const std::size_t stride = max_pop_ + 1;
+  std::size_t r = k;
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < tables_.size(); ++j) {
+    const StationTable& t = tables_[j];
+    const std::uint32_t c = codes[j];
+    const std::size_t n = t.pop[c];
+    i += t.below[r * stride + n] + (c - t.first[n]) * ways(j + 1, r - n);
+    r -= n;
   }
-  return it->second;
+  return i;
+}
+
+std::size_t StateSpace::index_of(std::size_t k,
+                                 std::span<const std::uint32_t> s) const {
+  if (k > max_pop_ || s.size() != tables_.size()) {
+    throw std::out_of_range("StateSpace::index_of: wrong level or length");
+  }
+  std::size_t customers = 0;
+  for (std::size_t j = 0; j < s.size(); ++j) {
+    if (s[j] >= tables_[j].pop.size()) {
+      throw std::out_of_range("StateSpace::index_of: code out of range");
+    }
+    customers += tables_[j].pop[s[j]];
+  }
+  if (customers != k) {
+    throw std::out_of_range("StateSpace::index_of: population is not k");
+  }
+  return rank(k, s.data());
 }
 
 std::vector<std::size_t> StateSpace::occupancy(std::size_t k,
                                                std::size_t idx) const {
-  const GlobalState& s = states(k).at(idx);
+  const std::span<const std::uint32_t> s = state(k, idx);
   std::vector<std::size_t> occ(models_.size());
-  for (std::size_t j = 0; j < models_.size(); ++j) {
-    occ[j] = models_[j].decode(s[j]).first;
-  }
+  for (std::size_t j = 0; j < models_.size(); ++j) occ[j] = tables_[j].pop[s[j]];
   return occ;
 }
 
 std::string StateSpace::describe(std::size_t k, std::size_t idx) const {
-  const GlobalState& s = states(k).at(idx);
+  const std::span<const std::uint32_t> s = state(k, idx);
   std::ostringstream ss;
   for (std::size_t j = 0; j < models_.size(); ++j) {
     if (j) ss << " | ";
@@ -122,87 +218,93 @@ const LevelMatrices& StateSpace::level(std::size_t k) const {
 void StateSpace::build_level(std::size_t k) const {
   const obs::ObsSpan span("state_space/build_level");
   obs::counter_add(obs::Counter::kLevelsBuilt);
-  obs::gauge_raise(obs::Gauge::kMaxLevelDimension, level_states_[k].size());
+  const std::size_t d = dimension(k);
+  const std::size_t d_prev = dimension(k - 1);
+  obs::gauge_raise(obs::Gauge::kMaxLevelDimension, d);
   const std::size_t s = models_.size();
-  const auto& states_k = level_states_[k];
-  const auto& index_k = level_index_[k];
-  const auto& index_km1 = level_index_[k - 1];
   const la::Matrix& routing = spec_.routing();
   const la::Vector& sys_exit = spec_.exit();
   const la::Vector& sys_entry = spec_.entry();
+  const auto moves = [](const StationTable& t, std::uint32_t from,
+                        std::uint32_t to) {
+    return std::span<const Move>(t.moves.data() + from, to - from);
+  };
+  const auto arrivals = [](const StationTable& t, std::uint32_t code) {
+    return std::span<const Move>(t.arrivals.data() + t.arr_begin[code],
+                                 t.arr_begin[code + 1] - t.arr_begin[code]);
+  };
+
+  const std::uint32_t* const codes_k = level_codes_[k].data();
 
   LevelMatrices lm;
   lm.level = k;
-  lm.event_rates = la::Vector(states_k.size(), 0.0);
+  lm.event_rates = la::Vector(d, 0.0);
 
   // Per-state transition assembly: a range of states appends to its own
-  // triplet buffers and writes disjoint event_rates entries.
+  // triplet buffers and writes disjoint event_rates entries.  A move edits
+  // one or two codes of the range's one state buffer, ranks it and puts the
+  // codes back.
   const auto process_range = [&](std::size_t begin, std::size_t end,
                                  std::vector<la::Triplet>& p_trips,
                                  std::vector<la::Triplet>& q_trips) {
+  std::vector<std::uint32_t> cur(s);
   for (std::size_t is = begin; is < end; ++is) {
-    const GlobalState& state = states_k[is];
-
-    // Gather activities across stations and the total event rate.
-    double total_rate = 0.0;
-    struct Act {
-      std::size_t station;
-      std::size_t n;
-      LocalActivity activity;
+    const std::uint32_t* const state = codes_k + is * s;
+    std::copy_n(state, s, cur.begin());
+    const auto activities = [&](std::size_t j) {
+      const StationTable& t = tables_[j];
+      return std::span<const Activity>(
+          t.acts.data() + t.act_begin[state[j]],
+          t.act_begin[state[j] + 1] - t.act_begin[state[j]]);
     };
-    std::vector<Act> acts;
+
+    // The total event rate over every station's activities.
+    double total_rate = 0.0;
     for (std::size_t j = 0; j < s; ++j) {
-      const auto [n, local] = models_[j].decode(state[j]);
-      if (n == 0) continue;
-      for (LocalActivity& a : models_[j].activities(n, local)) {
-        total_rate += a.rate;
-        acts.push_back({j, n, std::move(a)});
-      }
+      for (const Activity& a : activities(j)) total_rate += a.rate;
     }
     if (total_rate <= 0.0) {
       throw std::logic_error("StateSpace: state with no outgoing activity");
     }
     lm.event_rates[is] = total_rate;
 
-    for (const Act& act : acts) {
-      const std::size_t j = act.station;
-      const double event_prob = act.activity.rate / total_rate;
+    for (std::size_t j = 0; j < s; ++j) {
+      const StationTable& tj = tables_[j];
+      for (const Activity& act : activities(j)) {
+        const double event_prob = act.rate / total_rate;
 
-      // Internal phase move within station j: population unchanged.
-      for (const LocalOutcome& o : act.activity.internal) {
-        GlobalState next = state;
-        next[j] = static_cast<std::uint32_t>(models_[j].code_offset(act.n) +
-                                             o.index);
-        p_trips.push_back(
-            {is, index_k.at(next), event_prob * o.probability});
-      }
+        // Internal phase move within station j: population unchanged.
+        for (const Move& o : moves(tj, act.begin, act.internal_end)) {
+          cur[j] = o.code;
+          p_trips.push_back(
+              {is, rank(k, cur.data()), event_prob * o.probability});
+        }
 
-      // Service completion at station j: the customer routes onward.
-      for (const LocalOutcome& done : act.activity.completion) {
-        GlobalState after = state;
-        after[j] = static_cast<std::uint32_t>(
-            models_[j].code_offset(act.n - 1) + done.index);
-        const double base = event_prob * done.probability;
+        // Service completion at station j: the customer routes onward.
+        for (const Move& done : moves(tj, act.internal_end, act.end)) {
+          cur[j] = done.code;
+          const double base = event_prob * done.probability;
 
-        // Move to station l (population stays k): arrival applied on top of
-        // the post-completion state (handles l == j correctly).
-        for (std::size_t l = 0; l < s; ++l) {
-          const double rjl = routing(j, l);
-          if (rjl <= 0.0) continue;
-          const auto [nl, locall] = models_[l].decode(after[l]);
-          for (const LocalOutcome& arr : models_[l].arrival(nl, locall)) {
-            GlobalState next = after;
-            next[l] = static_cast<std::uint32_t>(
-                models_[l].code_offset(nl + 1) + arr.index);
-            p_trips.push_back(
-                {is, index_k.at(next), base * rjl * arr.probability});
+          // Move to station l (population stays k): arrival applied on top
+          // of the post-completion state (handles l == j correctly).
+          for (std::size_t l = 0; l < s; ++l) {
+            const double rjl = routing(j, l);
+            if (rjl <= 0.0) continue;
+            const std::uint32_t cl = cur[l];
+            for (const Move& arr : arrivals(tables_[l], cl)) {
+              cur[l] = arr.code;
+              p_trips.push_back(
+                  {is, rank(k, cur.data()), base * rjl * arr.probability});
+            }
+            cur[l] = cl;
+          }
+          // Leave the system: level drops to k-1.
+          const double qj = sys_exit[j];
+          if (qj > 0.0) {
+            q_trips.push_back({is, rank(k - 1, cur.data()), base * qj});
           }
         }
-        // Leave the system: level drops to k-1.
-        const double qj = sys_exit[j];
-        if (qj > 0.0) {
-          q_trips.push_back({is, index_km1.at(after), base * qj});
-        }
+        cur[j] = state[j];
       }
     }
   }
@@ -213,7 +315,6 @@ void StateSpace::build_level(std::size_t k) const {
   // buffers and the merge runs in chunk order, so the triplets reach the
   // CSR constructors in the serial order and the matrices match bit for bit.
   constexpr std::size_t kParallelThreshold = 4096;
-  const std::size_t d = states_k.size();
   const std::size_t chunks =
       d < kParallelThreshold
           ? 1
@@ -243,28 +344,26 @@ void StateSpace::build_level(std::size_t k) const {
     lm.max_event_rate = std::max(lm.max_event_rate, lm.event_rates[i]);
   }
 
-  lm.p = la::CsrMatrix(states_k.size(), states_k.size(), std::move(p_trips));
-  lm.q = la::CsrMatrix(states_k.size(), level_states_[k - 1].size(),
-                       std::move(q_trips));
+  lm.p = la::CsrMatrix(d, d, std::move(p_trips));
+  lm.q = la::CsrMatrix(d, d_prev, std::move(q_trips));
 
   // R_k: a new task enters the system at station l ~ sys_entry.
   std::vector<la::Triplet> r_trips;
-  const auto& states_km1 = level_states_[k - 1];
-  for (std::size_t is = 0; is < states_km1.size(); ++is) {
-    const GlobalState& state = states_km1[is];
+  std::vector<std::uint32_t> cur(s);
+  for (std::size_t is = 0; is < d_prev; ++is) {
+    const std::uint32_t* const state = level_codes_[k - 1].data() + is * s;
+    std::copy_n(state, s, cur.begin());
     for (std::size_t l = 0; l < s; ++l) {
       const double pl = sys_entry[l];
       if (pl <= 0.0) continue;
-      const auto [nl, locall] = models_[l].decode(state[l]);
-      for (const LocalOutcome& arr : models_[l].arrival(nl, locall)) {
-        GlobalState next = state;
-        next[l] = static_cast<std::uint32_t>(models_[l].code_offset(nl + 1) +
-                                             arr.index);
-        r_trips.push_back({is, index_k.at(next), pl * arr.probability});
+      for (const Move& arr : arrivals(tables_[l], state[l])) {
+        cur[l] = arr.code;
+        r_trips.push_back({is, rank(k, cur.data()), pl * arr.probability});
       }
+      cur[l] = state[l];
     }
   }
-  lm.r = la::CsrMatrix(states_km1.size(), states_k.size(), std::move(r_trips));
+  lm.r = la::CsrMatrix(d_prev, d, std::move(r_trips));
 
   // The LAQT recursion assumes these laws; a violation here means the
   // assembly above is wrong, not the solver downstream.

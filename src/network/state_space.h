@@ -8,13 +8,19 @@
 // Row invariant: P_k eps + Q_k eps = eps (something always happens next);
 // R_k is stochastic.
 //
-// A global state is one local code per station (see StationModel).  States
-// are enumerated per level and indexed densely; matrices are CSR.
+// A global state is one local code per station (see StationModel).  Each
+// level keeps its states in one flat array, num_stations codes per state, in
+// lexicographic order of (c_0, ..., c_{s-1}) — the order the enumeration
+// produces them in.  A state's index is its lexicographic rank, computed in
+// O(stations) from per-station tables N(j, r) (the ways to place r customers
+// on stations j..s-1), so the level needs no index map and D(k) = N(0, k) is
+// known before enumeration (docs/PERFORMANCE.md §10).  Matrices are CSR.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -23,21 +29,6 @@
 #include "network/station.h"
 
 namespace finwork::net {
-
-/// One global state: per-station local codes.
-using GlobalState = std::vector<std::uint32_t>;
-
-struct GlobalStateHash {
-  std::size_t operator()(const GlobalState& s) const noexcept {
-    // FNV-1a over the code words.
-    std::size_t h = 1469598103934665603ULL;
-    for (std::uint32_t w : s) {
-      h ^= w;
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
 
 /// Matrices of one population level k.
 struct LevelMatrices {
@@ -64,12 +55,17 @@ class StateSpace {
     return models_.at(j);
   }
 
-  /// Number of states with exactly k customers, D(k).
+  /// Number of states with exactly k customers, D(k) = N(0, k).
   [[nodiscard]] std::size_t dimension(std::size_t k) const;
-  /// The states of level k in index order.
-  [[nodiscard]] const std::vector<GlobalState>& states(std::size_t k) const;
-  /// Index of a state within its level.
-  [[nodiscard]] std::size_t index_of(std::size_t k, const GlobalState& s) const;
+  /// State i of level k: one local code per station.  Throws
+  /// std::out_of_range for a level or index out of range.
+  [[nodiscard]] std::span<const std::uint32_t> state(std::size_t k,
+                                                     std::size_t i) const;
+  /// Index of a state within level k: its lexicographic rank.  Throws
+  /// std::out_of_range for a state of the wrong length, a code out of range
+  /// or a population other than k.
+  [[nodiscard]] std::size_t index_of(std::size_t k,
+                                     std::span<const std::uint32_t> s) const;
   /// Customers at each station in state (k, idx).
   [[nodiscard]] std::vector<std::size_t> occupancy(std::size_t k,
                                                    std::size_t idx) const;
@@ -94,15 +90,53 @@ class StateSpace {
       std::size_t stations, std::size_t customers);
 
  private:
+  /// A local move: the station's code after it, and its probability.
+  struct Move {
+    std::uint32_t code = 0;
+    double probability = 0.0;
+  };
+  /// One activity of a local state (StationModel::activities): its rate,
+  /// its internal moves moves[begin .. internal_end) and its completions
+  /// moves[internal_end .. end).
+  struct Activity {
+    double rate = 0.0;
+    std::uint32_t begin = 0;
+    std::uint32_t internal_end = 0;
+    std::uint32_t end = 0;
+  };
+  /// One station's local states by code, flattened for assembly and rank.
+  struct StationTable {
+    std::vector<std::uint32_t> pop;        ///< customers n of each code
+    std::vector<std::uint32_t> first;      ///< code_offset(n)
+    /// The activities of code c are acts[act_begin[c] .. act_begin[c + 1]),
+    /// its arrival moves arrivals[arr_begin[c] .. arr_begin[c + 1]).
+    std::vector<std::uint32_t> act_begin;
+    std::vector<std::uint32_t> arr_begin;
+    std::vector<Activity> acts;
+    std::vector<Move> moves;
+    std::vector<Move> arrivals;
+    /// below[r (K + 1) + n]: how many placements of r customers on this
+    /// station and the ones after it put fewer than n here.
+    std::vector<std::size_t> below;
+  };
+
+  [[nodiscard]] static StationTable make_table(const StationModel& m);
   void enumerate_level(std::size_t k);
   void build_level(std::size_t k) const;
+  /// N(j, r): the ways to place r customers on stations j..s-1.
+  [[nodiscard]] std::size_t ways(std::size_t j, std::size_t r) const noexcept {
+    return ways_[j * (max_pop_ + 1) + r];
+  }
+  /// Rank of a valid state of level k within its level.
+  [[nodiscard]] std::size_t rank(std::size_t k,
+                                 const std::uint32_t* codes) const noexcept;
 
   NetworkSpec spec_;
   std::size_t max_pop_;
   std::vector<StationModel> models_;
-  std::vector<std::vector<GlobalState>> level_states_;
-  std::vector<std::unordered_map<GlobalState, std::size_t, GlobalStateHash>>
-      level_index_;
+  std::vector<StationTable> tables_;
+  std::vector<std::size_t> ways_;  // (stations + 1) x (K + 1)
+  std::vector<std::vector<std::uint32_t>> level_codes_;
   mutable std::vector<LevelMatrices> level_matrices_;
   // One flag per level: call_once both serializes concurrent builders of the
   // same level and publishes the built matrices to later readers.

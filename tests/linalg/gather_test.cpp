@@ -115,7 +115,7 @@ void csr_neumann_series(const la::CsrMatrix& a,
   const std::size_t n = a.rows();
   std::vector<double> next(W * n);
   const std::size_t* const row_ptr = a.row_ptr().data();
-  const std::size_t* const col = a.col_idx().data();
+  const std::uint32_t* const col = a.col_idx().data();
   const double* const val = a.values().data();
   std::array<double*, W> x;
   for (std::size_t w = 0; w < W; ++w) x[w] = res[w]->x.data();

@@ -41,6 +41,16 @@ TEST(Csr, CancellingDuplicatesDropped) {
   EXPECT_EQ(m.nnz(), 0u);
 }
 
+TEST(Csr, ColumnsBeyond32BitIndicesThrow) {
+  const std::size_t too_many = std::size_t{1} << 32;
+  EXPECT_THROW(la::CsrMatrix(1, too_many, {}), std::length_error);
+  EXPECT_THROW(la::CsrMatrix(1, too_many, {{0, too_many - 1, 1.0}}),
+               std::length_error);
+  // The largest 32-bit column index still fits.
+  const la::CsrMatrix m(1, too_many - 1, {{0, too_many - 2, 1.0}});
+  EXPECT_EQ(m.col_idx()[0], too_many - 2);
+}
+
 TEST(Csr, OutOfRangeTripletThrows) {
   EXPECT_THROW((void)la::CsrMatrix(2, 2, {{2, 0, 1.0}}), std::out_of_range);
   EXPECT_THROW((void)la::CsrMatrix(2, 2, {{0, 2, 1.0}}), std::out_of_range);

@@ -1,0 +1,56 @@
+// The heap a state space holds: Figure 6's C^2 = 10 model (8 stations,
+// 5 908 states over levels 0..5) keeps one flat array of 32-bit codes per
+// level and no per-state vectors or index maps, and a CSR matrix with more
+// columns than 32-bit indices address is refused before it allocates.
+// This binary links the counting allocator (tests/support), so it is built
+// only without sanitizers.
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdio>
+#include <optional>
+#include <stdexcept>
+
+#include "cluster/experiments.h"
+#include "linalg/sparse.h"
+#include "network/state_space.h"
+#include "support/counting_allocator.h"
+
+namespace la = finwork::la;
+namespace cluster = finwork::cluster;
+namespace net = finwork::net;
+namespace heap = finwork::heap;
+
+TEST(StateSpaceMemory, Fig6Scv10HoldsAtMost48BytesPerState) {
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 5;
+  cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
+  const net::NetworkSpec spec = cluster::build_cluster(cfg);
+
+  const std::size_t before = heap::live_bytes();
+  heap::reset_peak();
+  std::optional<net::StateSpace> space;
+  space.emplace(spec, 5);
+  const std::size_t held = heap::live_bytes() - before;
+  const std::size_t peak = heap::peak_bytes() - before;
+
+  std::size_t states = 0;
+  for (std::size_t k = 0; k <= 5; ++k) states += space->dimension(k);
+  ASSERT_EQ(states, 5908u);
+  ASSERT_EQ(space->num_stations(), 8u);
+  std::printf("%zu states: the space holds %zu B (%.1f B per state), "
+              "peak %zu B\n",
+              states, held, static_cast<double>(held) / states, peak);
+  // The codes alone take 4 B per station: 32 B per state.
+  EXPECT_LE(held, 48 * states);
+}
+
+TEST(StateSpaceMemory, CsrBeyond32BitColumnsThrowsBeforeAllocating) {
+  const std::size_t before = heap::live_bytes();
+  heap::reset_peak();
+  EXPECT_THROW(la::CsrMatrix(1, std::size_t{1} << 32, {}), std::length_error);
+  // Only the exception object itself is allocated.
+  EXPECT_LT(heap::peak_bytes() - before, 1024u);
+}

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -25,7 +30,9 @@ namespace {
 net::NetworkSpec tandem(std::size_t m, double rate = 1.0) {
   std::vector<net::Station> st;
   for (std::size_t j = 0; j < m; ++j) {
-    st.push_back({"S" + std::to_string(j), ph::PhaseType::exponential(rate), 1});
+    std::string name = "S";
+    name += std::to_string(j);  // GCC 12 -Wrestrict misfires on "S" + ...
+    st.push_back({std::move(name), ph::PhaseType::exponential(rate), 1});
   }
   la::Vector entry(m, 0.0);
   entry[0] = 1.0;
@@ -35,6 +42,46 @@ net::NetworkSpec tandem(std::size_t m, double rate = 1.0) {
   exit[m - 1] = 1.0;
   return net::NetworkSpec(std::move(st), std::move(entry), std::move(routing),
                           std::move(exit));
+}
+
+/// The cluster models of the benchmark and the paper's figures.
+cluster::ExperimentConfig figure_config(cluster::Architecture arch,
+                                        std::size_t workstations) {
+  cluster::ExperimentConfig c;
+  c.architecture = arch;
+  c.workstations = workstations;
+  return c;
+}
+
+/// The benchmark's large_n model: distributed, K = 6.
+net::NetworkSpec large_n_model() {
+  return cluster::build_cluster(
+      figure_config(cluster::Architecture::kDistributed, 6));
+}
+
+/// Figure 6's C^2 = 10 model: distributed, K = 5, H2 remote disk.
+net::NetworkSpec fig6_scv10_model() {
+  cluster::ExperimentConfig c =
+      figure_config(cluster::Architecture::kDistributed, 5);
+  c.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
+  return cluster::build_cluster(c);
+}
+
+/// Every state of every level ranks to its own index, and the states come
+/// in strictly increasing lexicographic order of their codes.
+void expect_rank_round_trips(const net::StateSpace& space) {
+  for (std::size_t k = 0; k <= space.max_population(); ++k) {
+    for (std::size_t i = 0; i < space.dimension(k); ++i) {
+      const auto s = space.state(k, i);
+      ASSERT_EQ(space.index_of(k, s), i) << "level " << k;
+      if (i > 0) {
+        const auto prev = space.state(k, i - 1);
+        ASSERT_TRUE(std::lexicographical_compare(prev.begin(), prev.end(),
+                                                 s.begin(), s.end()))
+            << "level " << k << " state " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -89,9 +136,8 @@ TEST(StateSpace, OccupancySumsToLevel) {
 TEST(StateSpace, IndexOfRoundTrips) {
   const net::StateSpace space(tandem(3), 3);
   for (std::size_t k = 0; k <= 3; ++k) {
-    const auto& states = space.states(k);
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      EXPECT_EQ(space.index_of(k, states[i]), i);
+    for (std::size_t i = 0; i < space.dimension(k); ++i) {
+      EXPECT_EQ(space.index_of(k, space.state(k, i)), i);
     }
   }
 }
@@ -259,3 +305,183 @@ TEST_P(LevelDimensions, QAndRHaveMatchingShapes) {
 
 INSTANTIATE_TEST_SUITE_P(Populations, LevelDimensions,
                          ::testing::Values(1, 2, 3, 5));
+
+// --- Flat ranked states ---
+
+TEST(StateSpaceRank, LargeNModelRoundTrips) {
+  expect_rank_round_trips(net::StateSpace(large_n_model(), 6));
+}
+
+TEST(StateSpaceRank, Fig5CentralK8Scv100RoundTrips) {
+  cluster::ExperimentConfig c =
+      figure_config(cluster::Architecture::kCentral, 8);
+  c.shapes.remote_disk = cluster::ServiceShape::from_scv(100.0);
+  expect_rank_round_trips(net::StateSpace(cluster::build_cluster(c), 8));
+}
+
+TEST(StateSpaceRank, Fig6Scv10RoundTrips) {
+  expect_rank_round_trips(net::StateSpace(fig6_scv10_model(), 5));
+}
+
+TEST(StateSpaceRank, Fig10H2RoundTrips) {
+  cluster::ExperimentConfig c =
+      figure_config(cluster::Architecture::kDistributed, 5);
+  c.app = cluster::ApplicationModel::coarse_grained();
+  c.shapes.cpu = cluster::ServiceShape::hyperexponential(2.0);
+  expect_rank_round_trips(net::StateSpace(cluster::build_cluster(c), 5));
+}
+
+TEST(StateSpaceRank, Fig15K10RoundTrips) {
+  cluster::ExperimentConfig c =
+      figure_config(cluster::Architecture::kCentral, 10);
+  c.app = cluster::ApplicationModel::coarse_grained();
+  for (const cluster::ServiceShape& cpu :
+       {cluster::ServiceShape::erlang(2),
+        cluster::ServiceShape::hyperexponential(2.0)}) {
+    c.shapes.cpu = cpu;
+    expect_rank_round_trips(net::StateSpace(cluster::build_cluster(c), 10));
+  }
+}
+
+TEST(StateSpaceRank, DimensionsMatchABruteForceCount) {
+  // Every tuple of local codes, counted by population: D(k) from the
+  // tables is the number of tuples holding k customers, and the tuples of
+  // level k, in lexicographic order, are exactly states 0, 1, ... of level
+  // k.  Covers single-phase, queued PH and ample PH stations.
+  cluster::ApplicationModel app;
+  cluster::ClusterShapes mixed;
+  mixed.cpu = cluster::ServiceShape::erlang(3);
+  mixed.remote_disk = cluster::ServiceShape::hyperexponential(10.0);
+  for (const net::NetworkSpec& spec :
+       {tandem(3), cluster::central_cluster(3, app, mixed),
+        cluster::distributed_cluster(3, app, mixed)}) {
+    const net::StateSpace space(spec, 3);
+    const std::size_t s = space.num_stations();
+    std::vector<std::size_t> seen(4, 0);
+    std::vector<std::uint32_t> codes(s, 0);
+    const std::function<void(std::size_t, std::size_t)> visit =
+        [&](std::size_t j, std::size_t customers) {
+          if (j == s) {
+            if (customers > 3) return;
+            const auto i = seen[customers]++;
+            ASSERT_EQ(space.index_of(customers, codes), i);
+            const auto st = space.state(customers, i);
+            ASSERT_TRUE(std::equal(st.begin(), st.end(), codes.begin()));
+            return;
+          }
+          const net::StationModel& m = space.model(j);
+          for (std::size_t c = 0; c < m.total_codes(); ++c) {
+            codes[j] = static_cast<std::uint32_t>(c);
+            visit(j + 1, customers + m.decode(c).first);
+          }
+        };
+    visit(0, 0);
+    for (std::size_t k = 0; k <= 3; ++k) EXPECT_EQ(space.dimension(k), seen[k]);
+  }
+}
+
+TEST(StateSpaceRank, SinglePhaseDimensionsAreTheReducedProduct) {
+  for (std::size_t m : {1u, 3u, 8u}) {
+    const net::StateSpace space(tandem(m), 6);
+    for (std::size_t k = 0; k <= 6; ++k) {
+      EXPECT_EQ(space.dimension(k),
+                net::StateSpace::reduced_product_dimension(m, k));
+    }
+  }
+  const net::StateSpace space(large_n_model(), 6);
+  EXPECT_EQ(space.dimension(6),
+            net::StateSpace::reduced_product_dimension(9, 6));
+}
+
+TEST(StateSpaceRank, RejectsMalformedStates) {
+  const net::StateSpace space(fig6_scv10_model(), 5);
+  const auto s = space.state(3, 7);
+  std::vector<std::uint32_t> codes(s.begin(), s.end());
+  EXPECT_EQ(space.index_of(3, codes), 7u);
+  // Wrong length.
+  const std::vector<std::uint32_t> shorter(codes.begin(), codes.end() - 1);
+  EXPECT_THROW((void)space.index_of(3, shorter), std::out_of_range);
+  std::vector<std::uint32_t> longer = codes;
+  longer.push_back(0);
+  EXPECT_THROW((void)space.index_of(3, longer), std::out_of_range);
+  // A code past the station's last local state.
+  std::vector<std::uint32_t> bad = codes;
+  bad[0] = static_cast<std::uint32_t>(space.model(0).total_codes());
+  EXPECT_THROW((void)space.index_of(3, bad), std::out_of_range);
+  // A valid tuple of level 3 asked for at levels 2 and 4, and a level
+  // beyond K.
+  EXPECT_THROW((void)space.index_of(2, codes), std::out_of_range);
+  EXPECT_THROW((void)space.index_of(4, codes), std::out_of_range);
+  EXPECT_THROW((void)space.index_of(6, codes), std::out_of_range);
+  // States out of range.
+  EXPECT_THROW((void)space.state(3, space.dimension(3)), std::out_of_range);
+  EXPECT_THROW((void)space.state(6, 0), std::out_of_range);
+}
+
+namespace {
+
+/// FNV-1a over (row, col, value bits) of every stored entry, with the
+/// shape first.
+std::uint64_t csr_digest(const la::CsrMatrix& m) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  mix(m.rows());
+  mix(m.cols());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t p = m.row_ptr()[r]; p < m.row_ptr()[r + 1]; ++p) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &m.values()[p], sizeof bits);
+      mix(r);
+      mix(m.col_idx()[p]);
+      mix(bits);
+    }
+  }
+  return h;
+}
+
+struct LevelDigest {
+  std::uint64_t p, q, r;
+};
+
+void expect_level_digests(const net::StateSpace& space,
+                          const std::vector<LevelDigest>& want) {
+  ASSERT_EQ(want.size(), space.max_population());
+  for (std::size_t k = 1; k <= want.size(); ++k) {
+    const net::LevelMatrices& lm = space.level(k);
+    EXPECT_EQ(csr_digest(lm.p), want[k - 1].p) << "P_" << k;
+    EXPECT_EQ(csr_digest(lm.q), want[k - 1].q) << "Q_" << k;
+    EXPECT_EQ(csr_digest(lm.r), want[k - 1].r) << "R_" << k;
+  }
+}
+
+}  // namespace
+
+// The digests were recorded from the hash-indexed assembly that the ranked
+// one replaced: every level keeps its entries and their bits.
+TEST(StateSpaceRank, LargeNLevelsKeepTheirBits) {
+  expect_level_digests(
+      net::StateSpace(large_n_model(), 6),
+      {{0xb5eea5e2766a0467ULL, 0x36cd97ae6efefbfaULL, 0x4a6a13511051205aULL},
+       {0x0b9e6b90aa9c12d0ULL, 0x2f1a0569b172c026ULL, 0x83b6f4561a1184baULL},
+       {0x82fdc05b1d2314a4ULL, 0x223ddddfe86c83e9ULL, 0xa0335c5212ef131aULL},
+       {0x8feeb6221d94c8edULL, 0x492853b8185222c5ULL, 0x6496d298829e3466ULL},
+       {0x28db4e092681467dULL, 0x92a0f2f821e3d586ULL, 0x308142d774f9605aULL},
+       {0xdfd20e45a1788d05ULL, 0x2824be3d6887ae6dULL,
+        0xde695fddaf222fc2ULL}});
+}
+
+TEST(StateSpaceRank, Fig6Scv10LevelsKeepTheirBits) {
+  expect_level_digests(
+      net::StateSpace(fig6_scv10_model(), 5),
+      {{0x5487b787580432c9ULL, 0x169f15e944a1bcfaULL, 0x23d487cb4fd5c15aULL},
+       {0x411398531c4a1292ULL, 0x0c7d6d99480716ddULL, 0x58fc2e78c12bf760ULL},
+       {0xaa8d7031dcd764f9ULL, 0x6f726926bd66cf6bULL, 0xa8237e681eafbcb8ULL},
+       {0x27fa88503a1c742aULL, 0xbbb837816816fe50ULL, 0xd6913c4eb4832fb6ULL},
+       {0x64ef76a591edc970ULL, 0x65b29fbf5dca5923ULL,
+        0x8901bd9ae6279762ULL}});
+}
