@@ -169,11 +169,13 @@ cluster::ExperimentConfig distributed(std::size_t k) {
   return cfg;
 }
 
-cluster::ExperimentConfig fig06_scv10() {
-  cluster::ExperimentConfig cfg = distributed(5);
+cluster::ExperimentConfig distributed_scv10(std::size_t k) {
+  cluster::ExperimentConfig cfg = distributed(k);
   cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
   return cfg;
 }
+
+cluster::ExperimentConfig fig06_scv10() { return distributed_scv10(5); }
 
 cluster::ExperimentConfig fig10_h2() {
   cluster::ExperimentConfig cfg = distributed(5);
@@ -184,6 +186,10 @@ cluster::ExperimentConfig fig10_h2() {
 
 BENCHMARK_CAPTURE(BM_LevelMatrixAssembly, fig06_scv10, fig06_scv10());
 BENCHMARK_CAPTURE(BM_LevelMatrixAssembly, large_n, distributed(6));
+// Level 6 holds 22 180 states, the largest level assembled on the kernel
+// bench.
+BENCHMARK_CAPTURE(BM_LevelMatrixAssembly, dist6_scv10, distributed_scv10(6))
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_LuFactorLevel, fig06_l4, fig06_scv10(), 4)
     ->Unit(benchmark::kMillisecond);

@@ -19,7 +19,7 @@ constexpr std::array<std::string_view, 8> kFaultSites = {
     "iterative/bicgstab",    // BiCGSTAB reports non-convergence
     "iterative/gmres",       // GMRES reports non-convergence
     "cache/build",           // ModelCache build on a miss throws
-    "state_space/assemble",  // one chunk of a level's assembly throws
+    "state_space/assemble",  // a level's build throws at its start
 };
 
 struct SiteState {

@@ -34,78 +34,82 @@ std::vector<std::size_t> panel_bounds(std::size_t rows, std::size_t workers) {
 }  // namespace
 
 CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
-                     std::vector<Triplet> triplets)
-    : rows_(rows), cols_(cols) {
+                     std::vector<Triplet> triplets) {
+  CsrBuilder b(rows, cols);
+  // Group the triplets by row; within a row they keep the order given.
+  std::stable_sort(triplets.begin(), triplets.end(),
+                   [](const Triplet& x, const Triplet& y) {
+                     return x.row < y.row;
+                   });
+  std::size_t r = 0;
+  for (const Triplet& t : triplets) {
+    if (t.row >= rows) {
+      throw std::out_of_range("CsrMatrix: triplet index out of range");
+    }
+    for (; r < t.row; ++r) b.end_row();
+    b.add(t.col, t.value);
+  }
+  for (; r < rows; ++r) b.end_row();
+  *this = b.finish();
+}
+
+CsrBuilder::CsrBuilder(std::size_t rows, std::size_t cols) {
   if (cols > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("CsrMatrix: columns exceed 32-bit indices");
   }
-  for (const Triplet& t : triplets) {
-    if (t.row >= rows || t.col >= cols) {
-      throw std::out_of_range("CsrMatrix: triplet index out of range");
+  m_.rows_ = rows;
+  m_.cols_ = cols;
+  m_.row_ptr_.reserve(rows + 1);
+}
+
+void CsrBuilder::add(std::size_t col, double value) {
+  if (col >= m_.cols_) {
+    throw std::out_of_range("CsrMatrix: triplet index out of range");
+  }
+  row_.emplace_back(static_cast<std::uint32_t>(col), value);
+}
+
+void CsrBuilder::end_row() {
+  std::stable_sort(row_.begin(), row_.end(), [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  });
+  for (std::size_t i = 0; i < row_.size();) {
+    const std::uint32_t c = row_[i].first;
+    double v = row_[i].second;
+    for (++i; i < row_.size() && row_[i].first == c; ++i) v += row_[i].second;
+    if (v != 0.0) {
+      m_.col_idx_.push_back(c);
+      m_.values_.push_back(v);
     }
   }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
-  row_ptr_.assign(rows + 1, 0);
-  col_idx_.reserve(triplets.size());
-  values_.reserve(triplets.size());
-  std::size_t i = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    while (i < triplets.size() && triplets[i].row == r) {
-      double v = triplets[i].value;
-      const std::size_t c = triplets[i].col;
-      ++i;
-      while (i < triplets.size() && triplets[i].row == r &&
-             triplets[i].col == c) {
-        v += triplets[i].value;
-        ++i;
-      }
-      if (v != 0.0) {
-        col_idx_.push_back(static_cast<std::uint32_t>(c));
-        values_.push_back(v);
-      }
-    }
-    row_ptr_[r + 1] = values_.size();
+  row_.clear();
+  m_.row_ptr_.push_back(m_.values_.size());
+}
+
+CsrMatrix CsrBuilder::finish() {
+  if (m_.row_ptr_.size() != m_.rows_ + 1) {
+    throw std::logic_error("CsrBuilder::finish: rows closed != rows");
   }
+  m_.col_idx_.shrink_to_fit();
+  m_.values_.shrink_to_fit();
+  return std::move(m_);
 }
 
 CsrMatrix CsrMatrix::identity_minus(const CsrMatrix& p, double diagonal) {
-  const std::size_t n = p.rows_;
-  if (p.cols_ != n) {
+  if (p.cols_ != p.rows_) {
     throw std::invalid_argument("CsrMatrix::identity_minus: not square");
   }
-  CsrMatrix a;
-  a.rows_ = n;
-  a.cols_ = n;
-  a.row_ptr_.assign(n + 1, 0);
-  a.col_idx_.reserve(p.nnz() + n);
-  a.values_.reserve(p.nnz() + n);
-  const auto push = [&a](std::size_t c, double v) {
-    if (v == 0.0) return;
-    a.col_idx_.push_back(static_cast<std::uint32_t>(c));
-    a.values_.push_back(v);
-  };
-  for (std::size_t r = 0; r < n; ++r) {
-    bool diag_done = false;
+  // The diagonal is added after -p_ii, so the builder sums (-p_ii) +
+  // diagonal.
+  CsrBuilder a(p.rows_, p.rows_);
+  for (std::size_t r = 0; r < p.rows_; ++r) {
     for (std::size_t k = p.row_ptr_[r]; k < p.row_ptr_[r + 1]; ++k) {
-      const std::size_t c = p.col_idx_[k];
-      if (c > r && !diag_done) {
-        push(r, diagonal);
-        diag_done = true;
-      }
-      if (c == r) {
-        push(r, -p.values_[k] + diagonal);
-        diag_done = true;
-      } else {
-        push(c, -p.values_[k]);
-      }
+      a.add(p.col_idx_[k], -p.values_[k]);
     }
-    if (!diag_done) push(r, diagonal);
-    a.row_ptr_[r + 1] = a.values_.size();
+    a.add(r, diagonal);
+    a.end_row();
   }
-  return a;
+  return a.finish();
 }
 
 Vector CsrMatrix::apply(const Vector& x) const {
@@ -393,13 +397,14 @@ template std::array<double, 2> GatherMatrix::neumann_sweep<2>(
     const double*, double*, std::array<double*, 2>) const;
 
 CsrMatrix to_csr(const Matrix& a, double drop_tol) {
-  std::vector<Triplet> trips;
+  CsrBuilder b(a.rows(), a.cols());
   for (std::size_t r = 0; r < a.rows(); ++r) {
     for (std::size_t c = 0; c < a.cols(); ++c) {
-      if (std::abs(a(r, c)) > drop_tol) trips.push_back({r, c, a(r, c)});
+      if (std::abs(a(r, c)) > drop_tol) b.add(c, a(r, c));
     }
+    b.end_row();
   }
-  return CsrMatrix(a.rows(), a.cols(), std::move(trips));
+  return b.finish();
 }
 
 }  // namespace finwork::la

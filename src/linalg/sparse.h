@@ -8,6 +8,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -22,13 +23,15 @@ struct Triplet {
   double value = 0.0;
 };
 
-/// Immutable CSR matrix.  Build from triplets (duplicates are summed).
+/// Immutable CSR matrix.  Build it row by row with a CsrBuilder, or from
+/// triplets.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
-  /// Assemble from triplets; duplicate (row, col) entries are summed and
-  /// exact zeros are dropped.  Throws std::length_error, before allocating,
-  /// for more columns than 32-bit indices address.
+  /// Assemble from triplets through a CsrBuilder: the triplets of a row
+  /// reach it in the order given, so duplicate (row, col) entries are summed
+  /// in that order and exact zeros are dropped.  Throws std::length_error,
+  /// before allocating, for more columns than 32-bit indices address.
   CsrMatrix(std::size_t rows, std::size_t cols, std::vector<Triplet> triplets);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
@@ -76,11 +79,37 @@ class CsrMatrix {
   }
 
  private:
+  friend class CsrBuilder;
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::size_t> row_ptr_{0};
   std::vector<std::uint32_t> col_idx_;
   std::vector<double> values_;
+};
+
+/// Builds a CsrMatrix one row at a time, straight into its arrays: the one
+/// place CSR entries are sorted and summed.  add() takes the current row's
+/// entries in any order; end_row() sorts them by column, sums duplicates in
+/// the order they were added and drops exact zeros.
+class CsrBuilder {
+ public:
+  /// Throws std::length_error, before allocating the arrays, for more
+  /// columns than 32-bit indices address.
+  CsrBuilder(std::size_t rows, std::size_t cols);
+
+  /// Add an entry to the current row.  Throws std::out_of_range for a
+  /// column out of range.
+  void add(std::size_t col, double value);
+  /// Close the current row.
+  void end_row();
+  /// The matrix, with exactly sized arrays.  Throws std::logic_error
+  /// unless exactly `rows` rows were closed.
+  [[nodiscard]] CsrMatrix finish();
+
+ private:
+  CsrMatrix m_;
+  std::vector<std::pair<std::uint32_t, double>> row_;  ///< in order added
 };
 
 /// Immutable gather operator y = A x with the rows of A grouped by length

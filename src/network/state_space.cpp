@@ -9,7 +9,6 @@
 #include "check/invariants.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 
 namespace finwork::net {
 
@@ -218,6 +217,9 @@ const LevelMatrices& StateSpace::level(std::size_t k) const {
 void StateSpace::build_level(std::size_t k) const {
   const obs::ObsSpan span("state_space/build_level");
   obs::counter_add(obs::Counter::kLevelsBuilt);
+  if (check::fault_at("state_space/assemble")) {
+    throw std::runtime_error("injected level assembly failure");
+  }
   const std::size_t d = dimension(k);
   const std::size_t d_prev = dimension(k - 1);
   obs::gauge_raise(obs::Gauge::kMaxLevelDimension, d);
@@ -234,22 +236,18 @@ void StateSpace::build_level(std::size_t k) const {
                                  t.arr_begin[code + 1] - t.arr_begin[code]);
   };
 
-  const std::uint32_t* const codes_k = level_codes_[k].data();
-
   LevelMatrices lm;
   lm.level = k;
   lm.event_rates = la::Vector(d, 0.0);
 
-  // Per-state transition assembly: a range of states appends to its own
-  // triplet buffers and writes disjoint event_rates entries.  A move edits
-  // one or two codes of the range's one state buffer, ranks it and puts the
-  // codes back.
-  const auto process_range = [&](std::size_t begin, std::size_t end,
-                                 std::vector<la::Triplet>& p_trips,
-                                 std::vector<la::Triplet>& q_trips) {
+  // One serial pass, state by state: each state is one row of P_k and of
+  // Q_k.  A move edits one or two codes of the state buffer, ranks it and
+  // puts the codes back.
+  la::CsrBuilder p(d, d);
+  la::CsrBuilder q(d, d_prev);
   std::vector<std::uint32_t> cur(s);
-  for (std::size_t is = begin; is < end; ++is) {
-    const std::uint32_t* const state = codes_k + is * s;
+  for (std::size_t is = 0; is < d; ++is) {
+    const std::uint32_t* const state = level_codes_[k].data() + is * s;
     std::copy_n(state, s, cur.begin());
     const auto activities = [&](std::size_t j) {
       const StationTable& t = tables_[j];
@@ -267,6 +265,7 @@ void StateSpace::build_level(std::size_t k) const {
       throw std::logic_error("StateSpace: state with no outgoing activity");
     }
     lm.event_rates[is] = total_rate;
+    lm.max_event_rate = std::max(lm.max_event_rate, total_rate);
 
     for (std::size_t j = 0; j < s; ++j) {
       const StationTable& tj = tables_[j];
@@ -276,8 +275,7 @@ void StateSpace::build_level(std::size_t k) const {
         // Internal phase move within station j: population unchanged.
         for (const Move& o : moves(tj, act.begin, act.internal_end)) {
           cur[j] = o.code;
-          p_trips.push_back(
-              {is, rank(k, cur.data()), event_prob * o.probability});
+          p.add(rank(k, cur.data()), event_prob * o.probability);
         }
 
         // Service completion at station j: the customer routes onward.
@@ -293,63 +291,25 @@ void StateSpace::build_level(std::size_t k) const {
             const std::uint32_t cl = cur[l];
             for (const Move& arr : arrivals(tables_[l], cl)) {
               cur[l] = arr.code;
-              p_trips.push_back(
-                  {is, rank(k, cur.data()), base * rjl * arr.probability});
+              p.add(rank(k, cur.data()), base * rjl * arr.probability);
             }
             cur[l] = cl;
           }
           // Leave the system: level drops to k-1.
           const double qj = sys_exit[j];
-          if (qj > 0.0) {
-            q_trips.push_back({is, rank(k - 1, cur.data()), base * qj});
-          }
+          if (qj > 0.0) q.add(rank(k - 1, cur.data()), base * qj);
         }
         cur[j] = state[j];
       }
     }
+    p.end_row();
+    q.end_row();
   }
-  };  // process_range
-
-  // Levels of kParallelThreshold states or more assemble in contiguous
-  // chunks on the pool (inline on a pool worker); each chunk fills its own
-  // buffers and the merge runs in chunk order, so the triplets reach the
-  // CSR constructors in the serial order and the matrices match bit for bit.
-  constexpr std::size_t kParallelThreshold = 4096;
-  const std::size_t chunks =
-      d < kParallelThreshold
-          ? 1
-          : std::min<std::size_t>(par::ThreadPool::global().size() * 4,
-                                  (d + 1023) / 1024);
-  const std::size_t step = (d + chunks - 1) / chunks;
-  struct Buffers {
-    std::vector<la::Triplet> p;
-    std::vector<la::Triplet> q;
-  };
-  std::vector<Buffers> bufs(chunks);
-  par::parallel_for(0, chunks, [&](std::size_t c) {
-    if (check::fault_at("state_space/assemble")) {
-      throw std::runtime_error("injected level assembly failure");
-    }
-    const std::size_t lo = std::min(d, c * step);
-    process_range(lo, std::min(d, lo + step), bufs[c].p, bufs[c].q);
-  });
-  std::vector<la::Triplet> p_trips = std::move(bufs[0].p);
-  std::vector<la::Triplet> q_trips = std::move(bufs[0].q);
-  for (std::size_t c = 1; c < chunks; ++c) {
-    p_trips.insert(p_trips.end(), bufs[c].p.begin(), bufs[c].p.end());
-    q_trips.insert(q_trips.end(), bufs[c].q.begin(), bufs[c].q.end());
-  }
-
-  for (std::size_t i = 0; i < lm.event_rates.size(); ++i) {
-    lm.max_event_rate = std::max(lm.max_event_rate, lm.event_rates[i]);
-  }
-
-  lm.p = la::CsrMatrix(d, d, std::move(p_trips));
-  lm.q = la::CsrMatrix(d, d_prev, std::move(q_trips));
+  lm.p = p.finish();
+  lm.q = q.finish();
 
   // R_k: a new task enters the system at station l ~ sys_entry.
-  std::vector<la::Triplet> r_trips;
-  std::vector<std::uint32_t> cur(s);
+  la::CsrBuilder r(d_prev, d);
   for (std::size_t is = 0; is < d_prev; ++is) {
     const std::uint32_t* const state = level_codes_[k - 1].data() + is * s;
     std::copy_n(state, s, cur.begin());
@@ -358,12 +318,13 @@ void StateSpace::build_level(std::size_t k) const {
       if (pl <= 0.0) continue;
       for (const Move& arr : arrivals(tables_[l], state[l])) {
         cur[l] = arr.code;
-        r_trips.push_back({is, rank(k, cur.data()), pl * arr.probability});
+        r.add(rank(k, cur.data()), pl * arr.probability);
       }
       cur[l] = state[l];
     }
+    r.end_row();
   }
-  lm.r = la::CsrMatrix(d_prev, d, std::move(r_trips));
+  lm.r = r.finish();
 
   // The LAQT recursion assumes these laws; a violation here means the
   // assembly above is wrong, not the solver downstream.

@@ -74,9 +74,9 @@ class StateSpace {
 
   /// Level matrices for population k (1 <= k <= K); built on first use.
   /// Thread-safe: concurrent callers for the same level block until one
-  /// build completes.  A level of 4096 states or more, built off a pool
-  /// worker, spreads its assembly over the pool, with the same bits.  A
-  /// build that throws leaves the level unbuilt, so the next call retries.
+  /// build completes.  The build is one serial pass on the calling thread,
+  /// row by row into CSR.  A build that throws leaves the level unbuilt, so
+  /// the next call retries.
   [[nodiscard]] const LevelMatrices& level(std::size_t k) const;
 
   /// The paper's initial vector p_K = p R_2 R_3 ... R_K: the state

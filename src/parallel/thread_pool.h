@@ -1,8 +1,8 @@
 #pragma once
 // A small fixed-size thread pool with a blocking task queue, plus the
-// parallel_for helper behind every pool dispatch: sweep fan-out, the
-// assembly of large levels and the simulator's replications.  No solver
-// query dispatches to it.
+// parallel_for helper behind every pool dispatch: sweep fan-out and the
+// simulator's replications.  No solver query or level assembly dispatches
+// to it.
 //
 // Design notes (C++ Core Guidelines CP.*): tasks are type-erased
 // move-only callables; the pool owns its threads (RAII — the destructor joins

@@ -299,10 +299,9 @@ TEST_F(FaultInjectTest, ConcurrentMissesSurviveOneFailedBuild) {
 
 TEST_F(FaultInjectTest, FailedLevelAssemblyReachesTheCallerAndRetries) {
   // Distributed K = 5 with a C^2 = 10 remote disk and an H2 CPU: level 5
-  // (D(5) = 5908) assembles in chunks on the pool when built from the main
-  // thread.  One chunk throws; the error must reach the caller after every
-  // chunk has finished, and the level must stay unbuilt so a retry builds
-  // the same matrices as a healthy state space.
+  // (D(5) = 5908).  The build throws at its start; the error must reach the
+  // caller, and the level must stay unbuilt so a retry builds the same
+  // matrices as a healthy state space.
   cluster::ExperimentConfig cfg;
   cfg.architecture = cluster::Architecture::kDistributed;
   cfg.workstations = 5;
@@ -310,7 +309,7 @@ TEST_F(FaultInjectTest, FailedLevelAssemblyReachesTheCallerAndRetries) {
   cfg.shapes.cpu = cluster::ServiceShape::hyperexponential(2.0);
   const finwork::net::NetworkSpec spec = cluster::build_cluster(cfg);
   const finwork::net::StateSpace space(spec, 5);
-  ASSERT_GE(space.dimension(5), 4096u);
+  ASSERT_EQ(space.dimension(5), 5908u);
 
   check::arm_fault("state_space/assemble", 1);
   try {

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <vector>
 
 namespace la = finwork::la;
 
@@ -29,6 +31,49 @@ TEST(Csr, DuplicatesAreSummed) {
   la::CsrMatrix m(1, 1, {{0, 0, 1.0}, {0, 0, 2.5}});
   EXPECT_EQ(m.nnz(), 1u);
   EXPECT_DOUBLE_EQ(m.at(0, 0), 3.5);
+}
+
+TEST(Csr, DuplicatesAreSummedInTheOrderGiven) {
+  // (1 + 1e16) - 1e16 is exactly 0, so that entry is dropped; summed in
+  // another order the same three values give 1.
+  const la::CsrMatrix m(
+      2, 2, {{0, 1, 1.0}, {1, 0, 5.0}, {0, 1, 1e16}, {0, 1, -1e16}});
+  EXPECT_EQ(m.nnz(), 1u);
+  EXPECT_EQ(m.at(1, 0), 5.0);
+  const la::CsrMatrix n(1, 1, {{0, 0, 1e16}, {0, 0, -1e16}, {0, 0, 1.0}});
+  EXPECT_EQ(n.at(0, 0), 1.0);
+}
+
+TEST(Csr, BuilderSortsEachRowAndSizesItsArraysExactly) {
+  la::CsrBuilder b(3, 4);
+  b.add(3, 1.0);
+  b.add(0, 2.0);
+  b.add(3, 0.5);
+  b.end_row();
+  b.end_row();
+  b.add(2, -1.0);
+  b.add(1, 0.0);
+  b.end_row();
+  const la::CsrMatrix m = b.finish();
+  EXPECT_EQ(m.row_ptr(), (std::vector<std::size_t>{0, 2, 2, 3}));
+  EXPECT_EQ(m.col_idx(), (std::vector<std::uint32_t>{0, 3, 2}));
+  EXPECT_EQ(m.values(), (std::vector<double>{2.0, 1.5, -1.0}));
+  EXPECT_EQ(m.col_idx().capacity(), 3u);
+  EXPECT_EQ(m.values().capacity(), 3u);
+  EXPECT_EQ(m.row_ptr().capacity(), 4u);
+}
+
+TEST(Csr, BuilderRefusesBadRowsAndColumns) {
+  la::CsrBuilder b(1, 2);
+  EXPECT_THROW(b.add(2, 1.0), std::out_of_range);
+  EXPECT_THROW((void)b.finish(), std::logic_error);
+  b.end_row();
+  EXPECT_EQ(b.finish().rows(), 1u);
+  la::CsrBuilder extra(1, 2);
+  extra.end_row();
+  extra.end_row();
+  EXPECT_THROW((void)extra.finish(), std::logic_error);
+  EXPECT_THROW(la::CsrBuilder(1, std::size_t{1} << 32), std::length_error);
 }
 
 TEST(Csr, ExactZerosAreDropped) {

@@ -1,13 +1,16 @@
 // The heap a state space holds: Figure 6's C^2 = 10 model (8 stations,
 // 5 908 states over levels 0..5) keeps one flat array of 32-bit codes per
-// level and no per-state vectors or index maps, and a CSR matrix with more
-// columns than 32-bit indices address is refused before it allocates.
+// level and no per-state vectors or index maps; a level assembles straight
+// into exactly sized CSR arrays, within twice what it keeps; and a CSR
+// matrix with more columns than 32-bit indices address is refused before it
+// allocates.
 // This binary links the counting allocator (tests/support), so it is built
 // only without sanitizers.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
@@ -45,6 +48,41 @@ TEST(StateSpaceMemory, Fig6Scv10HoldsAtMost48BytesPerState) {
               states, held, static_cast<double>(held) / states, peak);
   // The codes alone take 4 B per station: 32 B per state.
   EXPECT_LE(held, 48 * states);
+}
+
+/// Bytes of a CSR matrix whose arrays are exactly sized: 8 per row start,
+/// 4 per column index and 8 per value.
+std::size_t exact_bytes(const la::CsrMatrix& m) {
+  return (m.rows() + 1) * sizeof(std::size_t) +
+         m.nnz() * (sizeof(std::uint32_t) + sizeof(double));
+}
+
+TEST(StateSpaceMemory, LevelAssemblyPeaksWithinTwiceWhatItKeeps) {
+  // Distributed K = 6 with a C^2 = 10 remote disk: level 6 holds 22 180
+  // states.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 6;
+  cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
+  const net::StateSpace space(cluster::build_cluster(cfg), 6);
+  for (std::size_t k = 1; k <= 5; ++k) (void)space.level(k);
+  ASSERT_EQ(space.dimension(6), 22180u);
+
+  const std::size_t before = heap::live_bytes();
+  heap::reset_peak();
+  const net::LevelMatrices& lm = space.level(6);
+  const std::size_t kept = heap::live_bytes() - before;
+  const std::size_t peak = heap::peak_bytes() - before;
+
+  const std::size_t exact = exact_bytes(lm.p) + exact_bytes(lm.q) +
+                            exact_bytes(lm.r) +
+                            lm.event_rates.size() * sizeof(double);
+  std::printf("level 6: %zu entries of P, Q and R; keeps %zu B (exact "
+              "arrays %zu B), peak %zu B (%.2fx kept)\n",
+              lm.p.nnz() + lm.q.nnz() + lm.r.nnz(), kept, exact, peak,
+              static_cast<double>(peak) / static_cast<double>(kept));
+  EXPECT_LE(kept, exact);
+  EXPECT_LE(peak, 2 * kept);
 }
 
 TEST(StateSpaceMemory, CsrBeyond32BitColumnsThrowsBeforeAllocating) {

@@ -15,16 +15,16 @@ bench/ are allowed to print):
   R4  no raw `new` / `delete` in src/ — containers and smart pointers only
   R5  no `apply_left_parallel` / `apply_parallel` in src/ outside
       src/linalg/sparse.{h,cpp} — every level action is the serial kernel
-      (parallelism lives in the sweep and level-assembly fan-outs); the
+      (parallelism lives in the sweep fan-outs and the simulator); the
       pooled row-panel kernel survives only for the perfbench SpMV probe
   R6  no `.submit(` in src/ outside src/parallel/ — every pool dispatch
       goes through par::parallel_for, which waits for every chunk before it
       rethrows.  src/linalg/sparse.cpp is exempt while its pooled
       `apply_left_parallel` kernel (R5) survives
-  R7  no pool dispatch in src/core/: no `parallel_for`, `ThreadPool` or
-      `parallel/thread_pool.h` outside comments — every solver query runs
-      on its calling thread, and the pool serves the sweeps, the level
-      assembly and the simulator
+  R7  no pool dispatch in src/core/ or src/network/: no `parallel_for`,
+      `ThreadPool` or `parallel/thread_pool.h` outside comments — every
+      solver query and every level assembly runs on its calling thread, and
+      the pool serves the sweeps and the simulator
   R8  no `.to_dense(` in src/ outside src/linalg/sparse.{h,cpp} — level
       operators stay sparse from assembly to factorization, so no model
       path holds a D x D buffer (tests and tools may densify)
@@ -57,6 +57,7 @@ POOLED_SPMV_RE = re.compile(r"\bapply(_left)?_parallel\b")
 SPARSE_FILES = {Path("src/linalg/sparse.h"), Path("src/linalg/sparse.cpp")}
 SUBMIT_RE = re.compile(r"\.\s*submit\s*\(")
 SUBMIT_EXEMPT = {Path("src/linalg/sparse.cpp")}
+SERIAL_DIRS = {"core", "network"}
 POOL_RE = re.compile(r"\bparallel_for\b|\bThreadPool\b")
 POOL_INCLUDE_RE = re.compile(r'\s*#\s*include\s*"parallel/thread_pool\.h"')
 DENSIFY_RE = re.compile(r"\.\s*to_dense\s*\(")
@@ -133,7 +134,8 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
     densify_banned = in_src and rel not in SPARSE_FILES
     in_parallel = in_src and len(rel.parts) > 1 and rel.parts[1] == "parallel"
     submit_banned = in_src and not in_parallel and rel not in SUBMIT_EXEMPT
-    pool_banned = in_src and len(rel.parts) > 1 and rel.parts[1] == "core"
+    pool_banned = in_src and len(rel.parts) > 1 and \
+        rel.parts[1] in SERIAL_DIRS
     try:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -180,8 +182,9 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
                 line.lstrip().startswith("#")
                 and POOL_INCLUDE_RE.match(raw_lines[lineno - 1]))):
             problems.append(
-                f"{rel}:{lineno}: [core-pool] pool dispatch in src/core/; "
-                "solver queries run serially on the calling thread")
+                f"{rel}:{lineno}: [serial-pool] pool dispatch in "
+                f"src/{rel.parts[1]}/; solver queries and level assembly "
+                "run serially on the calling thread")
 
     if in_src and path.suffix in HEADER_SUFFIXES:
         first = next((ln.strip() for ln in code_lines if ln.strip()), "")

@@ -4,10 +4,10 @@
 Builds a throwaway tree with one known violation per rule plus the cases
 that must NOT fire (src/obs/ stream access, `= delete` declarations,
 prints under tools/, the pooled SpMV kernel and densification in
-src/linalg/sparse.cpp, pool submits in src/parallel/, pool dispatch
-outside src/core/, densification in tests/), runs the linter in-process,
-and checks
-that exactly the expected rule tags fire on the expected files.
+src/linalg/sparse.cpp, pool submits in src/parallel/, pool dispatch in
+the src/cluster/ sweeps, densification in tests/), runs the linter
+in-process, and checks that exactly the expected rule tags fire on the
+expected files.
 
 Run directly or via ctest (registered as `lint_selftest`).
 """
@@ -119,8 +119,15 @@ FIXTURES = {
         "}\n"
         "const char* name = \"ThreadPool\";\n"
     ),
-    # R7 negative: the sweeps and level assembly outside src/core/ fan out.
-    "src/network/good_fan_out.cpp": (
+    # R7: level assembly in src/network/ dispatches to the pool.
+    "src/network/bad_fan_out.cpp": (
+        "#include \"parallel/thread_pool.h\"\n"
+        "void g() {\n"
+        "  par::parallel_for(par::ThreadPool::global(), 0, 8, [](int) {});\n"
+        "}\n"
+    ),
+    # R7 negative: the sweeps in src/cluster/ fan out.
+    "src/cluster/good_fan_out.cpp": (
         "#include \"parallel/thread_pool.h\"\n"
         "void g() {\n"
         "  par::parallel_for(par::ThreadPool::global(), 0, 8, [](int) {});\n"
@@ -149,8 +156,12 @@ EXPECTED = [
     ("src/cluster/bad_spmv.cpp:6", "[pooled-spmv]"),
     ("src/network/bad_submit.cpp:3", "[raw-submit]"),
     ("src/network/bad_submit.cpp:5", "[raw-submit]"),
-    ("src/core/bad_pool.cpp:5", "[core-pool]"),
-    ("src/core/bad_pool.cpp:7", "[core-pool]"),
+    ("src/network/bad_submit.cpp:2", "[serial-pool]"),
+    ("src/network/bad_submit.cpp:4", "[serial-pool]"),
+    ("src/core/bad_pool.cpp:5", "[serial-pool]"),
+    ("src/core/bad_pool.cpp:7", "[serial-pool]"),
+    ("src/network/bad_fan_out.cpp:1", "[serial-pool]"),
+    ("src/network/bad_fan_out.cpp:3", "[serial-pool]"),
     ("src/core/bad_densify.cpp:3", "[no-densify]"),
     ("src/core/bad_densify.cpp:6", "[no-densify]"),
 ]
@@ -163,7 +174,7 @@ CLEAN = [
     "src/linalg/sparse.cpp",
     "src/parallel/good_pool.cpp",
     "tests/good_submit_test.cpp",
-    "src/network/good_fan_out.cpp",
+    "src/cluster/good_fan_out.cpp",
     "tests/good_densify_test.cpp",
 ]
 
