@@ -4,6 +4,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/metrics.h"
+#include "core/model_cache.h"
+#include "core/transient_solver.h"
+
 namespace finwork::cluster {
 
 namespace {
@@ -224,9 +228,20 @@ io::Table run_sweep(const ExperimentSpec& spec) {
       throw std::invalid_argument("run_sweep: unknown parameter '" + param +
                                   "'");
     }
-    table.add_row({value, cluster_makespan(cfg, tasks),
-                   cluster_speedup(cfg, tasks),
-                   cluster_prediction_error(cfg, tasks)});
+    // One pass per model: the cluster's makespan gives the speedup, and
+    // with its exponentialized twin's, the prediction error.
+    const auto makespan_of = [&](const net::NetworkSpec& model) {
+      const core::TransientSolver solver(
+          core::ModelCache::global().acquire(model, cfg.workstations));
+      return solver.makespan_grid({&tasks, 1})[0];
+    };
+    const net::NetworkSpec actual = build_cluster(cfg);
+    const double makespan = makespan_of(actual);
+    table.add_row(
+        {value, makespan,
+         core::speedup(tasks, cfg.app.task_mean_time(), makespan),
+         core::prediction_error_percent(
+             makespan, makespan_of(actual.exponentialized()))});
   }
   return table;
 }

@@ -643,26 +643,15 @@ TransientSolver::station_occupancy(std::size_t k, const la::Vector& pi) const {
   }
   const std::size_t s = sp.num_stations();
   std::vector<StationOccupancy> occ(s);
-  // Per station and local code: its customers and how many are in service.
-  std::vector<std::vector<std::pair<double, double>>> local(s);
-  for (std::size_t j = 0; j < s; ++j) {
-    const net::StationModel& model = sp.model(j);
-    local[j].resize(model.total_codes());
-    for (std::size_t c = 0; c < local[j].size(); ++c) {
-      const auto [n, idx] = model.decode(c);
-      std::size_t busy = 0;
-      for (std::size_t b : model.phase_counts(n, idx)) busy += b;
-      local[j][c] = {static_cast<double>(n), static_cast<double>(busy)};
-    }
-  }
   for (std::size_t is = 0; is < pi.size(); ++is) {
     const double w = pi[is];
     if (w == 0.0) continue;
     const std::span<const std::uint32_t> state = sp.state(k, is);
     for (std::size_t j = 0; j < s; ++j) {
-      const auto [customers, in_service] = local[j][state[j]];
-      occ[j].mean_customers += w * customers;
-      occ[j].mean_in_service += w * in_service;
+      const net::StationModel& model = sp.model(j);
+      occ[j].mean_customers +=
+          w * static_cast<double>(model.population()[state[j]]);
+      occ[j].mean_in_service += w * static_cast<double>(model.busy()[state[j]]);
     }
   }
   for (std::size_t j = 0; j < s; ++j) {

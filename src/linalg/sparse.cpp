@@ -33,26 +33,6 @@ std::vector<std::size_t> panel_bounds(std::size_t rows, std::size_t workers) {
 
 }  // namespace
 
-CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
-                     std::vector<Triplet> triplets) {
-  CsrBuilder b(rows, cols);
-  // Group the triplets by row; within a row they keep the order given.
-  std::stable_sort(triplets.begin(), triplets.end(),
-                   [](const Triplet& x, const Triplet& y) {
-                     return x.row < y.row;
-                   });
-  std::size_t r = 0;
-  for (const Triplet& t : triplets) {
-    if (t.row >= rows) {
-      throw std::out_of_range("CsrMatrix: triplet index out of range");
-    }
-    for (; r < t.row; ++r) b.end_row();
-    b.add(t.col, t.value);
-  }
-  for (; r < rows; ++r) b.end_row();
-  *this = b.finish();
-}
-
 CsrBuilder::CsrBuilder(std::size_t rows, std::size_t cols) {
   if (cols > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("CsrMatrix: columns exceed 32-bit indices");
@@ -64,15 +44,21 @@ CsrBuilder::CsrBuilder(std::size_t rows, std::size_t cols) {
 
 void CsrBuilder::add(std::size_t col, double value) {
   if (col >= m_.cols_) {
-    throw std::out_of_range("CsrMatrix: triplet index out of range");
+    throw std::out_of_range("CsrBuilder::add: column out of range");
   }
   row_.emplace_back(static_cast<std::uint32_t>(col), value);
 }
 
 void CsrBuilder::end_row() {
-  std::stable_sort(row_.begin(), row_.end(), [](const auto& x, const auto& y) {
-    return x.first < y.first;
-  });
+  // Insertion sort by column: stable, so duplicates meet in the order they
+  // were added, and it allocates nothing.  Level rows are short and
+  // identity_minus rows are sorted but for the diagonal.
+  for (std::size_t i = 1; i < row_.size(); ++i) {
+    const std::pair<std::uint32_t, double> e = row_[i];
+    std::size_t j = i;
+    for (; j > 0 && row_[j - 1].first > e.first; --j) row_[j] = row_[j - 1];
+    row_[j] = e;
+  }
   for (std::size_t i = 0; i < row_.size();) {
     const std::uint32_t c = row_[i].first;
     double v = row_[i].second;

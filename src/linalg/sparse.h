@@ -16,23 +16,10 @@
 
 namespace finwork::la {
 
-/// Coordinate-format entry used while assembling a sparse matrix.
-struct Triplet {
-  std::size_t row = 0;
-  std::size_t col = 0;
-  double value = 0.0;
-};
-
-/// Immutable CSR matrix.  Build it row by row with a CsrBuilder, or from
-/// triplets.
+/// Immutable CSR matrix.  Build it row by row with a CsrBuilder.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
-  /// Assemble from triplets through a CsrBuilder: the triplets of a row
-  /// reach it in the order given, so duplicate (row, col) entries are summed
-  /// in that order and exact zeros are dropped.  Throws std::length_error,
-  /// before allocating, for more columns than 32-bit indices address.
-  CsrMatrix(std::size_t rows, std::size_t cols, std::vector<Triplet> triplets);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -89,9 +76,12 @@ class CsrMatrix {
 };
 
 /// Builds a CsrMatrix one row at a time, straight into its arrays: the one
-/// place CSR entries are sorted and summed.  add() takes the current row's
-/// entries in any order; end_row() sorts them by column, sums duplicates in
-/// the order they were added and drops exact zeros.
+/// way to build a CsrMatrix, and the one place CSR entries are sorted and
+/// summed.  add() takes the current row's entries in any order; end_row()
+/// sorts them by column, sums duplicates in the order they were added and
+/// drops exact zeros.  The sort is an insertion sort, which allocates
+/// nothing and is linear on nearly sorted rows but quadratic in the length
+/// of a shuffled one.
 class CsrBuilder {
  public:
   /// Throws std::length_error, before allocating the arrays, for more

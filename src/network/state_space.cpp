@@ -1,7 +1,6 @@
 #include "network/state_space.h"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -26,45 +25,6 @@ std::size_t mul_add(std::size_t a, std::size_t b, std::size_t c) {
 
 }  // namespace
 
-StateSpace::StationTable StateSpace::make_table(const StationModel& m) {
-  if (m.total_codes() > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error("StateSpace: local codes beyond 32 bits");
-  }
-  StationTable t;
-  t.act_begin.push_back(0);
-  t.arr_begin.push_back(0);
-  const auto code = [&m](std::size_t n, std::size_t idx) {
-    return static_cast<std::uint32_t>(m.code_offset(n) + idx);
-  };
-  const auto at = [&t] { return static_cast<std::uint32_t>(t.moves.size()); };
-  for (std::size_t n = 0; n <= m.max_population(); ++n) {
-    t.first.push_back(code(n, 0));
-    for (std::size_t idx = 0; idx < m.count(n); ++idx) {
-      t.pop.push_back(static_cast<std::uint32_t>(n));
-      for (const LocalActivity& a : m.activities(n, idx)) {
-        Activity act{a.rate, at(), 0, 0};
-        for (const LocalOutcome& o : a.internal) {
-          t.moves.push_back({code(n, o.index), o.probability});
-        }
-        act.internal_end = at();
-        for (const LocalOutcome& o : a.completion) {
-          t.moves.push_back({code(n - 1, o.index), o.probability});
-        }
-        act.end = at();
-        t.acts.push_back(act);
-      }
-      t.act_begin.push_back(static_cast<std::uint32_t>(t.acts.size()));
-      if (n < m.max_population()) {
-        for (const LocalOutcome& o : m.arrival(n, idx)) {
-          t.arrivals.push_back({code(n + 1, o.index), o.probability});
-        }
-      }
-      t.arr_begin.push_back(static_cast<std::uint32_t>(t.arrivals.size()));
-    }
-  }
-  return t;
-}
-
 StateSpace::StateSpace(const NetworkSpec& spec, std::size_t max_population)
     : spec_(spec), max_pop_(max_population) {
   if (max_pop_ == 0) {
@@ -77,23 +37,20 @@ StateSpace::StateSpace(const NetworkSpec& spec, std::size_t max_population)
     const std::size_t s = spec_.num_stations();
     const std::size_t stride = max_pop_ + 1;
     models_.reserve(s);
-    tables_.reserve(s);
     for (std::size_t j = 0; j < s; ++j) {
       models_.emplace_back(spec_.station(j), max_pop_);
-      tables_.push_back(make_table(models_.back()));
     }
     // N(s, r) is 1 for r = 0 and 0 otherwise; N(j, r) sums, over the
     // customers n at station j, count_j(n) N(j + 1, r - n), and below
     // keeps the partial sums.
     ways_.assign((s + 1) * stride, 0);
     ways_[s * stride] = 1;
+    below_.assign(s * stride * stride, 0);
     for (std::size_t j = s; j-- > 0;) {
-      StationTable& t = tables_[j];
-      t.below.assign(stride * stride, 0);
       for (std::size_t r = 0; r <= max_pop_; ++r) {
         std::size_t sum = 0;
         for (std::size_t n = 0; n <= r; ++n) {
-          t.below[r * stride + n] = sum;
+          below_[(j * stride + r) * stride + n] = sum;
           sum = mul_add(models_[j].count(n), ways(j + 1, r - n), sum);
         }
         ways_[j * stride + r] = sum;
@@ -123,12 +80,12 @@ void StateSpace::enumerate_level(std::size_t k) {
   // that leaves customers no later station can hold is skipped.
   auto recurse = [&](auto&& self, std::size_t j, std::size_t remaining)
       -> void {
-    const StationTable& t = tables_[j];
+    const StationModel& m = models_[j];
     for (std::size_t n = 0; n <= remaining; ++n) {
       if (ways(j + 1, remaining - n) == 0) continue;
-      const std::size_t end = t.first[n] + models_[j].count(n);
-      for (std::uint32_t c = t.first[n]; c < end; ++c) {
-        current[j] = c;
+      const std::size_t end = m.code_offset(n + 1);
+      for (std::size_t c = m.code_offset(n); c < end; ++c) {
+        current[j] = static_cast<std::uint32_t>(c);
         if (j + 1 == s) {
           next = std::copy(current.begin(), current.end(), next);
         } else {
@@ -157,15 +114,14 @@ std::size_t StateSpace::rank(std::size_t k,
   // States before this one: for each station j, those that agree on
   // stations 0..j-1 and hold a smaller code at j.  With r customers left
   // for stations j..s-1 and n = pop(c_j), they are the ones with fewer than
-  // n customers at j, then (c_j - first(n)) blocks of N(j + 1, r - n).
-  const std::size_t stride = max_pop_ + 1;
+  // n customers at j, then (c_j - code_offset(n)) blocks of N(j + 1, r - n).
   std::size_t r = k;
   std::size_t i = 0;
-  for (std::size_t j = 0; j < tables_.size(); ++j) {
-    const StationTable& t = tables_[j];
+  for (std::size_t j = 0; j < models_.size(); ++j) {
+    const StationModel& m = models_[j];
     const std::uint32_t c = codes[j];
-    const std::size_t n = t.pop[c];
-    i += t.below[r * stride + n] + (c - t.first[n]) * ways(j + 1, r - n);
+    const std::size_t n = m.population()[c];
+    i += below(j, r, n) + (c - m.code_offset(n)) * ways(j + 1, r - n);
     r -= n;
   }
   return i;
@@ -173,15 +129,15 @@ std::size_t StateSpace::rank(std::size_t k,
 
 std::size_t StateSpace::index_of(std::size_t k,
                                  std::span<const std::uint32_t> s) const {
-  if (k > max_pop_ || s.size() != tables_.size()) {
+  if (k > max_pop_ || s.size() != models_.size()) {
     throw std::out_of_range("StateSpace::index_of: wrong level or length");
   }
   std::size_t customers = 0;
   for (std::size_t j = 0; j < s.size(); ++j) {
-    if (s[j] >= tables_[j].pop.size()) {
+    if (s[j] >= models_[j].total_codes()) {
       throw std::out_of_range("StateSpace::index_of: code out of range");
     }
-    customers += tables_[j].pop[s[j]];
+    customers += models_[j].population()[s[j]];
   }
   if (customers != k) {
     throw std::out_of_range("StateSpace::index_of: population is not k");
@@ -193,7 +149,9 @@ std::vector<std::size_t> StateSpace::occupancy(std::size_t k,
                                                std::size_t idx) const {
   const std::span<const std::uint32_t> s = state(k, idx);
   std::vector<std::size_t> occ(models_.size());
-  for (std::size_t j = 0; j < models_.size(); ++j) occ[j] = tables_[j].pop[s[j]];
+  for (std::size_t j = 0; j < models_.size(); ++j) {
+    occ[j] = models_[j].population()[s[j]];
+  }
   return occ;
 }
 
@@ -227,14 +185,6 @@ void StateSpace::build_level(std::size_t k) const {
   const la::Matrix& routing = spec_.routing();
   const la::Vector& sys_exit = spec_.exit();
   const la::Vector& sys_entry = spec_.entry();
-  const auto moves = [](const StationTable& t, std::uint32_t from,
-                        std::uint32_t to) {
-    return std::span<const Move>(t.moves.data() + from, to - from);
-  };
-  const auto arrivals = [](const StationTable& t, std::uint32_t code) {
-    return std::span<const Move>(t.arrivals.data() + t.arr_begin[code],
-                                 t.arr_begin[code + 1] - t.arr_begin[code]);
-  };
 
   LevelMatrices lm;
   lm.level = k;
@@ -249,17 +199,13 @@ void StateSpace::build_level(std::size_t k) const {
   for (std::size_t is = 0; is < d; ++is) {
     const std::uint32_t* const state = level_codes_[k].data() + is * s;
     std::copy_n(state, s, cur.begin());
-    const auto activities = [&](std::size_t j) {
-      const StationTable& t = tables_[j];
-      return std::span<const Activity>(
-          t.acts.data() + t.act_begin[state[j]],
-          t.act_begin[state[j] + 1] - t.act_begin[state[j]]);
-    };
 
     // The total event rate over every station's activities.
     double total_rate = 0.0;
     for (std::size_t j = 0; j < s; ++j) {
-      for (const Activity& a : activities(j)) total_rate += a.rate;
+      for (const LocalActivity& a : models_[j].activities(state[j])) {
+        total_rate += a.rate;
+      }
     }
     if (total_rate <= 0.0) {
       throw std::logic_error("StateSpace: state with no outgoing activity");
@@ -268,18 +214,18 @@ void StateSpace::build_level(std::size_t k) const {
     lm.max_event_rate = std::max(lm.max_event_rate, total_rate);
 
     for (std::size_t j = 0; j < s; ++j) {
-      const StationTable& tj = tables_[j];
-      for (const Activity& act : activities(j)) {
+      const StationModel& mj = models_[j];
+      for (const LocalActivity& act : mj.activities(state[j])) {
         const double event_prob = act.rate / total_rate;
 
         // Internal phase move within station j: population unchanged.
-        for (const Move& o : moves(tj, act.begin, act.internal_end)) {
+        for (const LocalMove& o : mj.internal(act)) {
           cur[j] = o.code;
           p.add(rank(k, cur.data()), event_prob * o.probability);
         }
 
         // Service completion at station j: the customer routes onward.
-        for (const Move& done : moves(tj, act.internal_end, act.end)) {
+        for (const LocalMove& done : mj.completions(act)) {
           cur[j] = done.code;
           const double base = event_prob * done.probability;
 
@@ -289,7 +235,7 @@ void StateSpace::build_level(std::size_t k) const {
             const double rjl = routing(j, l);
             if (rjl <= 0.0) continue;
             const std::uint32_t cl = cur[l];
-            for (const Move& arr : arrivals(tables_[l], cl)) {
+            for (const LocalMove& arr : models_[l].arrivals(cl)) {
               cur[l] = arr.code;
               p.add(rank(k, cur.data()), base * rjl * arr.probability);
             }
@@ -316,7 +262,7 @@ void StateSpace::build_level(std::size_t k) const {
     for (std::size_t l = 0; l < s; ++l) {
       const double pl = sys_entry[l];
       if (pl <= 0.0) continue;
-      for (const Move& arr : arrivals(tables_[l], state[l])) {
+      for (const LocalMove& arr : models_[l].arrivals(state[l])) {
         cur[l] = arr.code;
         r.add(rank(k, cur.data()), pl * arr.probability);
       }

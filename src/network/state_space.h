@@ -8,10 +8,12 @@
 // Row invariant: P_k eps + Q_k eps = eps (something always happens next);
 // R_k is stochastic.
 //
-// A global state is one local code per station (see StationModel).  Each
-// level keeps its states in one flat array, num_stations codes per state, in
-// lexicographic order of (c_0, ..., c_{s-1}) — the order the enumeration
-// produces them in.  A state's index is its lexicographic rank, computed in
+// A global state is one local code per station.  Each station's StationModel
+// holds, per local code, its customers, activities and arrival moves; the
+// assembly reads them from there and keeps no copy.  Each level keeps its
+// states in one flat array, num_stations codes per state, in lexicographic
+// order of (c_0, ..., c_{s-1}) — the order the enumeration produces them
+// in.  A state's index is its lexicographic rank, computed in
 // O(stations) from per-station tables N(j, r) (the ways to place r customers
 // on stations j..s-1), so the level needs no index map and D(k) = N(0, k) is
 // known before enumeration (docs/PERFORMANCE.md §10).  Matrices are CSR.
@@ -90,42 +92,17 @@ class StateSpace {
       std::size_t stations, std::size_t customers);
 
  private:
-  /// A local move: the station's code after it, and its probability.
-  struct Move {
-    std::uint32_t code = 0;
-    double probability = 0.0;
-  };
-  /// One activity of a local state (StationModel::activities): its rate,
-  /// its internal moves moves[begin .. internal_end) and its completions
-  /// moves[internal_end .. end).
-  struct Activity {
-    double rate = 0.0;
-    std::uint32_t begin = 0;
-    std::uint32_t internal_end = 0;
-    std::uint32_t end = 0;
-  };
-  /// One station's local states by code, flattened for assembly and rank.
-  struct StationTable {
-    std::vector<std::uint32_t> pop;        ///< customers n of each code
-    std::vector<std::uint32_t> first;      ///< code_offset(n)
-    /// The activities of code c are acts[act_begin[c] .. act_begin[c + 1]),
-    /// its arrival moves arrivals[arr_begin[c] .. arr_begin[c + 1]).
-    std::vector<std::uint32_t> act_begin;
-    std::vector<std::uint32_t> arr_begin;
-    std::vector<Activity> acts;
-    std::vector<Move> moves;
-    std::vector<Move> arrivals;
-    /// below[r (K + 1) + n]: how many placements of r customers on this
-    /// station and the ones after it put fewer than n here.
-    std::vector<std::size_t> below;
-  };
-
-  [[nodiscard]] static StationTable make_table(const StationModel& m);
   void enumerate_level(std::size_t k);
   void build_level(std::size_t k) const;
   /// N(j, r): the ways to place r customers on stations j..s-1.
   [[nodiscard]] std::size_t ways(std::size_t j, std::size_t r) const noexcept {
     return ways_[j * (max_pop_ + 1) + r];
+  }
+  /// How many placements of r customers on stations j..s-1 put fewer than
+  /// n at station j.
+  [[nodiscard]] std::size_t below(std::size_t j, std::size_t r,
+                                  std::size_t n) const noexcept {
+    return below_[(j * (max_pop_ + 1) + r) * (max_pop_ + 1) + n];
   }
   /// Rank of a valid state of level k within its level.
   [[nodiscard]] std::size_t rank(std::size_t k,
@@ -134,8 +111,8 @@ class StateSpace {
   NetworkSpec spec_;
   std::size_t max_pop_;
   std::vector<StationModel> models_;
-  std::vector<StationTable> tables_;
-  std::vector<std::size_t> ways_;  // (stations + 1) x (K + 1)
+  std::vector<std::size_t> ways_;   // (stations + 1) x (K + 1)
+  std::vector<std::size_t> below_;  // stations x (K + 1) x (K + 1)
   std::vector<std::vector<std::uint32_t>> level_codes_;
   mutable std::vector<LevelMatrices> level_matrices_;
   // One flag per level: call_once both serializes concurrent builders of the

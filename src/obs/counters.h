@@ -39,7 +39,8 @@ enum class Counter : std::size_t {
   kSimReplications,      ///< simulator single-run replications
   kInvariantChecks,      ///< invariant checker entries
   kInvariantViolations,  ///< invariant violations raised
-  kTraceEventsDropped,   ///< spans discarded by a full thread buffer
+  kTraceEventsDropped,   ///< spans and structured events discarded by a
+                         ///< full thread buffer or the full event sink
   kModelCacheHits,       ///< ModelCache lookups served by an existing model
   kModelCacheMisses,     ///< ModelCache lookups that built a new model
   kModelCacheEvictions,  ///< models evicted by the LRU capacity bound

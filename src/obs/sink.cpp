@@ -3,6 +3,7 @@
 #include <mutex>
 #include <utility>
 
+#include "obs/counters.h"
 #include "obs/trace.h"
 
 namespace finwork::obs {
@@ -10,7 +11,8 @@ namespace finwork::obs {
 namespace {
 
 // Structured events are rare (they mark defects), so a single mutex-guarded
-// vector with a hard cap is enough.
+// vector with a hard cap is enough; each event past the cap is counted in
+// Counter::kTraceEventsDropped.
 constexpr std::size_t kMaxEvents = 4096;
 
 struct SinkRegistry {
@@ -40,9 +42,15 @@ void emit_event_impl(std::string category, std::string object,
     ev.ts_ns = now_ns();
     SinkRegistry& reg = sink_registry();
     std::lock_guard lock(reg.mu);
-    if (reg.events.size() < kMaxEvents) reg.events.push_back(std::move(ev));
+    if (reg.events.size() < kMaxEvents) {
+      reg.events.push_back(std::move(ev));
+    } else {
+      counter_add(Counter::kTraceEventsDropped);
+    }
   } catch (...) {
-    // Diagnostics must never take the computation down with them.
+    // Diagnostics must never take the computation down with them, but the
+    // lost event is still counted.
+    counter_add(Counter::kTraceEventsDropped);
   }
 }
 

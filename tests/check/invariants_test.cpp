@@ -24,7 +24,7 @@ namespace {
 
 // A lawful substochastic 2x2 matrix: row sums 0.9 and 0.5.
 la::CsrMatrix lawful_p() {
-  return la::CsrMatrix(2, 2, {{0, 0, 0.4}, {0, 1, 0.5}, {1, 0, 0.5}});
+  return la::to_csr(la::Matrix{{0.4, 0.5}, {0.5, 0.0}});
 }
 
 // Extract the full what() of the violation thrown by `fn`.
@@ -77,8 +77,8 @@ TEST(CheckSubstochastic, AcceptsLawfulMatrix) {
 
 TEST(CheckSubstochastic, CorruptedRowSumNamesMatrixLevelAndRow) {
   // Deliberately corrupted P_k: row 1 sums to 1.3 > 1.
-  la::CsrMatrix corrupted(
-      2, 2, {{0, 0, 0.4}, {1, 0, 0.6}, {1, 1, 0.7}});
+  const la::CsrMatrix corrupted =
+      la::to_csr(la::Matrix{{0.4, 0.0}, {0.6, 0.7}});
   const std::string msg = violation_message(
       [&] { check::check_substochastic(corrupted, "P_k", 3); });
   EXPECT_NE(msg.find("P_k"), std::string::npos) << msg;
@@ -97,15 +97,15 @@ TEST(CheckSubstochastic, CorruptedRowSumNamesMatrixLevelAndRow) {
 }
 
 TEST(CheckSubstochastic, RejectsNegativeEntry) {
-  la::CsrMatrix neg(1, 2, {{0, 0, -0.1}, {0, 1, 0.5}});
+  const la::CsrMatrix neg = la::to_csr(la::Matrix{{-0.1, 0.5}});
   EXPECT_THROW(check::check_substochastic(neg, "P_k", 1),
                check::InvariantViolation);
 }
 
 TEST(CheckStochastic, RequiresUnitRowSums) {
-  la::CsrMatrix r(2, 2, {{0, 0, 0.5}, {0, 1, 0.5}, {1, 1, 1.0}});
+  const la::CsrMatrix r = la::to_csr(la::Matrix{{0.5, 0.5}, {0.0, 1.0}});
   EXPECT_NO_THROW(check::check_stochastic(r, "R_k", 4));
-  la::CsrMatrix leaky(1, 2, {{0, 0, 0.5}, {0, 1, 0.4}});
+  const la::CsrMatrix leaky = la::to_csr(la::Matrix{{0.5, 0.4}});
   const std::string msg = violation_message(
       [&] { check::check_stochastic(leaky, "R_k", 4); });
   EXPECT_NE(msg.find("R_k"), std::string::npos) << msg;
@@ -115,9 +115,9 @@ TEST(CheckStochastic, RequiresUnitRowSums) {
 TEST(CheckLevelFlow, DetectsLeakedMass) {
   // Lawful: P row sums + Q row sums = 1 for each row.
   la::CsrMatrix p = lawful_p();  // row sums 0.9, 0.5
-  la::CsrMatrix q_good(2, 1, {{0, 0, 0.1}, {1, 0, 0.5}});
+  const la::CsrMatrix q_good = la::to_csr(la::Matrix{{0.1}, {0.5}});
   EXPECT_NO_THROW(check::check_level_flow(p, q_good, 2));
-  la::CsrMatrix q_bad(2, 1, {{0, 0, 0.1}, {1, 0, 0.3}});
+  const la::CsrMatrix q_bad = la::to_csr(la::Matrix{{0.1}, {0.3}});
   EXPECT_THROW(check::check_level_flow(p, q_bad, 2),
                check::InvariantViolation);
 }

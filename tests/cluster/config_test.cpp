@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/transient_solver.h"
+#include "obs/counters.h"
 
 namespace cluster = finwork::cluster;
 namespace io = finwork::io;
@@ -164,6 +165,21 @@ TEST(Config, SweepOverWorkstations) {
   EXPECT_GT(table.at(1, 1), table.at(2, 1));
   // speedup of 1 at K = 1
   EXPECT_NEAR(table.at(0, 2), 1.0, 1e-9);
+}
+
+TEST(Config, SweepRunsEachModelOncePerPoint) {
+  namespace obs = finwork::obs;
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const auto spec = parse(R"({
+    "workstations": 3, "tasks": 12,
+    "sweep": {"parameter": "remote_scv", "values": [1, 10, 50]}
+  })");
+  obs::counters_reset();
+  const auto table = cluster::run_sweep(spec);
+  ASSERT_EQ(table.num_rows(), 3u);
+  // One single-point grid pass of the actual model and one of the
+  // exponentialized model per sweep point.
+  EXPECT_EQ(obs::counter_value(obs::Counter::kGridPointsPerPass), 2u * 3u);
 }
 
 TEST(Config, SweepValidation) {

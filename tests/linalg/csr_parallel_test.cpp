@@ -26,17 +26,17 @@ std::uint64_t lcg(std::uint64_t& s) {
 // A CSR matrix big enough to clear the parallel nnz threshold (2^15).
 la::CsrMatrix make_matrix(std::size_t rows, std::size_t cols,
                           std::size_t nnz_per_row, std::uint64_t seed) {
-  std::vector<la::Triplet> trips;
-  trips.reserve(rows * nnz_per_row);
+  la::CsrBuilder b(rows, cols);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t j = 0; j < nnz_per_row; ++j) {
       const std::size_t c = lcg(seed) % cols;
       const double v =
           (static_cast<double>(lcg(seed) % 2000) - 1000.0) / 977.0;
-      trips.push_back({r, c, v});
+      b.add(c, v);
     }
+    b.end_row();
   }
-  return la::CsrMatrix(rows, cols, std::move(trips));
+  return b.finish();
 }
 
 la::Vector make_vector(std::size_t n, std::uint64_t seed) {

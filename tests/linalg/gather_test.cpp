@@ -50,7 +50,7 @@ la::CsrMatrix grouped_random(std::size_t cols, std::size_t max_length,
   std::shuffle(lengths.begin(), lengths.end(), gen);
   std::uniform_real_distribution<double> mag(0.05, 1.0);
   std::uniform_int_distribution<int> exponent(-30, 3);
-  std::vector<la::Triplet> trips;
+  la::CsrBuilder b(lengths.size(), cols);
   std::vector<std::size_t> pool(cols);
   for (std::size_t c = 0; c < cols; ++c) pool[c] = c;
   for (std::size_t r = 0; r < lengths.size(); ++r) {
@@ -64,10 +64,11 @@ la::CsrMatrix grouped_random(std::size_t cols, std::size_t max_length,
       sum += std::abs(e);
     }
     for (std::size_t j = 0; j < v.size(); ++j) {
-      trips.push_back({r, pool[j], scale > 0.0 ? v[j] * scale / sum : v[j]});
+      b.add(pool[j], scale > 0.0 ? v[j] * scale / sum : v[j]);
     }
+    b.end_row();
   }
-  return la::CsrMatrix(lengths.size(), cols, std::move(trips));
+  return b.finish();
 }
 
 la::Vector random_vector(std::size_t n, unsigned seed) {
@@ -81,13 +82,18 @@ la::Vector random_vector(std::size_t n, unsigned seed) {
 
 /// A^T as CSR, columns ascending within each row.
 la::CsrMatrix csr_transpose(const la::CsrMatrix& a) {
-  std::vector<la::Triplet> trips;
+  std::vector<std::vector<std::pair<std::size_t, double>>> rows(a.cols());
   for (std::size_t r = 0; r < a.rows(); ++r) {
     for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-      trips.push_back({a.col_idx()[k], r, a.values()[k]});
+      rows[a.col_idx()[k]].emplace_back(r, a.values()[k]);
     }
   }
-  return la::CsrMatrix(a.cols(), a.rows(), std::move(trips));
+  la::CsrBuilder b(a.cols(), a.rows());
+  for (const auto& row : rows) {
+    for (const auto& [c, v] : row) b.add(c, v);
+    b.end_row();
+  }
+  return b.finish();
 }
 
 void expect_same_action(const la::CsrMatrix& a, unsigned seed) {
@@ -264,19 +270,21 @@ TEST(GatherMatrix, ApplyMatchesCsrBitwiseOnWholeAndPartialBlocks) {
 }
 
 TEST(GatherMatrix, OneRowAndZeroRows) {
-  expect_same_action(la::CsrMatrix(1, 5, {{0, 1, 0.5}, {0, 4, -2.0}}), 1);
-  expect_same_action(la::CsrMatrix(1, 3, {}), 2);
-  expect_same_action(la::CsrMatrix(0, 4, {}), 3);
-  expect_same_action(la::CsrMatrix(4, 0, {}), 4);
-  expect_same_action(la::CsrMatrix(0, 0, {}), 5);
+  expect_same_action(la::to_csr(la::Matrix{{0.0, 0.5, 0.0, 0.0, -2.0}}), 1);
+  expect_same_action(la::to_csr(la::Matrix(1, 3)), 2);
+  expect_same_action(la::to_csr(la::Matrix(0, 4)), 3);
+  expect_same_action(la::to_csr(la::Matrix(4, 0)), 4);
+  expect_same_action(la::to_csr(la::Matrix(0, 0)), 5);
   // Only empty rows: one length-0 group, every entry of A x an exact +0.0.
-  const la::GatherMatrix empty{la::CsrMatrix(6, 6, {})};
+  const la::GatherMatrix empty{la::to_csr(la::Matrix(6, 6))};
   const la::Vector y = empty.apply(random_vector(6, 6));
   for (const double v : y) EXPECT_TRUE(same_bits(v, 0.0));
 }
 
 TEST(GatherMatrix, SizeMismatchThrows) {
-  const la::CsrMatrix a(3, 4, {{0, 1, 1.0}});
+  la::Matrix dense(3, 4);
+  dense(0, 1) = 1.0;
+  const la::CsrMatrix a = la::to_csr(dense);
   EXPECT_THROW((void)la::GatherMatrix(a).apply(la::Vector(3, 1.0)),
                std::invalid_argument);
   EXPECT_THROW(

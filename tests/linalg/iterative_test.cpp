@@ -47,17 +47,15 @@ la::CsrMatrix random_sparse_substochastic(std::size_t n, std::size_t per_row,
   std::mt19937 gen(seed);
   std::uniform_real_distribution<double> weight(0.1, 1.0);
   std::uniform_int_distribution<std::size_t> column(0, n - 1);
-  std::vector<la::Triplet> trips;
-  trips.reserve(n * per_row);
+  la::CsrBuilder b(n, n);
   std::vector<double> w(per_row);
   for (std::size_t r = 0; r < n; ++r) {
     double sum = 0.0;
     for (double& v : w) sum += (v = weight(gen));
-    for (const double v : w) {
-      trips.push_back({r, column(gen), v * (1.0 - exit_mass) / sum});
-    }
+    for (const double v : w) b.add(column(gen), v * (1.0 - exit_mass) / sum);
+    b.end_row();
   }
-  return la::CsrMatrix(n, n, std::move(trips));
+  return b.finish();
 }
 
 bool bitwise_equal(const la::Vector& a, const la::Vector& b) {

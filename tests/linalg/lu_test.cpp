@@ -792,17 +792,16 @@ TEST(LuSparse, FaultSiteFiresBeforeElimination) {
 }
 
 TEST(LuSparse, RejectsNonSquareCsr) {
-  EXPECT_THROW(la::LuDecomposition(la::CsrMatrix(3, 4, {})),
-               std::invalid_argument);
-  EXPECT_THROW((void)la::CsrMatrix::identity_minus(la::CsrMatrix(3, 4, {}), 1.0),
+  const la::CsrMatrix wide = la::to_csr(la::Matrix(3, 4));
+  EXPECT_THROW(la::LuDecomposition{wide}, std::invalid_argument);
+  EXPECT_THROW((void)la::CsrMatrix::identity_minus(wide, 1.0),
                std::invalid_argument);
 }
 
 TEST(LuSparse, IdentityMinusMatchesTheDenseAssembly) {
   // Diagonal entries stored, missing and cancelling to zero.
-  const la::CsrMatrix p(3, 3,
-                        {{0, 0, 0.25}, {0, 2, 0.5}, {1, 0, 0.125},
-                         {2, 2, 1.0}, {2, 1, 0.1}});
+  const la::CsrMatrix p = la::to_csr(
+      la::Matrix{{0.25, 0.0, 0.5}, {0.125, 0.0, 0.0}, {0.0, 0.1, 1.0}});
   const double sigma = 1e-5;
   const la::CsrMatrix a = la::CsrMatrix::identity_minus(p, 1.0 + sigma);
   la::Matrix want = p.to_dense();

@@ -12,36 +12,41 @@
 namespace la = finwork::la;
 
 TEST(Csr, EmptyMatrix) {
-  la::CsrMatrix m(3, 4, {});
+  const la::CsrMatrix m = la::to_csr(la::Matrix(3, 4, 0.0));
   EXPECT_EQ(m.rows(), 3u);
   EXPECT_EQ(m.cols(), 4u);
   EXPECT_EQ(m.nnz(), 0u);
   EXPECT_EQ(m.apply(la::Vector(4, 1.0)), la::Vector(3, 0.0));
 }
 
-TEST(Csr, BuildFromTriplets) {
-  la::CsrMatrix m(2, 2, {{0, 1, 2.0}, {1, 0, 3.0}});
-  EXPECT_EQ(m.nnz(), 2u);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 3.0);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 0.0);
-}
-
 TEST(Csr, DuplicatesAreSummed) {
-  la::CsrMatrix m(1, 1, {{0, 0, 1.0}, {0, 0, 2.5}});
+  la::CsrBuilder b(1, 1);
+  b.add(0, 1.0);
+  b.add(0, 2.5);
+  b.end_row();
+  const la::CsrMatrix m = b.finish();
   EXPECT_EQ(m.nnz(), 1u);
   EXPECT_DOUBLE_EQ(m.at(0, 0), 3.5);
 }
 
 TEST(Csr, DuplicatesAreSummedInTheOrderGiven) {
   // (1 + 1e16) - 1e16 is exactly 0, so that entry is dropped; summed in
-  // another order the same three values give 1.
-  const la::CsrMatrix m(
-      2, 2, {{0, 1, 1.0}, {1, 0, 5.0}, {0, 1, 1e16}, {0, 1, -1e16}});
-  EXPECT_EQ(m.nnz(), 1u);
-  EXPECT_EQ(m.at(1, 0), 5.0);
-  const la::CsrMatrix n(1, 1, {{0, 0, 1e16}, {0, 0, -1e16}, {0, 0, 1.0}});
-  EXPECT_EQ(n.at(0, 0), 1.0);
+  // another order the same three values give 1.  Entries of other columns
+  // added in between, before and after do not change the order.
+  la::CsrBuilder b(2, 3);
+  b.add(1, 1.0);
+  b.add(2, 5.0);
+  b.add(1, 1e16);
+  b.add(0, 7.0);
+  b.add(1, -1e16);
+  b.end_row();
+  b.add(0, 1e16);
+  b.add(0, -1e16);
+  b.add(0, 1.0);
+  b.end_row();
+  const la::CsrMatrix m = b.finish();
+  EXPECT_EQ(m.col_idx(), (std::vector<std::uint32_t>{0, 2, 0}));
+  EXPECT_EQ(m.values(), (std::vector<double>{7.0, 5.0, 1.0}));
 }
 
 TEST(Csr, BuilderSortsEachRowAndSizesItsArraysExactly) {
@@ -77,54 +82,55 @@ TEST(Csr, BuilderRefusesBadRowsAndColumns) {
 }
 
 TEST(Csr, ExactZerosAreDropped) {
-  la::CsrMatrix m(1, 2, {{0, 0, 1.0}, {0, 1, 0.0}});
-  EXPECT_EQ(m.nnz(), 1u);
+  la::CsrBuilder b(1, 2);
+  b.add(0, 1.0);
+  b.add(1, 0.0);
+  b.end_row();
+  EXPECT_EQ(b.finish().nnz(), 1u);
 }
 
 TEST(Csr, CancellingDuplicatesDropped) {
-  la::CsrMatrix m(1, 1, {{0, 0, 2.0}, {0, 0, -2.0}});
-  EXPECT_EQ(m.nnz(), 0u);
+  la::CsrBuilder b(1, 1);
+  b.add(0, 2.0);
+  b.add(0, -2.0);
+  b.end_row();
+  EXPECT_EQ(b.finish().nnz(), 0u);
 }
 
 TEST(Csr, ColumnsBeyond32BitIndicesThrow) {
   const std::size_t too_many = std::size_t{1} << 32;
-  EXPECT_THROW(la::CsrMatrix(1, too_many, {}), std::length_error);
-  EXPECT_THROW(la::CsrMatrix(1, too_many, {{0, too_many - 1, 1.0}}),
-               std::length_error);
+  EXPECT_THROW(la::CsrBuilder(1, too_many), std::length_error);
   // The largest 32-bit column index still fits.
-  const la::CsrMatrix m(1, too_many - 1, {{0, too_many - 2, 1.0}});
-  EXPECT_EQ(m.col_idx()[0], too_many - 2);
-}
-
-TEST(Csr, OutOfRangeTripletThrows) {
-  EXPECT_THROW((void)la::CsrMatrix(2, 2, {{2, 0, 1.0}}), std::out_of_range);
-  EXPECT_THROW((void)la::CsrMatrix(2, 2, {{0, 2, 1.0}}), std::out_of_range);
+  la::CsrBuilder b(1, too_many - 1);
+  b.add(too_many - 2, 1.0);
+  b.end_row();
+  EXPECT_EQ(b.finish().col_idx()[0], too_many - 2);
 }
 
 TEST(Csr, Apply) {
   // [[1, 2], [0, 3]] * [1, 1] = [3, 3]
-  la::CsrMatrix m(2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 1, 3.0}});
+  const la::CsrMatrix m = la::to_csr(la::Matrix{{1.0, 2.0}, {0.0, 3.0}});
   EXPECT_EQ(m.apply(la::Vector{1.0, 1.0}), (la::Vector{3.0, 3.0}));
 }
 
 TEST(Csr, ApplyLeft) {
-  la::CsrMatrix m(2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 1, 3.0}});
+  const la::CsrMatrix m = la::to_csr(la::Matrix{{1.0, 2.0}, {0.0, 3.0}});
   EXPECT_EQ(m.apply_left(la::Vector{1.0, 1.0}), (la::Vector{1.0, 5.0}));
 }
 
 TEST(Csr, SizeMismatchThrows) {
-  la::CsrMatrix m(2, 3, {});
+  const la::CsrMatrix m = la::to_csr(la::Matrix(2, 3, 0.0));
   EXPECT_THROW((void)m.apply(la::Vector(2)), std::invalid_argument);
   EXPECT_THROW((void)m.apply_left(la::Vector(3)), std::invalid_argument);
 }
 
 TEST(Csr, RowSums) {
-  la::CsrMatrix m(2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 0, -1.0}});
+  const la::CsrMatrix m = la::to_csr(la::Matrix{{1.0, 2.0}, {-1.0, 0.0}});
   EXPECT_EQ(m.row_sums(), (la::Vector{3.0, -1.0}));
 }
 
 TEST(Csr, NormInf) {
-  la::CsrMatrix m(2, 2, {{0, 0, -4.0}, {1, 0, 1.0}, {1, 1, 2.0}});
+  const la::CsrMatrix m = la::to_csr(la::Matrix{{-4.0, 0.0}, {1.0, 2.0}});
   EXPECT_DOUBLE_EQ(m.norm_inf(), 4.0);
 }
 

@@ -88,7 +88,7 @@ TEST(StateSpaceMemory, LevelAssemblyPeaksWithinTwiceWhatItKeeps) {
 TEST(StateSpaceMemory, CsrBeyond32BitColumnsThrowsBeforeAllocating) {
   const std::size_t before = heap::live_bytes();
   heap::reset_peak();
-  EXPECT_THROW(la::CsrMatrix(1, std::size_t{1} << 32, {}), std::length_error);
+  EXPECT_THROW(la::CsrBuilder(1, std::size_t{1} << 32), std::length_error);
   // Only the exception object itself is allocated.
   EXPECT_LT(heap::peak_bytes() - before, 1024u);
 }

@@ -67,6 +67,35 @@ net::NetworkSpec fig6_scv10_model() {
   return cluster::build_cluster(c);
 }
 
+/// Figure 10's distributed K = 5 coarse-grained model with the given
+/// dedicated-CPU shape: an ample multi-phase station for H2 or E3.
+net::NetworkSpec fig10_model(const cluster::ServiceShape& cpu) {
+  cluster::ExperimentConfig c =
+      figure_config(cluster::Architecture::kDistributed, 5);
+  c.app = cluster::ApplicationModel::coarse_grained();
+  c.shapes.cpu = cpu;
+  return cluster::build_cluster(c);
+}
+
+/// Two two-server exponential stations and a single-server Erlang-2 one: at
+/// K = 4 they are queued multi-server stations (1 < c < K) and a queued
+/// PH station with internal stage moves.
+net::NetworkSpec two_server_model() {
+  std::vector<net::Station> st = {
+      {"A", ph::PhaseType::exponential(2.0), 2},
+      {"B", ph::PhaseType::erlang(2, 1.0), 1},
+      {"C", ph::PhaseType::exponential(0.5), 2},
+  };
+  la::Matrix routing(3, 3, 0.0);
+  routing(0, 1) = 0.6;
+  routing(0, 2) = 0.4;
+  routing(1, 0) = 0.5;
+  routing(2, 0) = 0.3;
+  routing(2, 1) = 0.2;
+  return net::NetworkSpec(std::move(st), la::Vector{0.7, 0.0, 0.3},
+                          std::move(routing), la::Vector{0.0, 0.5, 0.5});
+}
+
 /// Every state of every level ranks to its own index, and the states come
 /// in strictly increasing lexicographic order of their codes.
 void expect_rank_round_trips(const net::StateSpace& space) {
@@ -324,11 +353,8 @@ TEST(StateSpaceRank, Fig6Scv10RoundTrips) {
 }
 
 TEST(StateSpaceRank, Fig10H2RoundTrips) {
-  cluster::ExperimentConfig c =
-      figure_config(cluster::Architecture::kDistributed, 5);
-  c.app = cluster::ApplicationModel::coarse_grained();
-  c.shapes.cpu = cluster::ServiceShape::hyperexponential(2.0);
-  expect_rank_round_trips(net::StateSpace(cluster::build_cluster(c), 5));
+  expect_rank_round_trips(net::StateSpace(
+      fig10_model(cluster::ServiceShape::hyperexponential(2.0)), 5));
 }
 
 TEST(StateSpaceRank, Fig15K10RoundTrips) {
@@ -461,8 +487,13 @@ void expect_level_digests(const net::StateSpace& space,
 
 }  // namespace
 
-// The digests were recorded from the hash-indexed assembly that the ranked
-// one replaced: every level keeps its entries and their bits.
+// The large_n and Fig 6 digests were recorded from the hash-indexed
+// assembly that the ranked one replaced, the Fig 10 and two-server ones from
+// the per-state activity vectors that the station tables replaced: every
+// level keeps its entries and their bits.  Between them they cover every
+// station kind: ample and queued single-phase, ample multi-phase with and
+// without internal stage moves, queued multi-server exponential and queued
+// single-server PH.
 TEST(StateSpaceRank, LargeNLevelsKeepTheirBits) {
   expect_level_digests(
       net::StateSpace(large_n_model(), 6),
@@ -484,4 +515,36 @@ TEST(StateSpaceRank, Fig6Scv10LevelsKeepTheirBits) {
        {0x27fa88503a1c742aULL, 0xbbb837816816fe50ULL, 0xd6913c4eb4832fb6ULL},
        {0x64ef76a591edc970ULL, 0x65b29fbf5dca5923ULL,
         0x8901bd9ae6279762ULL}});
+}
+
+TEST(StateSpaceRank, Fig10H2LevelsKeepTheirBits) {
+  expect_level_digests(
+      net::StateSpace(fig10_model(cluster::ServiceShape::hyperexponential(2.0)),
+                      5),
+      {{0x7f56cf4385e46e23ULL, 0xaf963c75c08beac4ULL, 0xaaade9a3104a8bdbULL},
+       {0x1a853b777a1e2258ULL, 0xaca6e8eff69d9cd0ULL, 0xe9ad42e138634cfbULL},
+       {0x5800cbd1750f4b4dULL, 0x5eed62d5142b690bULL, 0x70541cae320de9ebULL},
+       {0x3b7e57b2ba38c64aULL, 0xacc2d203333b98c9ULL, 0xab2b299aa8a62e2eULL},
+       {0x7990544d75f00e21ULL, 0xa5e778733763c4d9ULL,
+        0x947fca642165b7bcULL}});
+}
+
+TEST(StateSpaceRank, Fig10E3LevelsKeepTheirBits) {
+  expect_level_digests(
+      net::StateSpace(fig10_model(cluster::ServiceShape::erlang(3)), 5),
+      {{0xc26178db01e6673dULL, 0xf0ad9aba9c1bbf9eULL, 0x8c56fc653d09ac3cULL},
+       {0xc12e39cf3d88f4edULL, 0x7f9ec89365252f6dULL, 0x0407e1e3060f008dULL},
+       {0x46aa66efb5dac2d8ULL, 0x44cbc3366329908bULL, 0x07b93a85765bfd5eULL},
+       {0x3008a68a97afb64aULL, 0x8c7f2f3dab839b19ULL, 0x8dbd5b4db804e560ULL},
+       {0x2f0cd05f35a04e0cULL, 0x9d5bd59718ec0f63ULL,
+        0xa3d6d72dfbe85a24ULL}});
+}
+
+TEST(StateSpaceRank, TwoServerLevelsKeepTheirBits) {
+  expect_level_digests(net::StateSpace(two_server_model(), 4),
+      {{0x2776bbd25af15e8eULL, 0x7c43e9ff5eb46ac8ULL, 0xbb5e0908828988d6ULL},
+       {0x5a32cece98377022ULL, 0x69ec8e943d0b790eULL, 0xafcebe0b5499a9e8ULL},
+       {0xb87b14ddd75851a5ULL, 0x844e03005fe2412fULL, 0x453fa69966e7a174ULL},
+       {0x47a086ebe6eedb07ULL, 0x184819336266aacbULL,
+        0x190bf932dfb9f522ULL}});
 }

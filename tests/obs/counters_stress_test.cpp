@@ -69,6 +69,15 @@ TEST_F(ObsStressTest, StructuredEventsSurviveConcurrentEmission) {
   }
 }
 
+TEST_F(ObsStressTest, EventsPastTheSinkCapAreCounted) {
+  constexpr std::size_t kCap = 4096;
+  for (std::size_t i = 0; i <= kCap; ++i) {
+    obs::emit_event("test/overflow", "obj", i);
+  }
+  EXPECT_EQ(obs::events_snapshot().size(), kCap);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kTraceEventsDropped), 1u);
+}
+
 TEST_F(ObsStressTest, SnapshotWhileRecordingDoesNotTearOrDeadlock) {
   par::ThreadPool pool(4);
   auto writer = pool.submit([] {
