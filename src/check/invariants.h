@@ -86,8 +86,8 @@ void check_level_flow(const la::CsrMatrix& p, const la::CsrMatrix& q,
                       std::size_t level, double tol = kDefaultTolerance);
 
 /// Fixed-point residual: ||pi_next - pi||_inf <= tol, used for the
-/// steady-state law p_ss Y_K R_K = p_ss after the power iteration reports
-/// convergence.
+/// steady-state law p_ss Y_K R_K = p_ss after the steady state's solve
+/// reports convergence.
 void check_fixed_point(const la::Vector& pi, const la::Vector& pi_next,
                        std::string_view name, std::size_t level,
                        double tol);

@@ -18,10 +18,12 @@ namespace finwork::core {
 
 namespace {
 
-/// Tolerance and iteration cap of the steady-state power iterations; the
-/// invariant checks on p_ss allow 1e3 times the tolerance.
-constexpr double kTolerance = 1e-12;
-constexpr std::size_t kMaxPowerIterations = 100000;
+/// Stop rule of the steady state's bordered Krylov solve: relative 2-norm
+/// residual of z B = e_D.
+constexpr double kTolerance = 1e-14;
+/// The invariant checks on p_ss apply Y_K through a level solve, itself
+/// accurate to 1e-12, so they allow 1e-9.
+constexpr double kCheckTolerance = 1e-9;
 
 /// Fast-forward closes the mean recursion once successive departure-epoch
 /// distributions satisfy ||pi_{j+1} - pi_j||_inf below this.  It sits above
@@ -688,66 +690,76 @@ TransientSolver::DepartureCorrelation TransientSolver::steady_state_lag1()
 }
 
 const la::Vector& TransientSolver::time_stationary_distribution() const {
-  if (time_stationary_) return *time_stationary_;
-  const obs::ObsSpan span("solver/time_stationary");
-  // The saturated CTMC has off-diagonal rate matrix M (P + Q R), so
-  // pi .* M is a fixed point of P + Q R.  One is z = p_ss (I - P)^-1, the
-  // expected visits per departure cycle: z P = z - p_ss and
-  // z Q R = p_ss Y R = p_ss, so z (P + Q R) = z.  Unscale by the rates and
-  // normalize.
   const SteadyStateResult& ss = steady_state();
   if (!ss.converged) {
     SolverErrorContext ctx;
     ctx.level = k_;
     ctx.dimension = ss.distribution.size();
     ctx.iterations = ss.iterations;
-    ctx.detail = "time_stationary_distribution: p_ss did not converge";
-    throw SolverError(SolverErrorKind::kNonConvergence,
-                      SolverStage::kPowerIteration, std::move(ctx));
+    ctx.detail = "time_stationary_distribution: the steady state did not "
+                 "converge";
+    throw SolverError(SolverErrorKind::kNonConvergence, SolverStage::kGmres,
+                      std::move(ctx));
   }
-  la::Vector pi = model_->solve_left(k_, ss.distribution);
-  const la::Vector& rates = space().level(k_).event_rates;
-  for (std::size_t i = 0; i < pi.size(); ++i) pi[i] /= rates[i];
-  pi /= pi.sum();
-  time_stationary_ = std::move(pi);
   return *time_stationary_;
 }
 
 const SteadyStateResult& TransientSolver::steady_state() const {
   if (steady_) return *steady_;
   const obs::ObsSpan span("solver/steady_state");
-  // Fixed point of T = Y_K R_K, damped to (T + I)/2 to kill any period-2
-  // component of the power iteration.
-  const auto apply_t = [this](const la::Vector& pi) {
-    la::Vector next = apply_r(k_, apply_y(k_, pi));
-    next += pi;
-    next *= 0.5;
-    return next;
+  // z = p_ss (I - P)^-1, the expected visits per departure cycle, is the
+  // stationary vector of the jump chain P + Q R: z P = z - p_ss and
+  // z Q R = p_ss Y R = p_ss, so z (P + Q R) = z.  Solve z B = e_D, where B
+  // is I - P - Q R with its last column (minus the sum of the others)
+  // replaced by ones, which borders in sum(z) = 1.
+  const net::LevelMatrices& lm = space().level(k_);
+  const la::RowOperator apply_b = [&lm](const la::Vector& x) {
+    la::Vector jump = lm.p.apply_left(x);
+    lm.r.apply_left_add(lm.q.apply_left(x), jump);
+    la::Vector y = x - jump;
+    y[y.size() - 1] = x.sum();
+    return y;
   };
-  const la::Vector start = initial_vector();
-  const la::IterativeResult res = la::power_iteration_left(
-      apply_t, start, kTolerance, kMaxPowerIterations);
-  SteadyStateResult ss;
-  ss.distribution = res.x;
-  if constexpr (check::kEnabled) {
-    if (res.converged) {
-      // The steady-state law: p_ss Y_K R_K = p_ss on the simplex.  The
-      // damped map halves the residual, so allow a small multiple of the
-      // power-iteration tolerance.
-      check::check_probability_vector(ss.distribution, "p_ss", k_,
-                                      1e3 * kTolerance);
-      const la::Vector next = apply_r(k_, apply_y(k_, ss.distribution));
-      check::check_fixed_point(ss.distribution, next, "p_ss Y_K R_K", k_,
-                               1e3 * kTolerance);
-    }
+  la::Vector e(lm.p.rows(), 0.0);
+  e[e.size() - 1] = 1.0;
+  la::IterativeResult res = la::bicgstab_left(apply_b, e, kTolerance);
+  std::size_t iterations = res.iterations;
+  if (!res.converged) {
+    res = la::gmres_left(apply_b, e, kTolerance);
+    iterations += res.iterations;
   }
-  ss.interdeparture = mean_epoch_time(k_, ss.distribution);
+  // Read off z: p_ss = z (I - P) / s with s = sum(z (I - P)), and
+  // p_ss V = (z ./ M) / s for V = (I - P)^-1 M^-1, so t_ss = p_ss V eps and
+  // the second moment 2 p_ss V tau' take no level solve.  As the saturated
+  // CTMC has off-diagonal rates M (P + Q R), z ./ M normalized is also its
+  // time-stationary distribution.
+  const la::Vector& z = res.x;
+  la::Vector sojourn = z;
+  for (std::size_t i = 0; i < z.size(); ++i) sojourn[i] /= lm.event_rates[i];
+  SteadyStateResult ss;
+  ss.distribution = z - lm.p.apply_left(z);
+  const double s = ss.distribution.sum();
+  const double cycle = sojourn.sum();
+  ss.distribution /= s;
+  ss.interdeparture = cycle / s;
   ss.throughput = 1.0 / ss.interdeparture;
-  const double m2 = epoch_second_moment(k_, ss.distribution);
+  const double m2 = 2.0 * la::dot(sojourn, tau(k_)) / s;
   ss.interdeparture_scv =
       (m2 - ss.interdeparture * ss.interdeparture) /
       (ss.interdeparture * ss.interdeparture);
-  ss.iterations = res.iterations;
+  sojourn /= cycle;
+  time_stationary_ = std::move(sojourn);
+  if constexpr (check::kEnabled) {
+    if (res.converged) {
+      // The steady-state law: p_ss Y_K R_K = p_ss on the simplex.
+      check::check_probability_vector(ss.distribution, "p_ss", k_,
+                                      kCheckTolerance);
+      const la::Vector next = apply_r(k_, apply_y(k_, ss.distribution));
+      check::check_fixed_point(ss.distribution, next, "p_ss Y_K R_K", k_,
+                               kCheckTolerance);
+    }
+  }
+  ss.iterations = iterations;
   ss.converged = res.converged;
   steady_ = std::move(ss);
   return *steady_;

@@ -100,7 +100,10 @@ struct SteadyStateResult {
   /// gap started from p_ss — the burstiness of the output process
   /// (extension; 1 would be a Poisson-like output).
   double interdeparture_scv = 0.0;
+  /// Krylov iterations of the solve: BiCGSTAB's, plus GMRES's if it ran.
   std::size_t iterations = 0;
+  /// False when both Krylov stages stalled; the fields above are then not
+  /// a steady state.
   bool converged = false;
 };
 
@@ -218,7 +221,9 @@ class TransientSolver {
   [[nodiscard]] std::vector<StationOccupancy> station_occupancy(
       std::size_t k, const la::Vector& pi) const;
 
-  /// Steady-state departure process: fixed point of Y_K R_K.  Note that
+  /// Steady-state departure process: fixed point of Y_K R_K, read off one
+  /// bordered Krylov solve for the stationary vector of the jump chain
+  /// P_K + Q_K R_K (BiCGSTAB, then GMRES if it stalls).  Note that
   /// `distribution` is the state seen at *departure epochs* (the embedded
   /// chain), which is what the epoch recursion needs.
   [[nodiscard]] const SteadyStateResult& steady_state() const;
@@ -238,7 +243,8 @@ class TransientSolver {
   /// Differs from steady_state().distribution because departures are not
   /// Poisson; use THIS with station_occupancy for time-averaged queue
   /// lengths and utilizations (it reproduces the product-form marginals
-  /// exactly for exponential networks — tested).
+  /// exactly for exponential networks — tested).  Read off steady_state()'s
+  /// solve; throws SolverError{kNonConvergence, kGmres} if that stalled.
   [[nodiscard]] const la::Vector& time_stationary_distribution() const;
 
  private:

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "check/fault_inject.h"
-#include "linalg/solver_error.h"
 #include "obs/counters.h"
 
 namespace finwork::la {
@@ -293,47 +292,6 @@ IterativeResult gmres_left(const RowOperator& apply_a, const Vector& b,
   res.residual = r.norm2() / bnorm;
   res.converged = res.residual < tol;
   obs::counter_add(obs::Counter::kGmresIterations, applied);
-  return res;
-}
-
-IterativeResult power_iteration_left(const RowOperator& apply_t,
-                                     const Vector& initial, double tol,
-                                     std::size_t max_iter) {
-  IterativeResult res;
-  Vector pi = initial;
-  const double s0 = pi.sum();
-  if (s0 == 0.0) {
-    throw std::invalid_argument("power_iteration_left: initial sums to zero");
-  }
-  pi /= s0;
-  for (std::size_t k = 1; k <= max_iter; ++k) {
-    Vector next = apply_t(pi);
-    const double s = next.sum();
-    if (s <= 0.0) {
-      SolverErrorContext ctx;
-      ctx.dimension = pi.size();
-      ctx.iterations = k;
-      ctx.detail = "operator lost probability mass (iterate sum " +
-                   std::to_string(s) + ")";
-      throw SolverError(SolverErrorKind::kNumericalBreakdown,
-                        SolverStage::kPowerIteration, std::move(ctx));
-    }
-    next /= s;
-    Vector diff = next - pi;
-    const double d = diff.norm_inf();
-    pi = std::move(next);
-    res.iterations = k;
-    if (d < tol) {
-      res.converged = true;
-      res.residual = d;
-      res.x = std::move(pi);
-      obs::counter_add(obs::Counter::kPowerIterations, res.iterations);
-      return res;
-    }
-    res.residual = d;
-  }
-  res.x = std::move(pi);
-  obs::counter_add(obs::Counter::kPowerIterations, res.iterations);
   return res;
 }
 

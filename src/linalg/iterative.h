@@ -1,10 +1,12 @@
 #pragma once
 // Iterative kernels for the large sparse systems the transient solver meets:
-//   * x (I - P) = b with substochastic P   (Neumann series / BiCGSTAB)
-//   * pi T = pi for a stochastic operator T (power iteration)
-// All operators are passed as callables mapping a row vector to a row vector,
-// so dense, CSR and matrix-free compositions (like Y_K R_K) share one code
-// path.
+//   * x (I - P) = b with substochastic P   (Neumann series, then BiCGSTAB
+//     and GMRES on the levels too large for an LU)
+//   * z B = e_D, the steady state's jump chain bordered by its
+//     normalization (BiCGSTAB, then GMRES)
+// The Krylov kernels take callables mapping a row vector to a row vector,
+// so CSR and matrix-free compositions (like I - P_K - Q_K R_K) share one
+// code path.
 
 #include <array>
 #include <cstddef>
@@ -70,15 +72,6 @@ struct IterativeResult {
                                          const Vector& b, double tol = 1e-12,
                                          std::size_t max_iter = 10000,
                                          std::size_t restart = 30);
-
-/// Power iteration for the dominant left fixed point pi = pi * T of a
-/// stochastic operator (spectral radius 1, Perron root simple).  The iterate
-/// is renormalized to sum 1 each step; convergence is measured in inf-norm of
-/// successive differences.
-[[nodiscard]] IterativeResult power_iteration_left(const RowOperator& apply_t,
-                                                   const Vector& initial,
-                                                   double tol = 1e-13,
-                                                   std::size_t max_iter = 100000);
 
 /// Convenience row-operator over a CSR matrix.
 [[nodiscard]] RowOperator row_operator(const CsrMatrix& m);

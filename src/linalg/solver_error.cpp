@@ -47,7 +47,6 @@ std::string_view solver_stage_name(SolverStage stage) noexcept {
     case SolverStage::kBicgstab: return "bicgstab";
     case SolverStage::kGmres: return "gmres";
     case SolverStage::kShiftedRetry: return "shifted_retry";
-    case SolverStage::kPowerIteration: return "power_iteration";
     case SolverStage::kExpm: return "expm";
     case SolverStage::kModelBuild: return "model_build";
     case SolverStage::kCacheBuild: return "cache_build";

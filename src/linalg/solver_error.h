@@ -40,7 +40,6 @@ enum class SolverStage {
   kBicgstab,           ///< BiCGSTAB Krylov backend
   kGmres,              ///< restarted GMRES Krylov backend
   kShiftedRetry,       ///< shifted-operator Richardson rescue
-  kPowerIteration,     ///< dominant-eigenvector power iteration
   kExpm,               ///< matrix exponential / its action
   kModelBuild,         ///< ModelArtifacts level preparation
   kCacheBuild,         ///< ModelCache model build on a miss

@@ -33,13 +33,16 @@ std::vector<std::size_t> panel_bounds(std::size_t rows, std::size_t workers) {
 
 }  // namespace
 
-CsrBuilder::CsrBuilder(std::size_t rows, std::size_t cols) {
+CsrBuilder::CsrBuilder(std::size_t rows, std::size_t cols,
+                       std::size_t entries) {
   if (cols > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("CsrMatrix: columns exceed 32-bit indices");
   }
   m_.rows_ = rows;
   m_.cols_ = cols;
   m_.row_ptr_.reserve(rows + 1);
+  m_.col_idx_.reserve(entries);
+  m_.values_.reserve(entries);
 }
 
 void CsrBuilder::add(std::size_t col, double value) {
@@ -87,7 +90,7 @@ CsrMatrix CsrMatrix::identity_minus(const CsrMatrix& p, double diagonal) {
   }
   // The diagonal is added after -p_ii, so the builder sums (-p_ii) +
   // diagonal.
-  CsrBuilder a(p.rows_, p.rows_);
+  CsrBuilder a(p.rows_, p.rows_, p.nnz() + p.rows_);
   for (std::size_t r = 0; r < p.rows_; ++r) {
     for (std::size_t k = p.row_ptr_[r]; k < p.row_ptr_[r + 1]; ++k) {
       a.add(p.col_idx_[k], -p.values_[k]);

@@ -84,9 +84,11 @@ class CsrMatrix {
 /// of a shuffled one.
 class CsrBuilder {
  public:
-  /// Throws std::length_error, before allocating the arrays, for more
-  /// columns than 32-bit indices address.
-  CsrBuilder(std::size_t rows, std::size_t cols);
+  /// `entries` is how many entries add() will receive, if known: the
+  /// arrays are reserved to it, so finish() has nothing to trim unless
+  /// zeros were dropped.  Throws std::length_error, before allocating the
+  /// arrays, for more columns than 32-bit indices address.
+  CsrBuilder(std::size_t rows, std::size_t cols, std::size_t entries = 0);
 
   /// Add an entry to the current row.  Throws std::out_of_range for a
   /// column out of range.

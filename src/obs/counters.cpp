@@ -23,7 +23,6 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "linalg.neumann_iterations",
     "linalg.bicgstab_iterations",
     "linalg.gmres_iterations",
-    "linalg.power_iterations",
     "solver.epoch_recursions",
     "solver.fast_forward_activations",
     "solver.epochs_skipped",

@@ -26,7 +26,6 @@ enum class Counter : std::size_t {
   kNeumannIterations,    ///< total Neumann-series terms applied
   kBicgstabIterations,   ///< total BiCGSTAB iterations
   kGmresIterations,      ///< total GMRES operator applications
-  kPowerIterations,      ///< total power-iteration steps
   kEpochRecursions,      ///< saturated advances, plus solve()'s drain epochs
   kFastForwardActivations,  ///< saturated loops closed analytically
   kEpochsSkipped,        ///< epochs closed by fast-forward instead of applied

@@ -346,3 +346,61 @@ TEST_F(FaultInjectTest, DisarmCancelsRemainingFailures) {
   EXPECT_TRUE(check::fault_at("iterative/neumann"));
   EXPECT_FALSE(check::fault_at("iterative/neumann"));  // count consumed
 }
+
+namespace {
+
+// The steady state's two Krylov stages on Fig 5's central K = 4 model with
+// a C^2 = 10 remote disk; its levels are dense, so the armed probes fire
+// only in the steady state's own solve.
+class SteadyStateFault : public FaultInjectTest {
+ protected:
+  static finwork::net::NetworkSpec spec() {
+    cluster::ExperimentConfig cfg;
+    cfg.workstations = 4;
+    cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
+    return cluster::build_cluster(cfg);
+  }
+};
+
+}  // namespace
+
+TEST_F(SteadyStateFault, GmresStageMatchesBicgstab) {
+  const core::TransientSolver healthy(spec(), 4);
+  const core::SteadyStateResult& want = healthy.steady_state();
+  ASSERT_TRUE(want.converged);
+
+  const core::TransientSolver degraded(spec(), 4);
+  (void)degraded.tau(4);  // prepare the level with healthy solves first
+  const std::uint64_t bicgstab = check::fault_fire_count("iterative/bicgstab");
+  const std::uint64_t gmres = check::fault_fire_count("iterative/gmres");
+  check::arm_fault("iterative/bicgstab", 1);
+  const core::SteadyStateResult& got = degraded.steady_state();
+  check::disarm_all_faults();
+  EXPECT_EQ(check::fault_fire_count("iterative/bicgstab"), bicgstab + 1);
+  EXPECT_EQ(check::fault_fire_count("iterative/gmres"), gmres);
+  ASSERT_TRUE(got.converged);
+  ASSERT_EQ(got.distribution.size(), want.distribution.size());
+  for (std::size_t i = 0; i < want.distribution.size(); ++i) {
+    EXPECT_NEAR(got.distribution[i], want.distribution[i], 1e-12) << i;
+  }
+  EXPECT_NEAR(got.interdeparture, want.interdeparture,
+              1e-12 * want.interdeparture);
+}
+
+TEST_F(SteadyStateFault, BothKrylovStagesStalledIsReportedAndThrown) {
+  const core::TransientSolver solver(spec(), 4);
+  (void)solver.tau(4);
+  check::arm_fault("iterative/bicgstab", 1);
+  check::arm_fault("iterative/gmres", 1);
+  const core::SteadyStateResult& ss = solver.steady_state();
+  check::disarm_all_faults();
+  EXPECT_FALSE(ss.converged);
+  try {
+    (void)solver.time_stationary_distribution();
+    FAIL() << "expected SolverError";
+  } catch (const SolverError& e) {
+    EXPECT_EQ(e.kind(), SolverErrorKind::kNonConvergence);
+    EXPECT_EQ(e.stage(), SolverStage::kGmres);
+    EXPECT_EQ(e.context().level, 4u);
+  }
+}

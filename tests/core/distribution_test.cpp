@@ -192,8 +192,8 @@ TEST(StationOccupancy, InitialStateAllAtCpu) {
 
 TEST(StationOccupancy, SteadyStateMatchesConvolutionExactly) {
   // Exponential network: the time-stationary occupancy must equal Buzen's
-  // marginals.  It is one left solve from p_ss, so it agrees to rounding
-  // (7e-13 here).
+  // marginals.  It is read off the steady state's jump-chain solve, so it
+  // agrees to rounding (8e-14 here).
   cluster::ApplicationModel app;
   const net::NetworkSpec spec = cluster::central_cluster(5, app);
   const core::TransientSolver solver(spec, 5);

@@ -1,4 +1,4 @@
-// Tests for the iterative kernels: Neumann series, BiCGSTAB, power iteration.
+// Tests for the iterative kernels: Neumann series, BiCGSTAB, the Neumann kernel.
 
 #include "linalg/iterative.h"
 
@@ -150,32 +150,6 @@ TEST(Bicgstab, AgreesWithLuOnHardSystem) {
   const la::IterativeResult res = la::bicgstab_left(apply_a, b, 1e-13);
   ASSERT_TRUE(res.converged);
   EXPECT_TRUE(la::allclose(res.x, dense, 1e-6, 1e-8));
-}
-
-TEST(PowerIteration, FindsStationaryOfStochasticMatrix) {
-  // Simple 3-state chain with known stationary distribution.
-  la::Matrix t{{0.5, 0.5, 0.0}, {0.25, 0.5, 0.25}, {0.0, 0.5, 0.5}};
-  const la::IterativeResult res = la::power_iteration_left(
-      la::row_operator(t), la::Vector{1.0, 0.0, 0.0});
-  ASSERT_TRUE(res.converged);
-  EXPECT_NEAR(res.x[0], 0.25, 1e-10);
-  EXPECT_NEAR(res.x[1], 0.50, 1e-10);
-  EXPECT_NEAR(res.x[2], 0.25, 1e-10);
-  EXPECT_NEAR(res.x.sum(), 1.0, 1e-12);
-}
-
-TEST(PowerIteration, FixedPointIsInvariant) {
-  la::Matrix t{{0.1, 0.9}, {0.6, 0.4}};
-  const la::IterativeResult res = la::power_iteration_left(
-      la::row_operator(t), la::Vector{0.5, 0.5});
-  ASSERT_TRUE(res.converged);
-  EXPECT_TRUE(la::allclose(res.x * t, res.x, 1e-10, 1e-12));
-}
-
-TEST(PowerIteration, ZeroInitialThrows) {
-  la::Matrix t{{1.0}};
-  EXPECT_THROW((void)la::power_iteration_left(la::row_operator(t), la::Vector{0.0}),
-      std::invalid_argument);
 }
 
 TEST(RowOperator, CsrAndDenseAgree) {

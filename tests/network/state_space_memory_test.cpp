@@ -1,7 +1,8 @@
 // The heap a state space holds: Figure 6's C^2 = 10 model (8 stations,
 // 5 908 states over levels 0..5) keeps one flat array of 32-bit codes per
 // level and no per-state vectors or index maps; a level assembles straight
-// into exactly sized CSR arrays, within twice what it keeps; and a CSR
+// into exactly sized CSR arrays, within twice what it keeps; I - P is built
+// with no array growth; and a CSR
 // matrix with more columns than 32-bit indices address is refused before it
 // allocates.
 // This binary links the counting allocator (tests/support), so it is built
@@ -83,6 +84,29 @@ TEST(StateSpaceMemory, LevelAssemblyPeaksWithinTwiceWhatItKeeps) {
               static_cast<double>(peak) / static_cast<double>(kept));
   EXPECT_LE(kept, exact);
   EXPECT_LE(peak, 2 * kept);
+}
+
+TEST(StateSpaceMemory, IdentityMinusAllocatesOnlyWhatItKeeps) {
+  // Figure 6's C^2 = 10 level 5: the builder is told its entry count, so
+  // its arrays are allocated once at their final size and never trimmed.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 5;
+  cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
+  const net::StateSpace space(cluster::build_cluster(cfg), 5);
+  const la::CsrMatrix& p = space.level(5).p;
+
+  const std::size_t before = heap::live_bytes();
+  heap::reset_peak();
+  std::optional<la::CsrMatrix> a;
+  a.emplace(la::CsrMatrix::identity_minus(p, 1.0));
+  const std::size_t kept = heap::live_bytes() - before;
+  const std::size_t peak = heap::peak_bytes() - before;
+  std::printf("I - P on level 5: %zu entries, keeps %zu B, peak %zu B\n",
+              a->nnz(), kept, peak);
+  EXPECT_EQ(kept, exact_bytes(*a));
+  // Beyond the kept arrays, only the builder's one-row buffer.
+  EXPECT_LE(peak, kept + 4096);
 }
 
 TEST(StateSpaceMemory, CsrBeyond32BitColumnsThrowsBeforeAllocating) {
