@@ -201,7 +201,8 @@ ExperimentSpec parse_experiment(const io::JsonValue& value) {
   return spec;
 }
 
-io::Table run_sweep(const ExperimentSpec& spec) {
+io::Table run_sweep(const ExperimentSpec& spec,
+                    const core::ModelOptions& options) {
   if (!spec.config) {
     throw std::invalid_argument("run_sweep: sweeps need the cluster form");
   }
@@ -232,7 +233,8 @@ io::Table run_sweep(const ExperimentSpec& spec) {
     // with its exponentialized twin's, the prediction error.
     const auto makespan_of = [&](const net::NetworkSpec& model) {
       const core::TransientSolver solver(
-          core::ModelCache::global().acquire(model, cfg.workstations));
+          core::ModelCache::global().acquire(model, cfg.workstations,
+                                             options));
       return solver.makespan_grid({&tasks, 1})[0];
     };
     const net::NetworkSpec actual = build_cluster(cfg);

@@ -52,9 +52,11 @@ struct ExperimentSpec {
 };
 
 /// Run the spec's sweep: one row per sweep value with columns
-/// [value, makespan, speedup, prediction_error_pct].  Throws
-/// std::invalid_argument for unknown parameters or a custom-network spec.
-[[nodiscard]] io::Table run_sweep(const ExperimentSpec& spec);
+/// [value, makespan, speedup, prediction_error_pct], every point's models
+/// built with `options`.  Throws std::invalid_argument for unknown
+/// parameters or a custom-network spec.
+[[nodiscard]] io::Table run_sweep(const ExperimentSpec& spec,
+                                  const core::ModelOptions& options = {});
 
 /// Most phases a parsed shape may give one service time: a dense phase-type
 /// matrix is its order squared, and a station's states grow with it.

@@ -50,6 +50,16 @@ std::string format_double(double v) {
   return os.str();
 }
 
+/// r = b - x(I - P) = b - x + xP for a row solve, through `gather` (P^T);
+/// a column solve mirrors it through P.
+la::Vector residual(const la::GatherMatrix& gather, const la::Vector& b,
+                    const la::Vector& x) {
+  la::Vector r = gather.apply(x);
+  r -= x;
+  r += b;
+  return r;
+}
+
 }  // namespace
 
 la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
@@ -125,22 +135,15 @@ bool ModelArtifacts::refine_solution(const Level& lvl,
                                      const la::Vector& b, la::Vector& x,
                                      bool left) const {
   const double target = kTolerance * std::max(b.norm_inf(), 1e-300);
-  // r = b - x(I - P) = b - x + xP (left; the right case mirrors it).
-  const auto residual = [&] {
-    la::Vector r = gather.apply(x);
-    r -= x;
-    r += b;
-    return r;
-  };
   if (check::fault_at("ladder/refine")) return false;
   for (std::size_t it = 0; it < kMaxRefinementIters; ++it) {
-    la::Vector r = residual();
+    la::Vector r = residual(gather, b, x);
     if (r.norm_inf() <= target) return true;
     obs::counter_add(obs::Counter::kRefinementIters);
     const la::Vector dx = left ? lvl.lu->solve_left(r) : lvl.lu->solve(r);
     x += dx;
   }
-  return residual().norm_inf() <= target;
+  return residual(gather, b, x).norm_inf() <= target;
 }
 
 la::Vector ModelArtifacts::rescue_solve(std::size_t k,
@@ -148,12 +151,6 @@ la::Vector ModelArtifacts::rescue_solve(std::size_t k,
                                         const la::Vector& b, bool left) const {
   const std::size_t d = space_.dimension(k);
   const double target = kTolerance * std::max(b.norm_inf(), 1e-300);
-  const auto residual_norm = [&](const la::Vector& x) {
-    la::Vector r = gather.apply(x);
-    r -= x;
-    r += b;
-    return r.norm_inf();
-  };
   double last_residual = -1.0;
   if (!check::fault_at("ladder/rescue")) {
     for (const double sigma : {1e-8, 1e-5, 1e-2}) {
@@ -207,7 +204,7 @@ la::Vector ModelArtifacts::rescue_solve(std::size_t k,
           break;
         }
         x = std::move(*next);
-        last_residual = residual_norm(x);
+        last_residual = residual(gather, b, x).norm_inf();
         if (last_residual <= target) {
           obs::emit_event("degradation/shifted-retry", "(I-P_k)", k,
                           obs::kNoIndex,

@@ -115,17 +115,8 @@ Vector CsrMatrix::apply(const Vector& x) const {
 }
 
 Vector CsrMatrix::apply_left(const Vector& x) const {
-  if (x.size() != rows_) {
-    throw std::invalid_argument("CSR apply_left: size mismatch");
-  }
   Vector y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      y[col_idx_[k]] += xr * values_[k];
-    }
-  }
+  apply_left_add(x, y);
   return y;
 }
 

@@ -61,11 +61,9 @@ StateSpace::StateSpace(const NetworkSpec& spec, std::size_t max_population)
     level_once_ = std::make_unique<std::once_flag[]>(max_pop_ + 1);
     for (std::size_t k = 0; k <= max_pop_; ++k) enumerate_level(k);
   }
-  if constexpr (obs::kEnabled) {
-    std::uint64_t total = 0;
-    for (std::size_t k = 0; k <= max_pop_; ++k) total += dimension(k);
-    obs::counter_add(obs::Counter::kStatesEnumerated, total);
-  }
+  std::uint64_t total = 0;
+  for (std::size_t k = 0; k <= max_pop_; ++k) total += dimension(k);
+  obs::counter_add(obs::Counter::kStatesEnumerated, total);
 }
 
 void StateSpace::enumerate_level(std::size_t k) {

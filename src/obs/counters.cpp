@@ -61,22 +61,18 @@ std::string_view gauge_name(Gauge g) noexcept {
   return kGaugeNames[static_cast<std::size_t>(g)];
 }
 
-namespace detail {
-
-void counter_add_impl(Counter c, std::uint64_t v) noexcept {
+void counter_add(Counter c, std::uint64_t v) noexcept {
   g_counters[static_cast<std::size_t>(c)].fetch_add(
       v, std::memory_order_relaxed);
 }
 
-void gauge_raise_impl(Gauge g, std::uint64_t v) noexcept {
+void gauge_raise(Gauge g, std::uint64_t v) noexcept {
   std::atomic<std::uint64_t>& slot = g_gauges[static_cast<std::size_t>(g)];
   std::uint64_t cur = slot.load(std::memory_order_relaxed);
   while (cur < v &&
          !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
 }
-
-}  // namespace detail
 
 std::uint64_t counter_value(Counter c) noexcept {
   return g_counters[static_cast<std::size_t>(c)].load(

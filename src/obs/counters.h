@@ -4,9 +4,7 @@
 // Counters are monotonic event tallies (relaxed atomic adds); gauges are
 // running maxima (CAS loop).  Both are identified by a fixed enum so the
 // hot-path cost is a single indexed atomic operation — no hashing, no
-// locks.  The inline wrappers compile to nothing when the observability
-// layer is disabled (see obs_config.h); the read-side API stays live so
-// exporters and tests always link.
+// locks.
 
 #include <cstddef>
 #include <cstdint>
@@ -14,7 +12,11 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/obs_config.h"
+// Inclusion marker, set by every obs header: hot-path headers
+// (parallel/thread_pool.h, ...) must not drag the obs layer in, and
+// tests/obs/hot_header_test.cpp checks this stays undefined after
+// including them.
+#define FINWORK_OBS_INCLUDED 1
 
 namespace finwork::obs {
 
@@ -61,20 +63,11 @@ enum class Gauge : std::size_t {
 [[nodiscard]] std::string_view counter_name(Counter c) noexcept;
 [[nodiscard]] std::string_view gauge_name(Gauge g) noexcept;
 
-namespace detail {
-void counter_add_impl(Counter c, std::uint64_t v) noexcept;
-void gauge_raise_impl(Gauge g, std::uint64_t v) noexcept;
-}  // namespace detail
-
-/// Bump `c` by `v`.  No-op (and zero code) when the layer is disabled.
-inline void counter_add(Counter c, std::uint64_t v = 1) noexcept {
-  if constexpr (kEnabled) detail::counter_add_impl(c, v);
-}
+/// Bump `c` by `v`.
+void counter_add(Counter c, std::uint64_t v = 1) noexcept;
 
 /// Raise gauge `g` to at least `v` (running maximum since the last reset).
-inline void gauge_raise(Gauge g, std::uint64_t v) noexcept {
-  if constexpr (kEnabled) detail::gauge_raise_impl(g, v);
-}
+void gauge_raise(Gauge g, std::uint64_t v) noexcept;
 
 struct CounterSnapshot {
   std::string name;

@@ -58,7 +58,6 @@ void PerfRecord::write(std::ostream& out) const {
       << "  \"git_sha\": \"" << esc(build_git_sha()) << "\",\n"
       << "  \"build_type\": \"" << esc(build_type()) << "\",\n"
       << "  \"sanitize\": \"" << esc(build_sanitize()) << "\",\n"
-      << "  \"observability\": " << (kEnabled ? "true" : "false") << ",\n"
       << "  \"wall_seconds\": ";
   write_json_number(out, wall);
   out << ",\n  \"meta\": {";

@@ -2,16 +2,15 @@
 // Machine-readable perf records: a small JSON document capturing what a
 // benchmark run measured (per-benchmark wall times), what the registry
 // counted (counters, gauges, span summary), and which build produced it
-// (git SHA, build type, sanitizer, observability flag).  Repeated runs of
-// the same harness emit structurally identical documents, so BENCH_*.json
-// files are diffable and chartable — the repo's perf trajectory.
+// (git SHA, build type, sanitizer).  Repeated runs of the same harness
+// emit structurally identical documents, so BENCH_*.json files are
+// diffable and chartable — the repo's perf trajectory.
 //
 // Schema ("finwork-perf-record/1"):
 //   {
 //     "schema": "finwork-perf-record/1",
 //     "tool": "perf_solver_scaling",
 //     "git_sha": "...", "build_type": "...", "sanitize": "...",
-//     "observability": true,
 //     "wall_seconds": 1.23,
 //     "meta": { ... },                        // free-form string pairs
 //     "benchmarks": [ {"name": ..., "real_seconds": ...,
@@ -28,7 +27,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/obs_config.h"
+// Inclusion marker (see obs/counters.h).
+#define FINWORK_OBS_INCLUDED 1
 
 namespace finwork::obs {
 

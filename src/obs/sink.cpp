@@ -27,11 +27,8 @@ SinkRegistry& sink_registry() {
 
 }  // namespace
 
-namespace detail {
-
-void emit_event_impl(std::string category, std::string object,
-                     std::size_t level, std::size_t row,
-                     std::string detail) noexcept {
+void emit_event(std::string category, std::string object, std::size_t level,
+                std::size_t row, std::string detail) noexcept {
   try {
     StructuredEvent ev;
     ev.category = std::move(category);
@@ -53,6 +50,8 @@ void emit_event_impl(std::string category, std::string object,
     counter_add(Counter::kTraceEventsDropped);
   }
 }
+
+namespace detail {
 
 void ensure_sink_initialized() noexcept { sink_registry(); }
 

@@ -4,16 +4,14 @@
 // Events carry the offending object's name, the population level, the row,
 // and a free-form detail string; they surface in the Chrome trace export
 // as instant events and in the text summary verbatim.
-//
-// Emission is compiled out with the rest of the layer; the read-side API
-// stays live so exporters and tests always link.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/obs_config.h"
+// Inclusion marker (see obs/counters.h).
+#define FINWORK_OBS_INCLUDED 1
 
 namespace finwork::obs {
 
@@ -30,23 +28,14 @@ struct StructuredEvent {
 };
 
 namespace detail {
-void emit_event_impl(std::string category, std::string object,
-                     std::size_t level, std::size_t row,
-                     std::string detail) noexcept;
 /// Construct the sink registry now (see obs::ensure_initialized).
 void ensure_sink_initialized() noexcept;
 }  // namespace detail
 
-/// Record a structured event.  No-op when the layer is disabled.
-inline void emit_event(std::string category, std::string object,
-                       std::size_t level = kNoIndex,
-                       std::size_t row = kNoIndex,
-                       std::string detail = {}) noexcept {
-  if constexpr (kEnabled) {
-    detail::emit_event_impl(std::move(category), std::move(object), level,
-                            row, std::move(detail));
-  }
-}
+/// Record a structured event.
+void emit_event(std::string category, std::string object,
+                std::size_t level = kNoIndex, std::size_t row = kNoIndex,
+                std::string detail = {}) noexcept;
 
 /// All recorded events in emission order.
 [[nodiscard]] std::vector<StructuredEvent> events_snapshot();

@@ -12,17 +12,14 @@
 //
 // Span names must be string literals (or otherwise static storage) of the
 // form "component/operation" — see docs/OBSERVABILITY.md for the catalog.
-//
-// When FINWORK_OBSERVABILITY is off, ObsSpan is the empty specialization
-// below: construction and destruction compile to nothing and the type
-// carries no state (tested by tests/obs/compile_out_test.cpp).
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "obs/obs_config.h"
+// Inclusion marker (see obs/counters.h).
+#define FINWORK_OBS_INCLUDED 1
 
 namespace finwork::obs {
 
@@ -49,34 +46,19 @@ void record_span(const char* name, std::uint64_t start_ns,
 [[nodiscard]] std::string json_escape(std::string_view s);
 }  // namespace detail
 
-template <bool Enabled>
-class BasicSpan;
-
-template <>
-class BasicSpan<true> {
+/// RAII scoped timer: records one span from construction to destruction.
+class ObsSpan {
  public:
-  explicit BasicSpan(const char* name) noexcept
+  explicit ObsSpan(const char* name) noexcept
       : name_(name), start_(now_ns()) {}
-  ~BasicSpan() { detail::record_span(name_, start_, now_ns() - start_); }
-  BasicSpan(const BasicSpan&) = delete;
-  BasicSpan& operator=(const BasicSpan&) = delete;
+  ~ObsSpan() { detail::record_span(name_, start_, now_ns() - start_); }
+  ObsSpan(const ObsSpan&) = delete;
+  ObsSpan& operator=(const ObsSpan&) = delete;
 
  private:
   const char* name_;
   std::uint64_t start_;
 };
-
-template <>
-class BasicSpan<false> {
- public:
-  explicit BasicSpan(const char*) noexcept {}
-  BasicSpan(const BasicSpan&) = delete;
-  BasicSpan& operator=(const BasicSpan&) = delete;
-};
-
-/// RAII scoped timer; the alias resolves to the empty specialization when
-/// the layer is compiled out.
-using ObsSpan = BasicSpan<kEnabled>;
 
 /// Aggregated per-name statistics over all recorded spans.
 struct SpanStats {

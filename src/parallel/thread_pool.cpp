@@ -40,8 +40,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::enqueue(std::function<void()> fn) {
-  Task task{std::move(fn), 0};
-  if constexpr (obs::kEnabled) task.enqueue_ns = obs::now_ns();
+  Task task{std::move(fn), obs::now_ns()};
   {
     std::lock_guard lock(mutex_);
     if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
@@ -62,11 +61,9 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    if constexpr (obs::kEnabled) {
-      obs::counter_add(obs::Counter::kPoolTasksExecuted);
-      obs::counter_add(obs::Counter::kPoolTaskWaitNs,
-                       obs::now_ns() - task.enqueue_ns);
-    }
+    obs::counter_add(obs::Counter::kPoolTasksExecuted);
+    obs::counter_add(obs::Counter::kPoolTaskWaitNs,
+                     obs::now_ns() - task.enqueue_ns);
     task.fn();
   }
 }

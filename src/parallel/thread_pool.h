@@ -56,8 +56,7 @@ class ThreadPool {
   [[nodiscard]] static bool on_worker_thread() noexcept;
 
  private:
-  /// A queued task plus its enqueue timestamp (obs task-latency counter;
-  /// zero when the observability layer is compiled out).
+  /// A queued task plus its enqueue timestamp (obs task-latency counter).
   struct Task {
     std::function<void()> fn;
     std::uint64_t enqueue_ns = 0;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/transient_solver.h"
 #include "obs/counters.h"
 
@@ -169,7 +171,6 @@ TEST(Config, SweepOverWorkstations) {
 
 TEST(Config, SweepRunsEachModelOncePerPoint) {
   namespace obs = finwork::obs;
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const auto spec = parse(R"({
     "workstations": 3, "tasks": 12,
     "sweep": {"parameter": "remote_scv", "values": [1, 10, 50]}
@@ -180,6 +181,41 @@ TEST(Config, SweepRunsEachModelOncePerPoint) {
   // One single-point grid pass of the actual model and one of the
   // exponentialized model per sweep point.
   EXPECT_EQ(obs::counter_value(obs::Counter::kGridPointsPerPass), 2u * 3u);
+}
+
+TEST(Config, SweepBuildsEveryModelWithTheGivenOptions) {
+  namespace core = finwork::core;
+  namespace obs = finwork::obs;
+  const auto spec = parse(R"({
+    "workstations": 3, "tasks": 12,
+    "sweep": {"parameter": "remote_scv", "values": [1, 10, 50]}
+  })");
+  const auto plain = cluster::run_sweep(spec);
+
+  // max_condition = 1 flags every dense level of every point's models as
+  // ill-conditioned and routes its solves through the refinement stage,
+  // which moves the numbers by rounding only.
+  core::ModelOptions refine;
+  refine.max_condition = 1.0;
+  obs::counters_reset();
+  const auto refined = cluster::run_sweep(spec, refine);
+  EXPECT_GT(obs::counter_value(obs::Counter::kFallbackActivations), 0u);
+
+  // Strict mode changes nothing on a model that never degrades.
+  core::ModelOptions strict;
+  strict.strict = true;
+  const auto strict_table = cluster::run_sweep(spec, strict);
+
+  ASSERT_EQ(refined.num_rows(), plain.num_rows());
+  ASSERT_EQ(strict_table.num_rows(), plain.num_rows());
+  for (std::size_t r = 0; r < plain.num_rows(); ++r) {
+    for (std::size_t c = 0; c < plain.num_columns(); ++c) {
+      const double want = plain.at(r, c);
+      EXPECT_NEAR(refined.at(r, c), want, 1e-10 * (1.0 + std::abs(want)))
+          << "row " << r << " col " << c;
+      EXPECT_EQ(strict_table.at(r, c), want) << "row " << r << " col " << c;
+    }
+  }
 }
 
 TEST(Config, SweepValidation) {

@@ -115,7 +115,6 @@ TEST(FastForwardTest, MomentsMatchExactRecursion) {
 }
 
 TEST(FastForwardTest, ActivatesAndSkipsEpochsOnLongRuns) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const Config c = configs()[0];
   const net::NetworkSpec spec = make_spec(c);
   const core::TransientSolver solver(spec, c.workstations);

@@ -184,7 +184,6 @@ TEST(ModelCacheTest, SmallLevelsBuildOnTheCallingThread) {
   // 4096 states where assembly fans out, so building the model and
   // answering mean and moments queries from the main thread leaves the pool
   // idle — levels are built where they are first needed, not prefetched.
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const net::NetworkSpec spec = make_cluster(4, 10.0);
   ASSERT_LT(net::StateSpace(spec, 4).dimension(4), 4096u);
   ASSERT_FALSE(par::ThreadPool::on_worker_thread());
@@ -214,37 +213,35 @@ TEST(ModelCacheTest, DrainVectorsBuiltOncePerLevel) {
   };
 
   const std::vector<std::size_t> grid{2, 4, 50};
-  if (obs::kEnabled) {
-    const auto solves = [] {
-      return std::pair{obs::counter_value(obs::Counter::kDenseSolves),
-                       obs::counter_value(obs::Counter::kIterativeSolves)};
-    };
-    obs::counters_reset();
-    const std::vector<double> first = solver.makespan_grid(grid);
-    const auto [dense1, iterative1] = solves();
-    // A second solver over the same model runs the recursion again (the
-    // first solver would answer from its saturated memo) but reuses h_k.
-    obs::counters_reset();
-    const std::vector<double> second =
-        core::TransientSolver(model).makespan_grid(grid);
-    const auto [dense2, iterative2] = solves();
-    EXPECT_EQ(dense1, 3U);  // h_1, h_2, h_3
-    EXPECT_EQ(dense2, 0U);
-    EXPECT_EQ(iterative1, iterative2 + 1);  // h_4
-    EXPECT_EQ(first, second);
+  const auto solves = [] {
+    return std::pair{obs::counter_value(obs::Counter::kDenseSolves),
+                     obs::counter_value(obs::Counter::kIterativeSolves)};
+  };
+  obs::counters_reset();
+  const std::vector<double> first = solver.makespan_grid(grid);
+  const auto [dense1, iterative1] = solves();
+  // A second solver over the same model runs the recursion again (the
+  // first solver would answer from its saturated memo) but reuses h_k.
+  obs::counters_reset();
+  const std::vector<double> second =
+      core::TransientSolver(model).makespan_grid(grid);
+  const auto [dense2, iterative2] = solves();
+  EXPECT_EQ(dense1, 3U);  // h_1, h_2, h_3
+  EXPECT_EQ(dense2, 0U);
+  EXPECT_EQ(iterative1, iterative2 + 1);  // h_4
+  EXPECT_EQ(first, second);
 
-    // The grid queries never built x_k: its first request pays one solve
-    // per level, the next one none.
-    obs::counters_reset();
-    (void)model->drain_second(4);
-    const auto [dense3, iterative3] = solves();
-    EXPECT_EQ(dense3, 3U);
-    EXPECT_EQ(iterative3, 1U);
-    obs::counters_reset();
-    (void)solver.makespan_moments(3);
-    (void)model->drain_second(4);
-    EXPECT_EQ(solves(), std::pair(std::uint64_t{0}, std::uint64_t{0}));
-  }
+  // The grid queries never built x_k: its first request pays one solve
+  // per level, the next one none.
+  obs::counters_reset();
+  (void)model->drain_second(4);
+  const auto [dense3, iterative3] = solves();
+  EXPECT_EQ(dense3, 3U);
+  EXPECT_EQ(iterative3, 1U);
+  obs::counters_reset();
+  (void)solver.makespan_moments(3);
+  (void)model->drain_second(4);
+  EXPECT_EQ(solves(), std::pair(std::uint64_t{0}, std::uint64_t{0}));
 
   // Concurrent first use: every thread sees the same, fully built vectors.
   const auto fresh =

@@ -22,7 +22,6 @@
 #include "linalg/sparse.h"
 #include "linalg/solver_error.h"
 #include "obs/counters.h"
-#include "obs/obs_config.h"
 #include "obs/sink.h"
 
 namespace cluster = finwork::cluster;
@@ -99,17 +98,15 @@ TEST(RobustnessTest, ConditionBreachDegradesToRefinementAndAgrees) {
   const double refined = degraded.makespan(12);
   EXPECT_NEAR(refined, reference, 1e-8 * reference);
 
-  if constexpr (obs::kEnabled) {
-    EXPECT_GT(obs::counter_value(obs::Counter::kConditionEstimates),
-              estimates_before);
-    EXPECT_GT(obs::counter_value(obs::Counter::kFallbackActivations),
-              fallback_before);
-    bool saw_degradation = false;
-    for (const obs::StructuredEvent& ev : obs::events_snapshot()) {
-      if (ev.category == "degradation/ill-conditioned") saw_degradation = true;
-    }
-    EXPECT_TRUE(saw_degradation);
+  EXPECT_GT(obs::counter_value(obs::Counter::kConditionEstimates),
+            estimates_before);
+  EXPECT_GT(obs::counter_value(obs::Counter::kFallbackActivations),
+            fallback_before);
+  bool saw_degradation = false;
+  for (const obs::StructuredEvent& ev : obs::events_snapshot()) {
+    if (ev.category == "degradation/ill-conditioned") saw_degradation = true;
   }
+  EXPECT_TRUE(saw_degradation);
 }
 
 TEST(RobustnessTest, StrictModeThrowsIllConditionedWithContext) {

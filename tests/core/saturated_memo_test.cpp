@@ -87,7 +87,6 @@ std::vector<core::MakespanMoments> fresh_moments(const Case& c) {
 }
 
 TEST(SaturatedMemo, MeanHitsMatchFreshPassesInEitherOrder) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   for (const Case& c : cases()) {
     SCOPED_TRACE(c.name);
     const std::vector<double> fresh = fresh_makespans(c);
@@ -125,7 +124,6 @@ TEST(SaturatedMemo, MeanHitsMatchFreshPassesInEitherOrder) {
 }
 
 TEST(SaturatedMemo, MomentsHitsMatchFreshPassesInEitherOrder) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   for (const Case& c : cases()) {
     SCOPED_TRACE(c.name);
     const std::vector<core::MakespanMoments> fresh = fresh_moments(c);
@@ -166,7 +164,6 @@ TEST(SaturatedMemo, MomentsHitsMatchFreshPassesInEitherOrder) {
 }
 
 TEST(SaturatedMemo, MeanAndMomentsMemosAreIndependent) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const Case& c = cases()[1];
   const core::TransientSolver solver(c.model);
   (void)solver.makespan_moments(c.grid[0]);
@@ -235,7 +232,6 @@ TEST(SaturatedMemo, MemoHitsAgreeWithExactRecursion) {
 }
 
 TEST(SaturatedMemo, PassThatDoesNotMixKeepsNoMemo) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const Case& c = cases()[1];  // K = 4
   const core::TransientSolver solver(c.model);
   const std::vector<std::size_t> small = {5, 6};  // j <= 2: cannot close
@@ -256,7 +252,6 @@ TEST(SaturatedMemo, PassThatDoesNotMixKeepsNoMemo) {
 }
 
 TEST(SaturatedMemo, FastForwardOffNeitherReadsNorWrites) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const Case& c = cases()[1];  // K = 4
   core::QueryOptions exact;
   exact.fast_forward = false;

@@ -249,14 +249,12 @@ TEST(NeumannKernel, PairMatchesTwoSolvesBitwise) {
   for (const bool swapped : {false, true}) {
     const la::Vector& first = swapped ? b2 : b1;
     const la::Vector& second = swapped ? b1 : b2;
-    if (obs::kEnabled) obs::counters_reset();
+    obs::counters_reset();
     const auto pair = la::neumann_solve(p, first, second, 1e-12, 20000);
     expect_same_result(pair[0], swapped ? r2 : r1);
     expect_same_result(pair[1], swapped ? r1 : r2);
-    if (obs::kEnabled) {
-      EXPECT_EQ(obs::counter_value(obs::Counter::kNeumannIterations),
-                r1.iterations + r2.iterations);
-    }
+    EXPECT_EQ(obs::counter_value(obs::Counter::kNeumannIterations),
+              r1.iterations + r2.iterations);
   }
 
   // A cap between the two stop iterations: the early column converges, the
@@ -291,16 +289,14 @@ TEST(NeumannKernel, PairFaultProbeFiresPerColumn) {
 
   const std::uint64_t fired = check::fault_fire_count("iterative/neumann");
   const std::uint64_t bicgstab = check::fault_fire_count("iterative/bicgstab");
-  if (obs::kEnabled) obs::counters_reset();
+  obs::counters_reset();
   check::arm_fault("iterative/neumann", 1);
   const auto pair = model.solve_right(6, b1, b2);
   check::disarm_all_faults();
   EXPECT_EQ(check::fault_fire_count("iterative/neumann"), fired + 1);
   EXPECT_EQ(check::fault_fire_count("iterative/bicgstab"), bicgstab);
-  if (obs::kEnabled) {
-    EXPECT_EQ(obs::counter_value(obs::Counter::kIterativeSolves), 2u);
-    EXPECT_GT(obs::counter_value(obs::Counter::kBicgstabIterations), 0u);
-  }
+  EXPECT_EQ(obs::counter_value(obs::Counter::kIterativeSolves), 2u);
+  EXPECT_GT(obs::counter_value(obs::Counter::kBicgstabIterations), 0u);
   EXPECT_FALSE(bitwise_equal(pair[0], lone1));
   EXPECT_TRUE(la::allclose(pair[0], lone1, 1e-9, 1e-9));
   EXPECT_TRUE(bitwise_equal(pair[1], lone2));

@@ -1,11 +1,13 @@
 // Concurrency stress for the obs registries, meant to run under the
 // debug-tsan preset: counters must be exactly additive, the gauge must
 // settle on the true maximum, and per-thread span buffers must not lose
-// or corrupt events when hammered from the pool.
+// or corrupt events when hammered from the pool.  Also pins the snapshot's
+// layout: every counter, then every gauge, by name.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "obs/counters.h"
 #include "obs/sink.h"
@@ -21,7 +23,6 @@ constexpr std::size_t kIters = 20000;
 class ObsStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
     obs::trace_reset();
     obs::events_reset();
     obs::counters_reset();
@@ -96,6 +97,33 @@ TEST_F(ObsStressTest, SnapshotWhileRecordingDoesNotTearOrDeadlock) {
   }
   writer.get();
   EXPECT_EQ(obs::counter_value(obs::Counter::kEpochRecursions), 5000u);
+}
+
+TEST_F(ObsStressTest, SnapshotListsEveryCounterThenEveryGaugeByName) {
+  constexpr auto kCounters = static_cast<std::size_t>(obs::Counter::kCount);
+  constexpr auto kGauges = static_cast<std::size_t>(obs::Gauge::kCount);
+  obs::counter_add(obs::Counter::kLuReuseHits, 2);
+  obs::gauge_raise(obs::Gauge::kMaxQueueDepth, 7);
+  const std::vector<obs::CounterSnapshot> snap = obs::counters_snapshot();
+  ASSERT_EQ(snap.size(), kCounters + kGauges);
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    EXPECT_EQ(snap[i].name, obs::counter_name(static_cast<obs::Counter>(i)));
+  }
+  for (std::size_t i = 0; i < kGauges; ++i) {
+    EXPECT_EQ(snap[kCounters + i].name,
+              obs::gauge_name(static_cast<obs::Gauge>(i)));
+  }
+  const auto lu = static_cast<std::size_t>(obs::Counter::kLuReuseHits);
+  EXPECT_EQ(snap[lu].name, "solver.lu_reuse_hits");
+  EXPECT_EQ(snap[lu].value, 2u);
+  const auto depth = static_cast<std::size_t>(obs::Gauge::kMaxQueueDepth);
+  EXPECT_EQ(snap[kCounters + depth].name, "pool.max_queue_depth");
+  EXPECT_EQ(snap[kCounters + depth].value, 7u);
+
+  obs::counters_reset();
+  for (const obs::CounterSnapshot& s : obs::counters_snapshot()) {
+    EXPECT_EQ(s.value, 0u) << s.name;
+  }
 }
 
 }  // namespace

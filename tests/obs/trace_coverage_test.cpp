@@ -32,8 +32,6 @@ const char* const kTopLevelSpans[] = {
 };
 
 TEST(TraceCoverageTest, TopLevelSpansCoverSolverWallTime) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
-
   cluster::ExperimentConfig cfg;
   cfg.architecture = cluster::Architecture::kCentral;
   cfg.workstations = 5;

@@ -22,7 +22,6 @@ using namespace finwork;
 class ObsJsonTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
     obs::trace_reset();
     obs::events_reset();
     obs::counters_reset();

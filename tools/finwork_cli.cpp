@@ -165,13 +165,7 @@ int main(int argc, char** argv) {
     const cluster::ExperimentSpec spec = cluster::parse_experiment(doc);
 
     if (!spec.sweep_parameter.empty()) {
-      // run_sweep builds every model with the default ModelOptions.
-      if (model_options.strict || model_options.max_condition > 0.0) {
-        std::cerr << "--strict and --max-condition apply to single-model "
-                     "configs, not to a sweep\n";
-        return 2;
-      }
-      const io::Table table = cluster::run_sweep(spec);
+      const io::Table table = cluster::run_sweep(spec, model_options);
       std::cout << "sweep over " << spec.sweep_parameter << ":\n";
       table.print(std::cout, 4);
       return 0;
