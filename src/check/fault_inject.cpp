@@ -9,11 +9,11 @@ namespace finwork::check {
 
 namespace {
 
-// The site registry.  One entry per forced-failure point; keep in sync with
-// the table in docs/ROBUSTNESS.md.
-constexpr std::array<std::string_view, 8> kFaultSites = {
+// The site registry.  One entry per forced-failure point; lint rule R9
+// (tools/finwork_lint.py) keeps it equal to the fault_at("...") probes in
+// src/ and to the table in docs/ROBUSTNESS.md.
+constexpr std::array<std::string_view, 7> kFaultSites = {
     "lu/factorize",          // dense PLU reports the matrix singular
-    "ladder/refine",         // refinement fails to reduce the residual
     "ladder/rescue",         // the shifted-retry rescue stage is skipped
     "iterative/neumann",     // Neumann series reports non-convergence
     "iterative/bicgstab",    // BiCGSTAB reports non-convergence

@@ -178,6 +178,10 @@ ExperimentSpec parse_experiment(const io::JsonValue& value) {
     const io::JsonValue& simj = value.at("simulate");
     spec.replications =
         to_count(simj.number_or("replications", 1000.0), "replications");
+    // The CLI reports a 95% confidence interval, which needs two samples.
+    if (spec.replications < 2) {
+      throw std::invalid_argument("simulate: replications must be >= 2");
+    }
     spec.seed = to_count(simj.number_or("seed", 1.0), "seed");
   }
   if (value.contains("outputs")) {

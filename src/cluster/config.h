@@ -35,7 +35,8 @@ struct ExperimentSpec {
   std::optional<ExperimentConfig> config;
   std::size_t workstations = 1;
   std::size_t tasks = 1;
-  /// Simulation controls (used when outputs request "simulate").
+  /// Simulation controls (used when outputs request "simulate");
+  /// parse_experiment rejects fewer than 2 replications.
   std::size_t replications = 1000;
   std::uint64_t seed = 1;
   /// Which outputs to produce; empty means the analytic defaults.

@@ -36,13 +36,11 @@ ModelArtifacts::ModelArtifacts(const net::NetworkSpec& spec,
 namespace {
 
 // Fixed controls of the fallback ladder: the relative residual target of
-// every iterative stage, refinement and the shifted rescue, and the caps of
-// the Neumann stage, of each Krylov stage (BiCGSTAB, GMRES) and of
-// refinement.
+// every iterative stage and of the shifted rescue, and the caps of the
+// Neumann stage and of each Krylov stage (BiCGSTAB, GMRES).
 constexpr double kTolerance = 1e-12;
 constexpr std::size_t kMaxNeumannIterations = 20000;
 constexpr std::size_t kMaxKrylovIterations = 20000;
-constexpr std::size_t kMaxRefinementIters = 8;
 
 std::string format_double(double v) {
   std::ostringstream os;
@@ -64,19 +62,12 @@ la::Vector residual(const la::GatherMatrix& gather, const la::Vector& b,
 
 la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
                                         const la::Vector& b, bool left) const {
-  // Stage 1: dense LU (+ stage 2, iterative refinement, when the level's
-  // condition estimate breached max_condition at factorization time).
+  // Stage 1: dense LU, on every level prepared_level factorized.
   if (lvl.lu) {
     obs::counter_add(obs::Counter::kDenseSolves);
-    la::Vector x = left ? lvl.lu->solve_left(b) : lvl.lu->solve(b);
-    if (!lvl.refine) return x;
-    if (refine_solution(lvl, gather_operator(k, left), b, x, left)) return x;
-    obs::counter_add(obs::Counter::kFallbackActivations);
-    obs::emit_event("degradation/refinement", "(I-P_k)", k, obs::kNoIndex,
-                    "iterative refinement stalled; falling back to the "
-                    "matrix-free iterative backend");
+    return left ? lvl.lu->solve_left(b) : lvl.lu->solve(b);
   }
-  // Stage 3: matrix-free iterative backend, Neumann -> BiCGSTAB -> GMRES,
+  // Stage 2: matrix-free iterative backend, Neumann -> BiCGSTAB -> GMRES,
   // all through the gather operator: P_k for column solves, P_k^T for row
   // solves.
   obs::counter_add(obs::Counter::kIterativeSolves);
@@ -128,22 +119,6 @@ const la::GatherMatrix& ModelArtifacts::gather_operator(std::size_t k,
                                   : la::GatherMatrix(p));
   });
   return *lvl.gather[side];
-}
-
-bool ModelArtifacts::refine_solution(const Level& lvl,
-                                     const la::GatherMatrix& gather,
-                                     const la::Vector& b, la::Vector& x,
-                                     bool left) const {
-  const double target = kTolerance * std::max(b.norm_inf(), 1e-300);
-  if (check::fault_at("ladder/refine")) return false;
-  for (std::size_t it = 0; it < kMaxRefinementIters; ++it) {
-    la::Vector r = residual(gather, b, x);
-    if (r.norm_inf() <= target) return true;
-    obs::counter_add(obs::Counter::kRefinementIters);
-    const la::Vector dx = left ? lvl.lu->solve_left(r) : lvl.lu->solve(r);
-    x += dx;
-  }
-  return residual(gather, b, x).norm_inf() <= target;
 }
 
 la::Vector ModelArtifacts::rescue_solve(std::size_t k,
@@ -220,8 +195,8 @@ la::Vector ModelArtifacts::rescue_solve(std::size_t k,
   ctx.dimension = d;
   if (last_residual >= 0.0) ctx.residual = last_residual;
   ctx.detail =
-      "fallback ladder exhausted (dense LU, refinement, "
-      "Neumann/BiCGSTAB/GMRES, shifted retry)";
+      "fallback ladder exhausted (dense LU, Neumann/BiCGSTAB/GMRES, "
+      "shifted retry)";
   throw SolverError(SolverErrorKind::kNonConvergence, SolverStage::kShiftedRetry,
                     std::move(ctx));
 }
@@ -272,14 +247,13 @@ const ModelArtifacts::Level& ModelArtifacts::prepared_level(
           throw SolverError(SolverErrorKind::kIllConditioned,
                             SolverStage::kLuFactorize, std::move(ctx));
         }
-        lvl.refine = true;
         obs::counter_add(obs::Counter::kFallbackActivations);
         obs::emit_event("degradation/ill-conditioned", "(I-P_k)", k,
                         obs::kNoIndex,
                         "condition estimate " + format_double(cond) +
                             " beyond max_condition " +
                             format_double(opts_.max_condition) +
-                            "; dense solves run iterative refinement");
+                            "; the level keeps solving with its factor");
       }
     }
     // tau'_k = (I - P_k)^-1 (M_k^-1 eps)

@@ -93,15 +93,12 @@ class ModelArtifacts {
     std::optional<la::LuDecomposition> lu;
     /// The grouped gather operators, P_k^T for left solves [0] and P_k for
     /// column solves [1]; each built on the level's first solve in its
-    /// direction that reaches refinement or the iterative stage.
+    /// direction that reaches the iterative stage.
     std::array<std::once_flag, 2> gather_once;
     std::array<std::optional<la::GatherMatrix>, 2> gather;
     la::Vector tau;
     /// Reciprocal condition estimate of the factorization (0 = no LU).
     double rcond = 0.0;
-    /// Ladder state: condition estimate breached max_condition, so every
-    /// dense solve on this level runs iterative refinement.
-    bool refine = false;
     /// Drain vectors h_k and x_k, each built on its first request.
     std::once_flag h_once;
     la::Vector h;
@@ -110,30 +107,27 @@ class ModelArtifacts {
   };
 
   /// Factorize (I - P_k) and build tau'_k exactly once; returns the level
-  /// with `prepared` visible.
+  /// with `prepared` visible.  This decides the level's backend: the dense
+  /// LU when the factorization succeeds, the iterative stage otherwise.
   const Level& prepared_level(std::size_t k) const;
   /// Fallback-ladder solve of x (I - P_k) = b (left) or (I - P_k) x = b
   /// (right) against an already-prepared level (no re-entry into
   /// prepared_level — call_once would self-deadlock).  Stages, in order:
-  /// dense LU, iterative refinement, Neumann/BiCGSTAB/GMRES, shifted retry;
-  /// throws finwork::SolverError when the whole ladder is exhausted.  See
+  /// dense LU, Neumann/BiCGSTAB/GMRES, shifted retry; throws
+  /// finwork::SolverError when the whole ladder is exhausted.  See
   /// docs/ROBUSTNESS.md.
   la::Vector ladder_solve(const Level& lvl, std::size_t k, const la::Vector& b,
                           bool left) const;
-  /// The operator every stage past the plain LU solve applies, as a serial
+  /// The operator every stage past the LU solve applies, as a serial
   /// grouped gather (la::GatherMatrix): P_k^T for row solves, P_k for column
-  /// solves, each built once, on first use, so dense levels that never
-  /// refine hold neither and a level keeps only the directions it solves in.
-  /// `gather.apply(v)` is v P_k or P_k v respectively; below, `left` only
-  /// picks the direction of the LU solves.
+  /// solves, each built once, on first use, so dense levels hold neither
+  /// and a level keeps only the directions it solves in.  `gather.apply(v)`
+  /// is v P_k or P_k v respectively; below, `left` only picks the direction
+  /// of the rescue's LU solves.
   const la::GatherMatrix& gather_operator(std::size_t k, bool left) const;
   /// The ladder past a Neumann stage that did not converge.
   la::Vector krylov_solve(std::size_t k, const la::GatherMatrix& gather,
                           const la::Vector& b, bool left) const;
-  /// Refinement stage: correct `x` against the true operator until the
-  /// residual meets the solve tolerance; false when the cap runs out.
-  bool refine_solution(const Level& lvl, const la::GatherMatrix& gather,
-                       const la::Vector& b, la::Vector& x, bool left) const;
   /// Rescue stage: shifted-operator Richardson iteration (dense levels
   /// re-factor I - P + sigma I; iterative levels run the shifted Neumann
   /// series).  Throws SolverError on failure.

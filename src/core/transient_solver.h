@@ -53,8 +53,8 @@ struct ModelOptions {
   bool strict = false;
   /// Condition-number ceiling for dense factorizations of (I - P_k), as
   /// estimated by LuDecomposition::rcond_estimate (0 = unlimited).  Beyond
-  /// it, strict mode throws and default mode routes every solve on that
-  /// level through iterative refinement.
+  /// it, strict mode throws; default mode reports the breach and keeps
+  /// solving the level with its factor.
   double max_condition = 0.0;
 };
 

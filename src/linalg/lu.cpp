@@ -596,8 +596,9 @@ double LuDecomposition::determinant() const noexcept {
 }
 
 double LuDecomposition::rcond_estimate() const {
-  // Cheap estimate: 1 / (||A||_inf * ||A^-1 e||_inf-ish) via one solve with a
-  // vector of alternating signs, which tends to excite the worst direction.
+  // 1 / (||A||_inf * ||A^-1 p||_inf) for one probe p of alternating signs,
+  // ||p||_inf = 1: ||A^-1 p||_inf <= ||A^-1||_inf, so this never reads below
+  // the true reciprocal condition.
   const std::size_t n = dim();
   Vector probe(n);
   for (std::size_t i = 0; i < n; ++i) probe[i] = (i % 2 == 0) ? 1.0 : -1.0;

@@ -62,8 +62,11 @@ class LuDecomposition {
   [[nodiscard]] Matrix solve(const Matrix& b) const;
   /// det(A), including the pivot sign.
   [[nodiscard]] double determinant() const noexcept;
-  /// Estimated reciprocal condition number in the infinity norm (cheap
-  /// lower-bound style estimate; 0 means effectively singular).
+  /// Estimated reciprocal condition number in the infinity norm, from one
+  /// solve with a +-1 probe (0 means effectively singular).  The probe
+  /// bounds ||A^-1||_inf from below, so the estimate is at least the true
+  /// reciprocal condition and 1 / rcond_estimate() is a lower bound on
+  /// kappa_inf(A): an ill-conditioned matrix can read as well conditioned.
   [[nodiscard]] double rcond_estimate() const;
 
  private:

@@ -32,7 +32,6 @@ std::string_view solver_error_kind_name(SolverErrorKind kind) noexcept {
     case SolverErrorKind::kSingular: return "singular";
     case SolverErrorKind::kIllConditioned: return "ill_conditioned";
     case SolverErrorKind::kNonConvergence: return "non_convergence";
-    case SolverErrorKind::kNumericalBreakdown: return "numerical_breakdown";
     case SolverErrorKind::kCacheBuildFailure: return "cache_build_failure";
   }
   return "unknown";
@@ -41,14 +40,9 @@ std::string_view solver_error_kind_name(SolverErrorKind kind) noexcept {
 std::string_view solver_stage_name(SolverStage stage) noexcept {
   switch (stage) {
     case SolverStage::kLuFactorize: return "lu_factorize";
-    case SolverStage::kLuSolve: return "lu_solve";
-    case SolverStage::kIterativeRefinement: return "iterative_refinement";
-    case SolverStage::kNeumann: return "neumann";
-    case SolverStage::kBicgstab: return "bicgstab";
     case SolverStage::kGmres: return "gmres";
     case SolverStage::kShiftedRetry: return "shifted_retry";
     case SolverStage::kExpm: return "expm";
-    case SolverStage::kModelBuild: return "model_build";
     case SolverStage::kCacheBuild: return "cache_build";
   }
   return "unknown";

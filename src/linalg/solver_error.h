@@ -27,21 +27,15 @@ enum class SolverErrorKind {
   kSingular,          ///< matrix singular to working precision
   kIllConditioned,    ///< condition estimate beyond the configured ceiling
   kNonConvergence,    ///< an iterative method exhausted its iteration cap
-  kNumericalBreakdown,///< an invariant of the numerical method collapsed
   kCacheBuildFailure, ///< building a ModelCache entry failed
 };
 
 /// Where in the solve pipeline it failed.
 enum class SolverStage {
   kLuFactorize,        ///< dense PLU factorization
-  kLuSolve,            ///< triangular solve against a cached factorization
-  kIterativeRefinement,///< residual-correction loop on an LU solution
-  kNeumann,            ///< Neumann-series expansion of (I - P)^-1
-  kBicgstab,           ///< BiCGSTAB Krylov backend
   kGmres,              ///< restarted GMRES Krylov backend
   kShiftedRetry,       ///< shifted-operator Richardson rescue
   kExpm,               ///< matrix exponential / its action
-  kModelBuild,         ///< ModelArtifacts level preparation
   kCacheBuild,         ///< ModelCache model build on a miss
 };
 

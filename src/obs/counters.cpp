@@ -41,7 +41,6 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "cache.model_evictions",
     "solver.grid_points_per_pass",
     "solver.fallback_activations",
-    "linalg.refinement_iters",
     "linalg.condition_estimates",
     "solver.trajectory_reuses",
 };

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "core/transient_solver.h"
 #include "obs/counters.h"
 
@@ -122,6 +120,15 @@ TEST(Config, SimulationAndOutputs) {
   EXPECT_EQ(spec.outputs[1], "simulate");
 }
 
+TEST(Config, SimulationNeedsTwoReplications) {
+  // The CLI reports a 95% confidence interval, which one sample cannot give.
+  for (const char* bad : {R"({"simulate": {"replications": 0}})",
+                          R"({"simulate": {"replications": 1}})"}) {
+    EXPECT_THROW((void)parse(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(parse(R"({"simulate": {"replications": 2}})").replications, 2u);
+}
+
 TEST(Config, ValidationErrors) {
   EXPECT_THROW((void)parse(R"({"architecture": "mesh"})"), std::invalid_argument);
   EXPECT_THROW((void)parse(R"({"contention": "maybe"})"), std::invalid_argument);
@@ -193,12 +200,12 @@ TEST(Config, SweepBuildsEveryModelWithTheGivenOptions) {
   const auto plain = cluster::run_sweep(spec);
 
   // max_condition = 1 flags every dense level of every point's models as
-  // ill-conditioned and routes its solves through the refinement stage,
-  // which moves the numbers by rounding only.
-  core::ModelOptions refine;
-  refine.max_condition = 1.0;
+  // ill-conditioned; each level reports the breach and keeps solving with
+  // its factor, so the numbers keep their bits.
+  core::ModelOptions capped;
+  capped.max_condition = 1.0;
   obs::counters_reset();
-  const auto refined = cluster::run_sweep(spec, refine);
+  const auto capped_table = cluster::run_sweep(spec, capped);
   EXPECT_GT(obs::counter_value(obs::Counter::kFallbackActivations), 0u);
 
   // Strict mode changes nothing on a model that never degrades.
@@ -206,13 +213,12 @@ TEST(Config, SweepBuildsEveryModelWithTheGivenOptions) {
   strict.strict = true;
   const auto strict_table = cluster::run_sweep(spec, strict);
 
-  ASSERT_EQ(refined.num_rows(), plain.num_rows());
+  ASSERT_EQ(capped_table.num_rows(), plain.num_rows());
   ASSERT_EQ(strict_table.num_rows(), plain.num_rows());
   for (std::size_t r = 0; r < plain.num_rows(); ++r) {
     for (std::size_t c = 0; c < plain.num_columns(); ++c) {
       const double want = plain.at(r, c);
-      EXPECT_NEAR(refined.at(r, c), want, 1e-10 * (1.0 + std::abs(want)))
-          << "row " << r << " col " << c;
+      EXPECT_EQ(capped_table.at(r, c), want) << "row " << r << " col " << c;
       EXPECT_EQ(strict_table.at(r, c), want) << "row " << r << " col " << c;
     }
   }

@@ -28,15 +28,10 @@ TEST(SolverErrorTest, KindAndStageNamesAreStable) {
   EXPECT_EQ(finwork::solver_error_kind_name(SolverErrorKind::kNonConvergence),
             "non_convergence");
   EXPECT_EQ(
-      finwork::solver_error_kind_name(SolverErrorKind::kNumericalBreakdown),
-      "numerical_breakdown");
-  EXPECT_EQ(
       finwork::solver_error_kind_name(SolverErrorKind::kCacheBuildFailure),
       "cache_build_failure");
   EXPECT_EQ(finwork::solver_stage_name(SolverStage::kLuFactorize),
             "lu_factorize");
-  EXPECT_EQ(finwork::solver_stage_name(SolverStage::kIterativeRefinement),
-            "iterative_refinement");
   EXPECT_EQ(finwork::solver_stage_name(SolverStage::kGmres), "gmres");
   EXPECT_EQ(finwork::solver_stage_name(SolverStage::kShiftedRetry),
             "shifted_retry");

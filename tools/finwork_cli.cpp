@@ -14,28 +14,21 @@
 //   --strict           fail fast on any numerical degradation instead of
 //                      walking the fallback ladder
 //   --max-condition=X  treat any level whose condition estimate exceeds X
-//                      as degraded (refine in default mode, fatal under
+//                      as degraded (reported in default mode, fatal under
 //                      --strict); 0 = unlimited
 //
-// Outputs (select via the config's "outputs" array; default: summary,
-// timeline, steady_state):
-//   "summary"        makespan, speedup, per-task time, regions
-//   "timeline"       per-epoch mean inter-departure times
-//   "steady_state"   t_ss and throughput from the Y_K R_K fixed point
-//   "moments"        makespan variance (absorbing-chain extension)
-//   "distribution"   P(T <= t) around the mean (uniformized CDF)
-//   "occupancy"      time-stationary per-station queue/utilization
-//   "prediction_error"  error of the exponential assumption
-//   "approximate"    the steady-state approximation and its error
-//   "simulate"       DES cross-check with confidence interval
-//   "product_form"   Buzen/MVA steady-state baselines (exponentialized)
+// Outputs: select them with the config's "outputs" array; kOutputs below
+// lists every name and the default set.  An unknown name exits 2.
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/config.h"
@@ -64,16 +57,36 @@ constexpr const char* kExample = R"({
   "simulate": {"replications": 2000, "seed": 7}
 })";
 
+struct Output {
+  std::string_view name;
+  bool by_default;  ///< printed when the config has no "outputs" array
+};
+
+// Every output the config's "outputs" array may name.
+constexpr std::array<Output, 10> kOutputs = {{
+    {"summary", true},            // makespan, speedup, per-task time, regions
+    {"timeline", true},           // per-epoch mean inter-departure times
+    {"steady_state", true},       // t_ss and throughput (Y_K R_K fixed point)
+    {"moments", false},           // makespan variance (absorbing chain)
+    {"distribution", false},      // P(T <= t) around the mean (uniformized)
+    {"occupancy", false},         // time-stationary per-station queue/util.
+    {"prediction_error", false},  // error of the exponential assumption
+    {"approximate", false},       // steady-state approximation and its error
+    {"simulate", false},          // DES cross-check with a 95% CI
+    {"product_form", false},      // Buzen/MVA baseline (exponentialized)
+}};
+
+const Output* find_output(std::string_view name) {
+  const auto it = std::find_if(kOutputs.begin(), kOutputs.end(),
+                               [&](const Output& o) { return o.name == name; });
+  return it == kOutputs.end() ? nullptr : &*it;
+}
+
 bool wants(const finwork::cluster::ExperimentSpec& spec,
-           const std::string& output) {
-  if (spec.outputs.empty()) {
-    return output == "summary" || output == "timeline" ||
-           output == "steady_state";
-  }
-  for (const std::string& o : spec.outputs) {
-    if (o == output) return true;
-  }
-  return false;
+           std::string_view output) {
+  if (spec.outputs.empty()) return find_output(output)->by_default;
+  return std::find(spec.outputs.begin(), spec.outputs.end(), output) !=
+         spec.outputs.end();
 }
 
 }  // namespace
@@ -163,6 +176,13 @@ int main(int argc, char** argv) {
     buffer << in.rdbuf();
     const io::JsonValue doc = io::JsonValue::parse(buffer.str());
     const cluster::ExperimentSpec spec = cluster::parse_experiment(doc);
+    for (const std::string& o : spec.outputs) {
+      if (find_output(o) == nullptr) {
+        std::cerr << "unknown output \"" << o << "\" in " << config_path
+                  << '\n';
+        return 2;
+      }
+    }
 
     if (!spec.sweep_parameter.empty()) {
       const io::Table table = cluster::run_sweep(spec, model_options);

@@ -28,12 +28,18 @@ bench/ are allowed to print):
   R8  no `.to_dense(` in src/ outside src/linalg/sparse.{h,cpp} — level
       operators stay sparse from assembly to factorization, so no model
       path holds a D x D buffer (tests and tools may densify)
+  R9  the fault sites agree: the `fault_at("...")` probes in src/, the
+      `kFaultSites` registry in src/check/fault_inject.cpp and the site rows
+      of the table in docs/ROBUSTNESS.md §3 name the same sites, so no probe
+      is unarmable, no registered site is dead and the docs list them all.
+      A repository-wide rule: it runs when no paths are given
 
 Usage:
   python3 tools/finwork_lint.py [paths...]
 
 With no arguments, lints src/, tests/, tools/, bench/ and examples/ under
-the repository root (the directory containing this script's parent).
+the repository root (the directory containing this script's parent) and
+runs the repository-wide rule R9.
 Exits 1 and prints `file:line: [rule] message` for each violation.
 """
 
@@ -61,6 +67,14 @@ SERIAL_DIRS = {"core", "network"}
 POOL_RE = re.compile(r"\bparallel_for\b|\bThreadPool\b")
 POOL_INCLUDE_RE = re.compile(r'\s*#\s*include\s*"parallel/thread_pool\.h"')
 DENSIFY_RE = re.compile(r"\.\s*to_dense\s*\(")
+# Matched against stripped code, where a string literal is its two quotes
+# around blanks; the site name is read from the raw text at the same offsets.
+BLANKED_LITERAL_RE = re.compile(r'" *"')
+FAULT_PROBE_RE = re.compile(r'\bfault_at\s*\(\s*(" *")')
+FAULT_REGISTRY = Path("src/check/fault_inject.cpp")
+FAULT_REGISTRY_RE = re.compile(r"\bkFaultSites\s*=\s*\{")
+ROBUSTNESS_DOC = Path("docs/ROBUSTNESS.md")
+DOC_SITE_ROW_RE = re.compile(r"\|\s*`([^`]+)`\s*\|")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -195,6 +209,69 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
     return problems
 
 
+def _line_of(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
+
+
+def check_fault_sites(repo_root: Path) -> list[str]:
+    """R9: probes in src/, the registry and the docs table name one set."""
+    # site -> (file, line) of its first mention, per source.
+    sources: dict[str, dict[str, tuple[Path, int]]] = {
+        "fault_at probes in src/": {},
+        f"kFaultSites in {FAULT_REGISTRY}": {},
+        f"the site table of {ROBUSTNESS_DOC} §3": {},
+    }
+    probes, registry, docs = sources.values()
+    problems: list[str] = []
+
+    for path in collect_files([repo_root / "src"]):
+        raw = path.read_text(encoding="utf-8")
+        code = strip_comments_and_strings(raw)
+        rel = path.relative_to(repo_root)
+        for match in FAULT_PROBE_RE.finditer(code):
+            site = raw[match.start(1) + 1:match.end(1) - 1]
+            probes.setdefault(site, (rel, _line_of(raw, match.start())))
+
+    registry_path = repo_root / FAULT_REGISTRY
+    raw = registry_path.read_text(encoding="utf-8") \
+        if registry_path.is_file() else ""
+    code = strip_comments_and_strings(raw)
+    start = FAULT_REGISTRY_RE.search(code)
+    if start is None:
+        problems.append(f"{FAULT_REGISTRY}:0: [fault-sites] no "
+                        "`kFaultSites = {...}` registry found")
+    else:
+        end = code.find("}", start.end())
+        for match in BLANKED_LITERAL_RE.finditer(code, start.end(), end):
+            registry.setdefault(raw[match.start() + 1:match.end() - 1], (
+                FAULT_REGISTRY, _line_of(raw, match.start())))
+
+    doc_path = repo_root / ROBUSTNESS_DOC
+    lines = doc_path.read_text(encoding="utf-8").split("\n") \
+        if doc_path.is_file() else []
+    in_section = False
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith("## "):
+            in_section = line.startswith("## 3.")
+        elif in_section:
+            row = DOC_SITE_ROW_RE.match(line)
+            if row:
+                docs.setdefault(row.group(1), (ROBUSTNESS_DOC, lineno))
+    if not docs:
+        problems.append(f"{ROBUSTNESS_DOC}:0: [fault-sites] no site table "
+                        "found in §3")
+
+    for site in sorted(set().union(*sources.values())):
+        where = next(found[site] for found in sources.values()
+                     if site in found)
+        for name, found in sources.items():
+            if site not in found:
+                problems.append(
+                    f"{where[0]}:{where[1]}: [fault-sites] fault site "
+                    f"'{site}' is missing from {name}")
+    return problems
+
+
 def collect_files(roots: list[Path]) -> list[Path]:
     files: list[Path] = []
     for root in roots:
@@ -226,6 +303,8 @@ def main(argv: list[str]) -> int:
     for path in collect_files(roots):
         checked += 1
         problems.extend(lint_file(path, repo_root))
+    if not argv:
+        problems.extend(check_fault_sites(repo_root))
     for p in problems:
         print(p)
     print(f"finwork_lint: {checked} files checked, "

@@ -7,7 +7,9 @@ prints under tools/, the pooled SpMV kernel and densification in
 src/linalg/sparse.cpp, pool submits in src/parallel/, pool dispatch in
 the src/cluster/ sweeps, densification in tests/), runs the linter
 in-process, and checks that exactly the expected rule tags fire on the
-expected files.
+expected files.  The repository-wide rule R9 runs on two more trees: one
+whose fault sites agree and one with a dead, an unregistered and an
+undocumented site.
 
 Run directly or via ctest (registered as `lint_selftest`).
 """
@@ -179,14 +181,105 @@ CLEAN = [
 ]
 
 
-def main() -> int:
-    failures: list[str] = []
+# R9: a tree whose probes, registry and docs table agree.  The quoted
+# names in comments, outside §3 and in the header row must not count.
+FAULT_SITE_TREE = {
+    "src/check/fault_inject.cpp": (
+        "constexpr std::array<std::string_view, 2> kFaultSites = {\n"
+        "    \"lu/factorize\",   // \"ghost/site\" in a comment\n"
+        "    \"ladder/rescue\",\n"
+        "};\n"
+        "const char* other = \"not/a/site\";\n"
+    ),
+    "src/linalg/lu.cpp": (
+        "// fault_at(\"ghost/site\") in a comment is fine\n"
+        "void f() { if (check::fault_at(\"lu/factorize\")) return; }\n"
+    ),
+    "src/core/ladder.cpp": (
+        "void g() {\n"
+        "  if (!check::fault_at( \"ladder/rescue\")) return;\n"
+        "}\n"
+    ),
+    "docs/ROBUSTNESS.md": (
+        "## 2. Ladder\n"
+        "| `ghost/site` | a table outside section 3 |\n"
+        "## 3. Fault injection\n"
+        "| site | forces |\n"
+        "|---|---|\n"
+        "| `lu/factorize` | a singular factor |\n"
+        "| `ladder/rescue` | a failed rescue |\n"
+        "## 4. Tests\n"
+        "| `other/row` | z |\n"
+    ),
+}
+
+# R9 failures: the registry gains a site no probe fires, a probe names a
+# site the registry lacks, and the docs drop a row.
+FAULT_SITE_BREAKS = {
+    "src/check/fault_inject.cpp": (
+        "constexpr std::array<std::string_view, 3> kFaultSites = {\n"
+        "    \"lu/factorize\",\n"
+        "    \"ladder/rescue\",\n"
+        "    \"dead/site\",\n"
+        "};\n"
+    ),
+    "src/network/probe.cpp": (
+        "void h() { if (check::fault_at(\"unregistered/site\")) return; }\n"
+    ),
+    "docs/ROBUSTNESS.md": (
+        "## 3. Fault injection\n"
+        "| site | forces |\n"
+        "|---|---|\n"
+        "| `lu/factorize` | a singular factor |\n"
+        "| `dead/site` | nothing |\n"
+    ),
+}
+
+# (site, the source it is missing from) for every R9 finding on the broken
+# tree.
+FAULT_SITE_EXPECTED = [
+    ("'dead/site'", "fault_at probes"),
+    ("'unregistered/site'", "kFaultSites"),
+    ("'unregistered/site'", "site table"),
+    ("'ladder/rescue'", "site table"),
+]
+
+
+def write_tree(root: Path, files: dict[str, str]) -> None:
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
+def check_fault_site_rule(failures: list[str]) -> None:
     with tempfile.TemporaryDirectory(prefix="finwork_lint_test_") as tmp:
         root = Path(tmp)
-        for rel, text in FIXTURES.items():
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
+        write_tree(root, FAULT_SITE_TREE)
+        problems = finwork_lint.check_fault_sites(root)
+        if problems:
+            failures.append(f"expected no R9 findings, got {problems}")
+
+        write_tree(root, FAULT_SITE_BREAKS)
+        problems = finwork_lint.check_fault_sites(root)
+        for site, source in FAULT_SITE_EXPECTED:
+            hits = [p for p in problems
+                    if "[fault-sites]" in p and site in p and source in p]
+            if len(hits) != 1:
+                failures.append(f"expected exactly one R9 finding for {site} "
+                                f"missing from {source}, got {hits}")
+        if len(problems) != len(FAULT_SITE_EXPECTED):
+            failures.append(
+                f"expected {len(FAULT_SITE_EXPECTED)} R9 findings, got "
+                f"{len(problems)}: {problems}")
+
+
+def main() -> int:
+    failures: list[str] = []
+    check_fault_site_rule(failures)
+    with tempfile.TemporaryDirectory(prefix="finwork_lint_test_") as tmp:
+        root = Path(tmp)
+        write_tree(root, FIXTURES)
 
         problems: list[str] = []
         for path in finwork_lint.collect_files(
