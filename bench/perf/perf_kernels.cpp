@@ -290,7 +290,9 @@ void BM_FullTimelineN30(benchmark::State& state) {
 }
 BENCHMARK(BM_FullTimelineN30)->Arg(5)->Arg(8);
 
-void BM_SteadyStateIteration(benchmark::State& state) {
+// One steady-state query on a fresh solver: the bordered Krylov solve of
+// the jump chain P_K + Q_K R_K, after the level is prepared.
+void BM_SteadyStateSolve(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const net::NetworkSpec spec = cluster::build_cluster(central_h2(k));
   for (auto _ : state) {
@@ -298,7 +300,7 @@ void BM_SteadyStateIteration(benchmark::State& state) {
     benchmark::DoNotOptimize(solver.steady_state().interdeparture);
   }
 }
-BENCHMARK(BM_SteadyStateIteration)->Arg(5)->Arg(8);
+BENCHMARK(BM_SteadyStateSolve)->Arg(5)->Arg(8);
 
 void BM_MatrixExponential(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "perf_record_main.h"
@@ -116,6 +117,27 @@ BENCHMARK(BM_SaturatedPhaseMemoHit)
     ->RangeMultiplier(10)
     ->Range(100, 1000000)
     ->Unit(benchmark::kNanosecond);
+
+// The moments pass behind makespan_moments: a fresh solver over the shared
+// K = 6 model (levels prepared by an untimed first call) runs the
+// admission loop to N = 10^5, which closes by fast-forward.  Every level-6
+// column solve is iterative and warm-started from the trajectory, so the
+// Neumann terms per pass are the hardware-independent cost.
+void BM_MomentsPass(benchmark::State& state) {
+  const auto& model = saturated_model();
+  (void)model->drain_second(6);
+  const std::uint64_t before =
+      obs::counter_value(obs::Counter::kNeumannIterations);
+  for (auto _ : state) {
+    const core::TransientSolver solver(model);
+    benchmark::DoNotOptimize(solver.makespan_moments(100000).variance);
+  }
+  state.counters["neumann_iterations"] =
+      static_cast<double>(
+          obs::counter_value(obs::Counter::kNeumannIterations) - before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_MomentsPass)->Unit(benchmark::kMillisecond);
 
 // Figure-scale sweep throughput: the prediction-error family (3 C^2 values
 // x 3 workloads) through the content-addressed model cache and the

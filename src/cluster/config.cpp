@@ -1,8 +1,11 @@
 #include "cluster/config.h"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "core/metrics.h"
 #include "core/model_cache.h"
@@ -40,6 +43,19 @@ double scv_at_least(const io::JsonValue& value, double lo) {
   return scv;
 }
 
+/// Rejects a misspelt field rather than letting it fall back to its
+/// default: throws io::JsonError naming the first key of the object `value`
+/// that `known` does not list.
+void reject_unknown_keys(const io::JsonValue& value,
+                         std::initializer_list<std::string_view> known,
+                         const char* where) {
+  for (const auto& [key, member] : value.as_object()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw io::JsonError("unknown key '" + key + "' in " + where);
+    }
+  }
+}
+
 }  // namespace
 
 ServiceShape parse_shape(const io::JsonValue& value) {
@@ -69,6 +85,11 @@ ServiceShape parse_shape(const io::JsonValue& value) {
 }
 
 ApplicationModel parse_application(const io::JsonValue& value) {
+  reject_unknown_keys(value,
+                      {"preset", "local_time", "cpu_fraction", "remote_time",
+                       "comm_factor", "mean_cycles", "remote_share",
+                       "scheduler_overhead"},
+                      "application");
   ApplicationModel app;
   if (value.string_or("preset", "") == "coarse_grained") {
     app = ApplicationModel::coarse_grained();
@@ -126,6 +147,11 @@ net::NetworkSpec parse_network(const io::JsonValue& value) {
 
 ExperimentSpec parse_experiment(const io::JsonValue& value) {
   if (!value.is_object()) throw io::JsonError("config must be a JSON object");
+  reject_unknown_keys(value,
+                      {"tasks", "workstations", "network", "architecture",
+                       "application", "shapes", "contention", "simulate",
+                       "outputs", "sweep"},
+                      "config");
   ExperimentSpec spec;
   spec.tasks = to_count(value.number_or("tasks", 1.0), "tasks");
   if (spec.tasks == 0) throw std::invalid_argument("tasks must be >= 1");
@@ -151,6 +177,8 @@ ExperimentSpec parse_experiment(const io::JsonValue& value) {
     }
     if (value.contains("shapes")) {
       const io::JsonValue& shapes = value.at("shapes");
+      reject_unknown_keys(shapes, {"cpu", "local_disk", "comm", "remote_disk"},
+                          "shapes");
       if (shapes.contains("cpu")) cfg.shapes.cpu = parse_shape(shapes.at("cpu"));
       if (shapes.contains("local_disk")) {
         cfg.shapes.local_disk = parse_shape(shapes.at("local_disk"));
@@ -176,6 +204,7 @@ ExperimentSpec parse_experiment(const io::JsonValue& value) {
 
   if (value.contains("simulate")) {
     const io::JsonValue& simj = value.at("simulate");
+    reject_unknown_keys(simj, {"replications", "seed"}, "simulate");
     spec.replications =
         to_count(simj.number_or("replications", 1000.0), "replications");
     // The CLI reports a 95% confidence interval, which needs two samples.

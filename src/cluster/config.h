@@ -70,11 +70,14 @@ inline constexpr std::size_t kMaxShapePhases = 100;
 [[nodiscard]] ServiceShape parse_shape(const io::JsonValue& value);
 
 /// Parse an application-model object (all fields optional; defaults are the
-/// paper's parameterisation).
+/// paper's parameterisation).  An unknown key throws io::JsonError naming it.
 [[nodiscard]] ApplicationModel parse_application(const io::JsonValue& value);
 
 /// Parse a full experiment config (either form).  Throws io::JsonError or
-/// std::invalid_argument with a descriptive message.
+/// std::invalid_argument with a descriptive message; an unknown key at the
+/// top level or inside "application", "shapes" or "simulate" throws
+/// io::JsonError naming it, so a misspelt field never falls back to its
+/// default.
 [[nodiscard]] ExperimentSpec parse_experiment(const io::JsonValue& value);
 
 /// Parse the custom-network form's "network" object.

@@ -280,24 +280,40 @@ la::Vector ModelArtifacts::solve_left(std::size_t k,
   return ladder_solve(prepared_level(k), k, pi, /*left=*/true);
 }
 
-la::Vector ModelArtifacts::solve_right(std::size_t k,
-                                       const la::Vector& b) const {
-  return ladder_solve(prepared_level(k), k, b, /*left=*/false);
+la::Vector ModelArtifacts::solve_right(std::size_t k, const la::Vector& b,
+                                       const la::Vector& start) const {
+  const Level& lvl = prepared_level(k);
+  if (lvl.lu || start.empty()) return ladder_solve(lvl, k, b, /*left=*/false);
+  la::Vector x = ladder_solve(
+      lvl, k, residual(gather_operator(k, /*left=*/false), b, start),
+      /*left=*/false);
+  x += start;
+  return x;
 }
 
 std::array<la::Vector, 2> ModelArtifacts::solve_right(
-    std::size_t k, const la::Vector& b1, const la::Vector& b2) const {
+    std::size_t k, const std::array<la::Vector, 2>& b,
+    const std::array<la::Vector, 2>& start) const {
   const Level& lvl = prepared_level(k);
   if (lvl.lu) {
-    return {ladder_solve(lvl, k, b1, /*left=*/false),
-            ladder_solve(lvl, k, b2, /*left=*/false)};
+    return {ladder_solve(lvl, k, b[0], /*left=*/false),
+            ladder_solve(lvl, k, b[1], /*left=*/false)};
   }
   obs::counter_add(obs::Counter::kIterativeSolves, 2);
   const la::GatherMatrix& p = gather_operator(k, /*left=*/false);
-  auto [r1, r2] =
-      la::neumann_solve(p, b1, b2, kTolerance, kMaxNeumannIterations);
-  return {r1.converged ? std::move(r1.x) : krylov_solve(k, p, b1, false),
-          r2.converged ? std::move(r2.x) : krylov_solve(k, p, b2, false)};
+  std::array<la::Vector, 2> rhs;
+  for (std::size_t c = 0; c < 2; ++c) {
+    rhs[c] = start[c].empty() ? b[c] : residual(p, b[c], start[c]);
+  }
+  auto res =
+      la::neumann_solve(p, rhs[0], rhs[1], kTolerance, kMaxNeumannIterations);
+  std::array<la::Vector, 2> x;
+  for (std::size_t c = 0; c < 2; ++c) {
+    x[c] = res[c].converged ? std::move(res[c].x)
+                            : krylov_solve(k, p, rhs[c], /*left=*/false);
+    if (!start[c].empty()) x[c] += start[c];
+  }
+  return x;
 }
 
 const la::Vector& ModelArtifacts::drain_mean(std::size_t k) const {

@@ -7,6 +7,9 @@
 // LU factorization of (I - P_k), the per-level tau'_k vectors, the drain
 // vectors h_k and x_k (mean and half second moment of the time to empty
 // level k) and the lazily built grouped gather operators of P_k and P_k^T.
+// Its column solves take an optional start: an iterative level then solves
+// only for the correction from it, which is how the moments admission loop
+// turns a mixing trajectory into short Neumann series.
 // It is immutable from the outside and safe to share across threads — every
 // lazily-built piece is published through a once-flag or an acquire/release
 // atomic — so any number of TransientSolver instances (e.g. the points of a
@@ -64,12 +67,18 @@ class ModelArtifacts {
   [[nodiscard]] const la::Vector& tau(std::size_t k) const;
   /// x = pi (I - P_k)^-1 (row solve: dense LU or Neumann/BiCGSTAB).
   [[nodiscard]] la::Vector solve_left(std::size_t k, const la::Vector& pi) const;
-  /// x = (I - P_k)^-1 b (column solve).
-  [[nodiscard]] la::Vector solve_right(std::size_t k, const la::Vector& b) const;
-  /// Two column solves, bit for bit the two solve_right(k, b) calls; an
-  /// iterative level runs them through one paired Neumann pass.
+  /// x = (I - P_k)^-1 b (column solve).  A non-empty `start` is a guess
+  /// x^ of x: an iterative level runs its ladder on the residual
+  /// r = b - x^ + P_k x^ and returns x^ + (I - P_k)^-1 r, so a close guess
+  /// leaves a short Neumann series.  A dense level ignores the start (its LU
+  /// solve is exact either way), so dense models keep every bit.
+  [[nodiscard]] la::Vector solve_right(std::size_t k, const la::Vector& b,
+                                       const la::Vector& start = {}) const;
+  /// Two column solves, bit for bit the two solve_right(k, b[i], start[i])
+  /// calls; an iterative level runs them through one paired Neumann pass.
   [[nodiscard]] std::array<la::Vector, 2> solve_right(
-      std::size_t k, const la::Vector& b1, const la::Vector& b2) const;
+      std::size_t k, const std::array<la::Vector, 2>& b,
+      const std::array<la::Vector, 2>& start = {}) const;
   /// Mean drain time per state of Xi_k with no admissions left:
   ///   h_k = tau'_k + (I - P_k)^-1 Q_k h_{k-1},   h_0 = 0.
   [[nodiscard]] const la::Vector& drain_mean(std::size_t k) const;

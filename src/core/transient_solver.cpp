@@ -465,10 +465,23 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   la::Vector d_prev;  // previous first difference of m1
   la::Vector e_prev;  // previous first difference of x
   la::Vector f_prev;  // previous second difference of x
+  // Warm starts.  The iterates mix geometrically, so each column solve is
+  // started from the trajectory's extrapolation and an iterative level
+  // solves only for the (shrinking) correction:
+  //   m1^_{j+1} = m1_j + d_j,   x^_j = x_{j-1} + e_{j-1} + f_{j-1},
+  // each difference left out until the loop has made it.  The m1 column
+  // is solved as (I - P)^-1 Q R m1_j, whose guess is m1^_{j+1} - tau'_K.
+  const auto m1_start = [&](const la::Vector& d) {
+    la::Vector s = m1;
+    if (!d.empty()) s += d;
+    s -= tau_k;
+    return s;
+  };
   for (std::size_t j = 1; j <= j_max; ++j) {
     // The m1 step is the column action of T = (I - P)^-1 Q R.
     if (m1_new.empty()) {
-      m1_new = tau_k + model_->solve_right(k_, lt.q.apply(lt.r.apply(m1)));
+      m1_new = tau_k + model_->solve_right(k_, lt.q.apply(lt.r.apply(m1)),
+                                           m1_start(d_prev));
     }
     la::Vector d = m1_new - m1;
     m1 = std::exchange(m1_new, la::Vector());
@@ -479,22 +492,26 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
         (d - d_prev).norm_inf() <= kMomentMixingTolerance * d.norm_inf();
     la::Vector flow = lt.q.apply(lt.r.apply(x));
     for (std::size_t i = 0; i < flow.size(); ++i) flow[i] += m1[i] / rates[i];
+    la::Vector x_start = x;
+    if (!e_prev.empty()) x_start += e_prev;
+    if (!f_prev.empty()) x_start += f_prev;
     // x_j and m1_{j+1} share one pass over P_K unless admission j may be
     // the last (j_max, or d has mixed); then m1_{j+1} waits for the next.
     const la::Vector x_prev = std::move(x);
     if (j < j_max && !d_mixed) {
-      auto [x_j, m1_next] =
-          model_->solve_right(k_, flow, lt.q.apply(lt.r.apply(m1)));
+      auto [x_j, m1_next] = model_->solve_right(
+          k_, {std::move(flow), lt.q.apply(lt.r.apply(m1))},
+          {std::move(x_start), m1_start(d)});
       x = std::move(x_j);
       m1_new = tau_k + m1_next;
     } else {
-      x = model_->solve_right(k_, flow);
+      x = model_->solve_right(k_, flow, x_start);
     }
     la::Vector e = x - x_prev;
     path.harvest.emplace_back(la::dot(p0, m1), la::dot(p0, x));
     if (j == j_max) break;
 
-    if (opts_.fast_forward && j >= 2) {
+    if (j >= 2) {
       la::Vector f = e - e_prev;
       // Once d has mixed and the x increments have become arithmetic
       // (e_{j+i} ~ e_j + i f, so the second difference of x is stable),

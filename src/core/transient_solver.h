@@ -14,7 +14,9 @@
 // The saturated phase is one recursion, pi_{j+1} = pi_j Y_K R_K, with a
 // warm-started resolvent and a mixing test that closes the remaining epochs
 // analytically (fast-forward).  solve() and makespan_grid() both run it;
-// makespan_moments_grid() runs its column (remaining-time) mirror.  The
+// makespan_moments_grid() runs its column (remaining-time) mirror, whose
+// level-K solves start from the trajectory's linear extrapolation, so an
+// iterative level solves only for the shrinking correction.  The
 // single-N queries makespan() and makespan_moments() are one-point grids.
 // Neither recursion depends on N — N only picks the iterate harvested — so
 // a fast-forward pass that closes keeps its harvests per solver, and every
@@ -192,8 +194,10 @@ class TransientSolver {
   /// Moments for every workload size in `tasks` from one pass of the
   /// admission recursion, treating the whole finite-workload process as one
   /// absorbing chain and back-substituting its block bidiagonal structure
-  /// (extension; see DESIGN.md).  The means agree with makespan_grid to
-  /// solver precision.
+  /// (extension; see DESIGN.md).  Each admission's two column solves are
+  /// warm-started from m1_j + d_j and x_{j-1} + e_{j-1} + f_{j-1} (a dense
+  /// level ignores the start; docs/PERFORMANCE.md §2).  The means agree
+  /// with makespan_grid to solver precision.
   [[nodiscard]] std::vector<MakespanMoments> makespan_moments_grid(
       std::span<const std::size_t> tasks) const;
 

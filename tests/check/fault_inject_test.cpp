@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -311,6 +312,34 @@ TEST_F(FaultInjectTest, FailedLevelAssemblyReachesTheCallerAndRetries) {
   EXPECT_TRUE(same_bits(retried.p, healthy.p));
   EXPECT_TRUE(same_bits(retried.q, healthy.q));
   EXPECT_TRUE(same_bits(retried.r, healthy.r));
+}
+
+TEST_F(FaultInjectTest, WarmStartedMomentsSurviveNeumannFailure) {
+  // Distributed K = 6 (iterative level 6) with its levels prepared.  With
+  // every admission's Neumann stage failed, each column goes to BiCGSTAB,
+  // which now solves for the correction to the warm start, from its
+  // residual; the moments must match the healthy pass.
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 6;
+  const auto model = std::make_shared<const core::ModelArtifacts>(
+      cluster::build_cluster(cfg), 6);
+  (void)model->drain_second(6);
+  const core::MakespanMoments want =
+      core::TransientSolver(model).makespan_moments(100000);
+
+  const std::uint64_t neumann = check::fault_fire_count("iterative/neumann");
+  const std::uint64_t bicgstab =
+      obs::counter_value(obs::Counter::kBicgstabIterations);
+  check::arm_fault("iterative/neumann", 1000);
+  const core::MakespanMoments got =
+      core::TransientSolver(model).makespan_moments(100000);
+  check::disarm_all_faults();
+  EXPECT_GT(check::fault_fire_count("iterative/neumann"), neumann);
+  EXPECT_GT(obs::counter_value(obs::Counter::kBicgstabIterations), bicgstab);
+  EXPECT_NEAR(got.mean, want.mean, 1e-9 * want.mean);
+  EXPECT_NEAR(got.second_moment, want.second_moment,
+              1e-9 * want.second_moment);
 }
 
 TEST_F(FaultInjectTest, DisarmCancelsRemainingFailures) {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/transient_solver.h"
 #include "obs/counters.h"
 
@@ -142,6 +147,47 @@ TEST(Config, ValidationErrors) {
                 "entry": [1], "routing": [[0, 0]], "exit": [1]}
   })"),
                std::invalid_argument);
+}
+
+TEST(Config, UnknownKeysAreRejectedAtEveryLevel) {
+  // A misspelt key would otherwise fall back to its default without a word.
+  const struct {
+    const char* config;
+    const char* key;
+  } cases[] = {
+      {R"({"workstations": 2, "taks": 99})", "taks"},
+      {R"({"application": {"remote_shar": 0.3}})", "remote_shar"},
+      {R"({"shapes": {"remote_dsk": {"type": "h2", "scv": 4}}})",
+       "remote_dsk"},
+      {R"({"simulate": {"replications": 10, "sed": 3}})", "sed"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)parse(c.config);
+      ADD_FAILURE() << "accepted " << c.config;
+    } catch (const io::JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + c.key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)cluster::parse_application(
+                   io::JsonValue::parse(R"({"cpu_fractoin": 0.5})")),
+               io::JsonError);
+}
+
+TEST(Config, EveryCliFixtureParses) {
+  std::size_t parsed = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(FINWORK_TESTDATA_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_NO_THROW((void)parse(text.str().c_str())) << entry.path();
+    ++parsed;
+  }
+  EXPECT_GE(parsed, 3u);
 }
 
 TEST(Config, MissingRequiredShapeFieldThrows) {

@@ -291,7 +291,7 @@ TEST(NeumannKernel, PairFaultProbeFiresPerColumn) {
   const std::uint64_t bicgstab = check::fault_fire_count("iterative/bicgstab");
   obs::counters_reset();
   check::arm_fault("iterative/neumann", 1);
-  const auto pair = model.solve_right(6, b1, b2);
+  const auto pair = model.solve_right(6, {b1, b2});
   check::disarm_all_faults();
   EXPECT_EQ(check::fault_fire_count("iterative/neumann"), fired + 1);
   EXPECT_EQ(check::fault_fire_count("iterative/bicgstab"), bicgstab);

@@ -18,7 +18,9 @@
 //                      --strict); 0 = unlimited
 //
 // Outputs: select them with the config's "outputs" array; kOutputs below
-// lists every name and the default set.  An unknown name exits 2.
+// lists every name, the default set and what a sweep prints.  An unknown
+// name, or a name a sweep config asks for but a sweep does not print,
+// exits 2.
 
 #include <algorithm>
 #include <array>
@@ -60,20 +62,22 @@ constexpr const char* kExample = R"({
 struct Output {
   std::string_view name;
   bool by_default;  ///< printed when the config has no "outputs" array
+  bool in_sweep;    ///< a column of the sweep table (makespan and speedup
+                    ///< for "summary")
 };
 
 // Every output the config's "outputs" array may name.
 constexpr std::array<Output, 10> kOutputs = {{
-    {"summary", true},            // makespan, speedup, per-task time, regions
-    {"timeline", true},           // per-epoch mean inter-departure times
-    {"steady_state", true},       // t_ss and throughput (Y_K R_K fixed point)
-    {"moments", false},           // makespan variance (absorbing chain)
-    {"distribution", false},      // P(T <= t) around the mean (uniformized)
-    {"occupancy", false},         // time-stationary per-station queue/util.
-    {"prediction_error", false},  // error of the exponential assumption
-    {"approximate", false},       // steady-state approximation and its error
-    {"simulate", false},          // DES cross-check with a 95% CI
-    {"product_form", false},      // Buzen/MVA baseline (exponentialized)
+    {"summary", true, true},       // makespan, speedup, per-task time, regions
+    {"timeline", true, false},     // per-epoch mean inter-departure times
+    {"steady_state", true, false}, // t_ss and throughput (Y_K R_K fixed point)
+    {"moments", false, false},     // makespan variance (absorbing chain)
+    {"distribution", false, false},  // P(T <= t) around the mean
+    {"occupancy", false, false},   // time-stationary per-station queue/util.
+    {"prediction_error", false, true},  // error of the exponential assumption
+    {"approximate", false, false},  // steady-state approximation and its error
+    {"simulate", false, false},    // DES cross-check with a 95% CI
+    {"product_form", false, false},  // Buzen/MVA baseline (exponentialized)
 }};
 
 const Output* find_output(std::string_view name) {
@@ -185,6 +189,15 @@ int main(int argc, char** argv) {
     }
 
     if (!spec.sweep_parameter.empty()) {
+      bool dropped = false;
+      for (const std::string& o : spec.outputs) {
+        if (find_output(o)->in_sweep) continue;
+        std::cerr << "output \"" << o << "\" in " << config_path
+                  << " is not printed by a sweep (it prints summary and "
+                     "prediction_error)\n";
+        dropped = true;
+      }
+      if (dropped) return 2;
       const io::Table table = cluster::run_sweep(spec, model_options);
       std::cout << "sweep over " << spec.sweep_parameter << ":\n";
       table.print(std::cout, 4);
