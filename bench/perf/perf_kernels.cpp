@@ -198,8 +198,6 @@ BENCHMARK_CAPTURE(BM_LuFactorLevel, large_n_l5, distributed(6), 5)
 BENCHMARK_CAPTURE(BM_LuFactorLevel, fig10_h2_l5, fig10_h2(), 5)
     ->Unit(benchmark::kMillisecond);
 
-enum class LevelSolve { kLeft, kRight, kPair };
-
 /// The state space of the `large_n` model, the distributed K = 6 cluster,
 /// whose level 6 (D = 3003) is above the dense threshold.
 net::StateSpace distributed_k6_space() {
@@ -211,43 +209,39 @@ net::StateSpace distributed_k6_space() {
 
 // One cold Neumann level solve on level 6 of the distributed K = 6 cluster:
 // the row solve pi (I - P_6)^-1 runs the kernel over the grouped gather
-// operator of P_6^T, the column solve (I - P_6)^-1 M_6^-1 eps over that of
-// P_6 itself.  `pair` runs that column together with a second one, the Q R
-// image of the first as a moments admission pairs them, through the
-// two-column kernel: one pass over P_6 per iteration for both.
-void BM_NeumannLevelSolve(benchmark::State& state, LevelSolve kind) {
+// operator of P_6^T (`left`), the column solve (I - P_6)^-1 M_6^-1 eps over
+// that of P_6 itself (`right`).  Both run the host's sweep kernel; the
+// `_portable` variants run the portable sweep on the same layout, so the
+// pair of benches times the AVX-512 kernel against its fallback.
+void BM_NeumannLevelSolve(benchmark::State& state, bool left, bool portable) {
   const net::StateSpace space = distributed_k6_space();
   const net::LevelMatrices& lm = space.level(6);
-  const la::GatherMatrix a = kind == LevelSolve::kLeft
-                                 ? la::GatherMatrix::transpose_of(lm.p)
-                                 : la::GatherMatrix(lm.p);
+  const la::GatherMatrix a =
+      left ? la::GatherMatrix::transpose_of(lm.p) : la::GatherMatrix(lm.p);
   la::Vector b = space.initial_vector(6);
-  if (kind != LevelSolve::kLeft) {
+  if (!left) {
     for (std::size_t i = 0; i < b.size(); ++i) b[i] = 1.0 / lm.event_rates[i];
   }
-  const la::Vector b2 = lm.q.apply(lm.r.apply(b));
+  const la::detail::SweepKernel kernel =
+      portable ? la::detail::SweepKernel::kPortable
+               : la::detail::host_sweep_kernel();
   double iterations = 0.0;
   for (auto _ : state) {
-    if (kind == LevelSolve::kPair) {
-      const auto res = la::neumann_solve(a, b, b2, 1e-12, 20000);
-      iterations = 0.5 * static_cast<double>(res[0].iterations +
-                                             res[1].iterations);
-      benchmark::DoNotOptimize(res[0].x.data());
-      benchmark::DoNotOptimize(res[1].x.data());
-    } else {
-      const la::IterativeResult res = la::neumann_solve(a, b, 1e-12, 20000);
-      iterations = static_cast<double>(res.iterations);
-      benchmark::DoNotOptimize(res.x.data());
-    }
+    const la::IterativeResult res =
+        la::detail::neumann_solve(a, b, 1e-12, 20000, kernel);
+    iterations = static_cast<double>(res.iterations);
+    benchmark::DoNotOptimize(res.x.data());
   }
   state.counters["dim"] = static_cast<double>(a.rows());
   state.counters["iterations_per_solve"] = iterations;
 }
-BENCHMARK_CAPTURE(BM_NeumannLevelSolve, left, LevelSolve::kLeft)
+BENCHMARK_CAPTURE(BM_NeumannLevelSolve, left, true, false)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NeumannLevelSolve, right, LevelSolve::kRight)
+BENCHMARK_CAPTURE(BM_NeumannLevelSolve, right, false, false)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NeumannLevelSolve, pair, LevelSolve::kPair)
+BENCHMARK_CAPTURE(BM_NeumannLevelSolve, left_portable, true, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NeumannLevelSolve, right_portable, false, true)
     ->Unit(benchmark::kMillisecond);
 
 // One column action y = P_6 x on the same level: the CSR row loop

@@ -291,31 +291,6 @@ la::Vector ModelArtifacts::solve_right(std::size_t k, const la::Vector& b,
   return x;
 }
 
-std::array<la::Vector, 2> ModelArtifacts::solve_right(
-    std::size_t k, const std::array<la::Vector, 2>& b,
-    const std::array<la::Vector, 2>& start) const {
-  const Level& lvl = prepared_level(k);
-  if (lvl.lu) {
-    return {ladder_solve(lvl, k, b[0], /*left=*/false),
-            ladder_solve(lvl, k, b[1], /*left=*/false)};
-  }
-  obs::counter_add(obs::Counter::kIterativeSolves, 2);
-  const la::GatherMatrix& p = gather_operator(k, /*left=*/false);
-  std::array<la::Vector, 2> rhs;
-  for (std::size_t c = 0; c < 2; ++c) {
-    rhs[c] = start[c].empty() ? b[c] : residual(p, b[c], start[c]);
-  }
-  auto res =
-      la::neumann_solve(p, rhs[0], rhs[1], kTolerance, kMaxNeumannIterations);
-  std::array<la::Vector, 2> x;
-  for (std::size_t c = 0; c < 2; ++c) {
-    x[c] = res[c].converged ? std::move(res[c].x)
-                            : krylov_solve(k, p, rhs[c], /*left=*/false);
-    if (!start[c].empty()) x[c] += start[c];
-  }
-  return x;
-}
-
 const la::Vector& ModelArtifacts::drain_mean(std::size_t k) const {
   const la::Vector& tau_k = tau(k);  // validates k
   Level& lvl = levels_[k];

@@ -18,8 +18,8 @@ namespace finwork::core {
 
 namespace {
 
-/// Stop rule of the steady state's bordered Krylov solve: relative 2-norm
-/// residual of z B = e_D.
+/// Stop rule of the steady state's Krylov solves: relative 2-norm residual
+/// of z B = e_D and of the tau'_K correction.
 constexpr double kTolerance = 1e-14;
 /// The invariant checks on p_ss apply Y_K through a level solve, itself
 /// accurate to 1e-12, so they allow 1e-9.
@@ -461,7 +461,6 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   MomentsTrajectory path;
   path.harvest.emplace_back(la::dot(p0, m1), la::dot(p0, x));
   bool closed = false;
-  la::Vector m1_new;  // m1_j, when the previous admission solved it
   la::Vector d_prev;  // previous first difference of m1
   la::Vector e_prev;  // previous first difference of x
   la::Vector f_prev;  // previous second difference of x
@@ -479,12 +478,11 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
   };
   for (std::size_t j = 1; j <= j_max; ++j) {
     // The m1 step is the column action of T = (I - P)^-1 Q R.
-    if (m1_new.empty()) {
-      m1_new = tau_k + model_->solve_right(k_, lt.q.apply(lt.r.apply(m1)),
-                                           m1_start(d_prev));
-    }
+    la::Vector m1_new = tau_k + model_->solve_right(
+                                    k_, lt.q.apply(lt.r.apply(m1)),
+                                    m1_start(d_prev));
     la::Vector d = m1_new - m1;
-    m1 = std::exchange(m1_new, la::Vector());
+    m1 = std::move(m1_new);
     // Past mixing, m1 grows by a constant vector per admission
     // (d_j -> t_ss eps); the test needs m1 only, so it runs before the solve.
     const bool d_mixed =
@@ -495,18 +493,8 @@ std::vector<MakespanMoments> TransientSolver::makespan_moments_grid(
     la::Vector x_start = x;
     if (!e_prev.empty()) x_start += e_prev;
     if (!f_prev.empty()) x_start += f_prev;
-    // x_j and m1_{j+1} share one pass over P_K unless admission j may be
-    // the last (j_max, or d has mixed); then m1_{j+1} waits for the next.
     const la::Vector x_prev = std::move(x);
-    if (j < j_max && !d_mixed) {
-      auto [x_j, m1_next] = model_->solve_right(
-          k_, {std::move(flow), lt.q.apply(lt.r.apply(m1))},
-          {std::move(x_start), m1_start(d)});
-      x = std::move(x_j);
-      m1_new = tau_k + m1_next;
-    } else {
-      x = model_->solve_right(k_, flow, x_start);
-    }
+    x = model_->solve_right(k_, flow, x_start);
     la::Vector e = x - x_prev;
     path.harvest.emplace_back(la::dot(p0, m1), la::dot(p0, x));
     if (j == j_max) break;
@@ -760,7 +748,20 @@ const SteadyStateResult& TransientSolver::steady_state() const {
   ss.distribution /= s;
   ss.interdeparture = cycle / s;
   ss.throughput = 1.0 / ss.interdeparture;
-  const double m2 = 2.0 * la::dot(sojourn, tau(k_)) / s;
+  // An iterative level's tau'_K carries the Neumann series' low bias, so
+  // one BiCGSTAB solve of its residual corrects it before it enters the
+  // second moment: (I - P) delta = M^-1 eps - (I - P) tau'_K.  A factored
+  // level's tau'_K is exact to rounding and is used as it is.
+  la::Vector tau_k = tau(k_);
+  if (model_->level_factor_entries(k_) == 0) {
+    la::Vector r = lm.p.apply(tau_k) - tau_k;
+    for (std::size_t i = 0; i < r.size(); ++i) r[i] += 1.0 / lm.event_rates[i];
+    const la::IterativeResult delta = la::bicgstab_left(
+        [&lm](const la::Vector& v) { return v - lm.p.apply(v); }, r,
+        kTolerance);
+    if (delta.converged) tau_k += delta.x;
+  }
+  const double m2 = 2.0 * la::dot(sojourn, tau_k) / s;
   ss.interdeparture_scv =
       (m2 - ss.interdeparture * ss.interdeparture) /
       (ss.interdeparture * ss.interdeparture);

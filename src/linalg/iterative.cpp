@@ -1,7 +1,6 @@
 #include "linalg/iterative.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -40,85 +39,41 @@ IterativeResult neumann_solve_left(const RowOperator& apply_p, const Vector& b,
   return res;
 }
 
-namespace {
-
-/// Runs W Neumann series in one pass over A per iteration, their terms
-/// interleaved (term[W r + w], empty = start from the sums res[w]->x), each
-/// with its own summation order, stop rule and counters.  When one stops,
-/// the others go on alone in the W = 1 instantiation from their current
-/// terms, so every column equals a lone series bit for bit.
-template <std::size_t W>
-void neumann_series(const GatherMatrix& a,
-                    std::array<IterativeResult*, W> res,
-                    std::vector<double> term, double tol,
-                    std::size_t max_iter) {
-  const std::size_t n = a.rows();
-  std::vector<double> next(W * n);
-  std::array<double*, W> x;
-  for (std::size_t w = 0; w < W; ++w) x[w] = res[w]->x.data();
-  if (term.empty()) {
-    term.resize(W * n);
-    for (std::size_t i = 0; i < W * n; ++i) term[i] = x[i % W][i / W];
-  }
-  std::size_t it = res[0]->iterations;
-  for (bool stopped = false; !stopped && it < max_iter;) {
-    ++it;
-    // next = A term, x += next and t = max |next|, in one pass over A.
-    const std::array<double, W> t =
-        a.neumann_sweep<W>(term.data(), next.data(), x);
-    std::swap(term, next);
-    for (std::size_t w = 0; w < W; ++w) {
-      res[w]->iterations = it;
-      res[w]->residual = t[w];
-      res[w]->converged = t[w] < tol;
-      stopped = stopped || res[w]->converged;
-    }
-  }
-  for (std::size_t w = 0; w < W; ++w) {
-    if (res[w]->converged || it == max_iter) {
-      obs::counter_add(obs::Counter::kNeumannIterations, it);
-    } else if constexpr (W > 1) {
-      std::vector<double> lone(n);
-      for (std::size_t r = 0; r < n; ++r) lone[r] = term[W * r + w];
-      neumann_series<1>(a, {res[w]}, std::move(lone), tol, max_iter);
-    }
-  }
+IterativeResult neumann_solve(const GatherMatrix& a, const Vector& b,
+                              double tol, std::size_t max_iter) {
+  return detail::neumann_solve(a, b, tol, max_iter,
+                               detail::host_sweep_kernel());
 }
 
-/// Starts a solve of (I - A) x = b at x = b, with the residual that a zero
-/// cap reports.  False when an injected "iterative/neumann" fault fires: the
-/// solve then reports non-convergence exactly as an exhausted cap would, so
-/// callers exercise their real fallback path.
-bool neumann_start(const GatherMatrix& a, const Vector& b,
-                   IterativeResult& res) {
+IterativeResult detail::neumann_solve(const GatherMatrix& a, const Vector& b,
+                                      double tol, std::size_t max_iter,
+                                      SweepKernel kernel) {
   if (a.cols() != a.rows() || b.size() != a.rows()) {
     throw std::invalid_argument("neumann_solve: size mismatch");
   }
+  IterativeResult res;
   res.x = b;
   res.residual = b.norm_inf();
-  return !check::fault_at("iterative/neumann");
-}
-
-}  // namespace
-
-IterativeResult neumann_solve(const GatherMatrix& a, const Vector& b,
-                              double tol, std::size_t max_iter) {
-  IterativeResult res;
-  if (neumann_start(a, b, res)) neumann_series<1>(a, {&res}, {}, tol, max_iter);
-  return res;
-}
-
-std::array<IterativeResult, 2> neumann_solve(const GatherMatrix& a,
-                                             const Vector& b1,
-                                             const Vector& b2, double tol,
-                                             std::size_t max_iter) {
-  std::array<IterativeResult, 2> res;
-  const bool live1 = neumann_start(a, b1, res[0]);
-  const bool live2 = neumann_start(a, b2, res[1]);
-  if (live1 && live2) {
-    neumann_series<2>(a, {&res[0], &res[1]}, {}, tol, max_iter);
-  } else if (live1 || live2) {
-    neumann_series<1>(a, {&res[live1 ? 0 : 1]}, {}, tol, max_iter);
+  if (check::fault_at("iterative/neumann")) {
+    // Injected non-convergence: report failure exactly as an exhausted
+    // iteration cap would, so callers exercise their real fallback path.
+    return res;
+  }
+  Vector x = a.to_grouped(b);
+  Vector term = x;
+  Vector next(b.size());
+  while (!res.converged && res.iterations < max_iter) {
+    ++res.iterations;
+    // next = A term, x += next and t = max |next|, in one pass over A.
+    res.residual =
+        a.neumann_sweep(term.data(), next.data(), x.data(), kernel);
+    res.converged = res.residual < tol;
+    std::swap(term, next);
+  }
+  res.x = a.from_grouped(x);
+  obs::counter_add(obs::Counter::kNeumannIterations, res.iterations);
+  if (kernel == SweepKernel::kAvx512) {
+    obs::counter_add(obs::Counter::kSimdSweeps, res.iterations);
   }
   return res;
 }

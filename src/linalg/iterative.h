@@ -8,7 +8,6 @@
 // so CSR and matrix-free compositions (like I - P_K - Q_K R_K) share one
 // code path.
 
-#include <array>
 #include <cstddef>
 #include <functional>
 
@@ -37,23 +36,28 @@ struct IterativeResult {
                                                  std::size_t max_iter = 200000);
 
 /// Neumann series x = sum_n A^n b for (I - A) x = b, as one serial in-place
-/// kernel over the grouped gather operator: each iteration is one
-/// GatherMatrix::neumann_sweep (term' = A term, added to x, its inf-norm
-/// taken in the same pass), with two preallocated term buffers, no callable
-/// indirection and no per-iteration allocation.  A left solve x (I - P) = b
-/// passes A = GatherMatrix::transpose_of(P), which reproduces
+/// kernel over the grouped gather operator: b is taken into A's grouped
+/// order once, each iteration is one GatherMatrix::neumann_sweep (term' =
+/// A term, added to x, its inf-norm taken in the same pass) with two
+/// preallocated term buffers, no callable indirection and no per-iteration
+/// allocation, and x is put back in the original order once.  A left solve
+/// x (I - P) = b passes A = GatherMatrix::transpose_of(P), which reproduces
 /// neumann_solve_left(row_operator(P)) bit for bit.  Same stopping rule,
-/// counters and "iterative/neumann" fault probe as neumann_solve_left.
+/// counters and "iterative/neumann" fault probe as neumann_solve_left; the
+/// sweeps that ran the AVX-512 kernel also count as linalg.simd_sweeps.
 [[nodiscard]] IterativeResult neumann_solve(const GatherMatrix& a,
                                             const Vector& b,
                                             double tol = 1e-12,
                                             std::size_t max_iter = 200000);
 
-/// neumann_solve(a, b1) and neumann_solve(a, b2), bit for bit, in one pass
-/// over A per iteration; the fault probe fires once per column, b1 first.
-[[nodiscard]] std::array<IterativeResult, 2> neumann_solve(
-    const GatherMatrix& a, const Vector& b1, const Vector& b2,
-    double tol = 1e-12, std::size_t max_iter = 200000);
+namespace detail {
+/// neumann_solve through the given sweep kernel (the public overload passes
+/// host_sweep_kernel()): the seam by which tests run both kernels.
+[[nodiscard]] IterativeResult neumann_solve(const GatherMatrix& a,
+                                            const Vector& b, double tol,
+                                            std::size_t max_iter,
+                                            SweepKernel kernel);
+}  // namespace detail
 
 /// BiCGSTAB for x A = b given the row action y = x * A.  General-purpose
 /// fallback when Neumann is slow.  No preconditioner (the systems are well

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <immintrin.h>
 #include <limits>
 #include <stdexcept>
 
@@ -212,6 +213,104 @@ double CsrMatrix::norm_inf() const noexcept {
   return m;
 }
 
+namespace {
+
+constexpr std::size_t kLanes = GatherMatrix::kLanes;
+
+/// The full blocks of one group in the portable kernel: `blocks` blocks of
+/// kLanes rows of `length` entries, interleaved.  Each block runs as four
+/// quarters of four named sums, each passed by value: GCC keeps them in
+/// registers, where sums indexed by lane stay on the stack.  Writes out,
+/// adds to acc unless it is null; returns the largest |sum|.
+double blocks_portable(const std::uint32_t* col, const double* val,
+                       std::size_t length, std::size_t blocks,
+                       const double* in, double* out, double* acc) {
+  double norm = 0.0;
+  const auto finish = [&](std::size_t r, double s) {
+    out[r] = s;
+    if (acc != nullptr) acc[r] += s;
+    norm = std::max(norm, std::abs(s));
+  };
+  for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::size_t q = 0; q < kLanes; q += 4) {
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      const std::uint32_t* c = col + q;
+      const double* v = val + q;
+      for (std::size_t j = 0; j < length; ++j, c += kLanes, v += kLanes) {
+        s0 += v[0] * in[c[0]];
+        s1 += v[1] * in[c[1]];
+        s2 += v[2] * in[c[2]];
+        s3 += v[3] * in[c[3]];
+      }
+      finish(q, s0);
+      finish(q + 1, s1);
+      finish(q + 2, s2);
+      finish(q + 3, s3);
+    }
+    col += kLanes * length;
+    val += kLanes * length;
+    out += kLanes;
+    if (acc != nullptr) acc += kLanes;
+  }
+  return norm;
+}
+
+/// The same blocks in AVX-512: two chains of 8 lanes per block, each entry
+/// one gather, one multiply and one add (never fused: the build passes
+/// -ffp-contract=off), so every lane rounds as its portable sum does.
+/// max(|s|, norm) keeps norm when |s| is NaN, as std::max(norm, |s|) does.
+/// The full-mask and zero-masked intrinsics stand in for the plain ones,
+/// whose _mm512_undefined_pd() GCC 12 reports as uninitialized.
+__attribute__((target("avx512f,avx512dq"))) double blocks_avx512(
+    const std::uint32_t* col, const double* val, std::size_t length,
+    std::size_t blocks, const double* in, double* out, double* acc) {
+  static_assert(kLanes == 16, "a block is two 8-lane chains");
+  constexpr __mmask8 kAll = 0xff;
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d norm = zero;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    __m512d s0 = zero;
+    __m512d s1 = zero;
+    for (std::size_t j = 0; j < length; ++j, col += kLanes, val += kLanes) {
+      const __m256i c0 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col));
+      const __m256i c1 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + 8));
+      const __m512d x0 = _mm512_mask_i32gather_pd(zero, kAll, c0, in, 8);
+      const __m512d x1 = _mm512_mask_i32gather_pd(zero, kAll, c1, in, 8);
+      s0 = _mm512_add_pd(s0, _mm512_mul_pd(_mm512_loadu_pd(val), x0));
+      s1 = _mm512_add_pd(s1, _mm512_mul_pd(_mm512_loadu_pd(val + 8), x1));
+    }
+    _mm512_storeu_pd(out, s0);
+    _mm512_storeu_pd(out + 8, s1);
+    if (acc != nullptr) {
+      _mm512_storeu_pd(acc, _mm512_add_pd(_mm512_loadu_pd(acc), s0));
+      _mm512_storeu_pd(acc + 8, _mm512_add_pd(_mm512_loadu_pd(acc + 8), s1));
+      acc += kLanes;
+    }
+    norm = _mm512_maskz_max_pd(kAll, _mm512_abs_pd(s0), norm);
+    norm = _mm512_maskz_max_pd(kAll, _mm512_abs_pd(s1), norm);
+    out += kLanes;
+  }
+  alignas(64) double lanes[8];
+  _mm512_store_pd(lanes, norm);
+  return *std::max_element(lanes, lanes + 8);
+}
+
+}  // namespace
+
+namespace detail {
+
+SweepKernel host_sweep_kernel() noexcept {
+  static const SweepKernel kernel = __builtin_cpu_supports("avx512f") &&
+                                            __builtin_cpu_supports("avx512dq")
+                                        ? SweepKernel::kAvx512
+                                        : SweepKernel::kPortable;
+  return kernel;
+}
+
+}  // namespace detail
+
 GatherMatrix::GatherMatrix(const CsrMatrix& a) : GatherMatrix(a, false) {}
 
 GatherMatrix GatherMatrix::transpose_of(const CsrMatrix& a) {
@@ -221,8 +320,9 @@ GatherMatrix GatherMatrix::transpose_of(const CsrMatrix& a) {
 GatherMatrix::GatherMatrix(const CsrMatrix& a, bool transpose)
     : rows_(transpose ? a.cols() : a.rows()),
       cols_(transpose ? a.rows() : a.cols()) {
-  if (std::max(rows_, cols_) > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error("GatherMatrix: dimension exceeds 32-bit indices");
+  if (std::max(rows_, cols_) >
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+    throw std::length_error("GatherMatrix: dimension exceeds 31-bit indices");
   }
   const std::vector<std::size_t>& row_ptr = a.row_ptr();
   const std::vector<std::uint32_t>& col = a.col_idx();
@@ -251,18 +351,20 @@ GatherMatrix::GatherMatrix(const CsrMatrix& a, bool transpose)
     first_row += count[len];
     first_entry += count[len] * len;
   }
-  // Slot of each row's first entry and the step to its next one: kLanes
-  // inside an interleaved block, 1 in a group's tail.
+  // Each row's grouped label, the slot of its first entry and the step to
+  // its next one: kLanes inside an interleaved block, 1 in a group's tail.
   row_.resize(rows_);
   col_.resize(val.size());
   val_.resize(val.size());
+  std::vector<std::uint32_t> label(rows_);
   std::vector<std::size_t> slot(rows_);
   std::vector<std::uint8_t> step(rows_);
   std::vector<std::size_t> placed(groups_.size(), 0);
   for (std::size_t r = 0; r < rows_; ++r) {
     const Group& g = groups_[group_of[length[r]]];
     const std::size_t i = placed[group_of[length[r]]]++;
-    row_[g.first_row + i] = static_cast<std::uint32_t>(r);
+    label[r] = static_cast<std::uint32_t>(g.first_row + i);
+    row_[label[r]] = static_cast<std::uint32_t>(r);
     const std::size_t blocked = g.rows - g.rows % kLanes;
     if (i < blocked) {
       slot[r] = g.first_entry + (i - i % kLanes) * g.length + i % kLanes;
@@ -273,9 +375,11 @@ GatherMatrix::GatherMatrix(const CsrMatrix& a, bool transpose)
     }
   }
   // Each gathered row takes its entries in ascending source order: the
-  // columns of a CSR row, or the rows of A when gathering over A^T.
+  // columns of a CSR row, or the rows of A when gathering over A^T.  A
+  // square operator's columns take the grouped labels of the rows.
+  const bool square = rows_ == cols_;
   const auto put = [&](std::size_t r, std::size_t c, double v) {
-    col_[slot[r]] = static_cast<std::uint32_t>(c);
+    col_[slot[r]] = square ? label[c] : static_cast<std::uint32_t>(c);
     val_[slot[r]] = v;
     slot[r] += step[r];
   };
@@ -290,91 +394,53 @@ GatherMatrix::GatherMatrix(const CsrMatrix& a, bool transpose)
   }
 }
 
-template <std::size_t W, class Emit>
-std::array<double, W> GatherMatrix::gather(const double* in,
-                                           Emit emit) const {
-  // Four named sums per block, each passed by value: GCC keeps them in
-  // registers, where sums indexed by lane or updated through a reference
-  // stay on the stack and lose most of the gain.  The norm is a local for
-  // the same reason: kept by the caller, its max chain would run through
-  // memory once per row.
-  static_assert(kLanes == 4, "a block body names its four sums");
-  using Sums = std::array<double, W>;
-  Sums norm{};
-  const auto finish = [&](std::size_t r, Sums s) {
-    emit(r, s);
-    for (std::size_t w = 0; w < W; ++w) {
-      norm[w] = std::max(norm[w], std::abs(s[w]));
-    }
-  };
+double GatherMatrix::neumann_sweep(const double* in, double* out, double* acc,
+                                   detail::SweepKernel kernel) const {
+  const auto blocks = kernel == detail::SweepKernel::kAvx512 ? blocks_avx512
+                                                             : blocks_portable;
+  double norm = 0.0;
   for (const Group& g : groups_) {
-    const std::uint32_t* row = row_.data() + g.first_row;
     const std::uint32_t* col = col_.data() + g.first_entry;
     const double* val = val_.data() + g.first_entry;
-    const auto add = [&](Sums s, std::size_t lane) {
-      const double* const x = in + W * col[lane];
-      for (std::size_t w = 0; w < W; ++w) s[w] += val[lane] * x[w];
-      return s;
-    };
-    const std::size_t blocked = g.rows - g.rows % kLanes;
-    std::size_t i = 0;
-    for (; i < blocked; i += kLanes) {
-      Sums s0{}, s1{}, s2{}, s3{};
-      for (std::size_t j = 0; j < g.length; ++j) {
-        s0 = add(s0, 0);
-        s1 = add(s1, 1);
-        s2 = add(s2, 2);
-        s3 = add(s3, 3);
-        col += kLanes;
-        val += kLanes;
-      }
-      finish(row[i], s0);
-      finish(row[i + 1], s1);
-      finish(row[i + 2], s2);
-      finish(row[i + 3], s3);
-    }
-    for (; i < g.rows; ++i) {
-      Sums s{};
-      for (std::size_t j = 0; j < g.length; ++j) {
-        s = add(s, 0);
-        ++col;
-        ++val;
-      }
-      finish(row[i], s);
+    const std::size_t full = g.rows / kLanes;
+    double* const acc_g = acc == nullptr ? nullptr : acc + g.first_row;
+    norm = std::max(norm, blocks(col, val, g.length, full, in,
+                                 out + g.first_row, acc_g));
+    // The tail, row after row.
+    col += full * kLanes * g.length;
+    val += full * kLanes * g.length;
+    for (std::size_t i = full * kLanes; i < g.rows; ++i) {
+      double s = 0.0;
+      for (std::size_t j = 0; j < g.length; ++j) s += *val++ * in[*col++];
+      out[g.first_row + i] = s;
+      if (acc_g != nullptr) acc_g[i] += s;
+      norm = std::max(norm, std::abs(s));
     }
   }
   return norm;
 }
 
-Vector GatherMatrix::apply(const Vector& x) const {
+Vector GatherMatrix::apply(const Vector& x, detail::SweepKernel kernel) const {
   if (x.size() != cols_) {
     throw std::invalid_argument("GatherMatrix apply: size mismatch");
   }
   Vector y(rows_);
-  double* const out = y.data();
-  (void)gather<1>(x.data(),
-                  [out](std::size_t r, const std::array<double, 1>& s) {
-                    out[r] = s[0];
-                  });
-  return y;
+  (void)neumann_sweep(rows_ == cols_ ? to_grouped(x).data() : x.data(),
+                      y.data(), nullptr, kernel);
+  return from_grouped(y);
 }
 
-template <std::size_t W>
-std::array<double, W> GatherMatrix::neumann_sweep(
-    const double* term, double* next, std::array<double*, W> x) const {
-  return gather<W>(term, [next, x](std::size_t r,
-                                   const std::array<double, W>& s) {
-    for (std::size_t w = 0; w < W; ++w) {
-      next[W * r + w] = s[w];
-      x[w][r] += s[w];
-    }
-  });
+Vector GatherMatrix::to_grouped(const Vector& v) const {
+  Vector g(rows_);
+  for (std::size_t i = 0; i < rows_; ++i) g[i] = v[row_[i]];
+  return g;
 }
 
-template std::array<double, 1> GatherMatrix::neumann_sweep<1>(
-    const double*, double*, std::array<double*, 1>) const;
-template std::array<double, 2> GatherMatrix::neumann_sweep<2>(
-    const double*, double*, std::array<double*, 2>) const;
+Vector GatherMatrix::from_grouped(const Vector& g) const {
+  Vector v(rows_);
+  for (std::size_t i = 0; i < rows_; ++i) v[row_[i]] = g[i];
+  return v;
+}
 
 CsrMatrix to_csr(const Matrix& a, double drop_tol) {
   CsrBuilder b(a.rows(), a.cols());

@@ -5,7 +5,6 @@
 // starts are std::size_t and column indices 32-bit, so a CSR matrix takes 12
 // bytes per stored entry plus 8 per row (docs/PERFORMANCE.md §10).
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -104,26 +103,46 @@ class CsrBuilder {
   std::vector<std::pair<std::uint32_t, double>> row_;  ///< in order added
 };
 
+namespace detail {
+
+/// The two sweep kernels of a GatherMatrix, over one layout: the portable
+/// loop and the AVX-512 one.  Both add the same products in the same order,
+/// so they agree bit for bit.
+enum class SweepKernel { kPortable, kAvx512 };
+
+/// kAvx512 when the host has AVX-512F and AVX-512DQ, kPortable otherwise;
+/// decided once per process.  Every solve runs this kernel; tests reach
+/// each one by passing it explicitly.
+[[nodiscard]] SweepKernel host_sweep_kernel() noexcept;
+
+}  // namespace detail
+
 /// Immutable gather operator y = A x with the rows of A grouped by length
 /// (docs/PERFORMANCE.md §9).  A counting sort by stored-entry count puts the
-/// rows of one length together; within a group, each block of kLanes rows is
-/// interleaved entry by entry (entry j of the block's rows side by side), so
-/// a block is one loop of fixed trip count with kLanes independent sums.  The
-/// last (rows mod kLanes) rows of a group are stored row after row.  Columns
-/// are 32-bit: 12 bytes per stored entry plus 4 per row.
+/// rows of one length together, and the rows are relabelled into that
+/// grouped order; a square operator maps its columns into the same order,
+/// so a Neumann sweep reads and writes grouped vectors only.  Within a
+/// group, each block of kLanes rows is interleaved entry by entry (entry j
+/// of the block's rows side by side), so a block is one loop of fixed trip
+/// count with kLanes independent sums; the AVX-512 kernel runs it as two
+/// 8-lane gather chains.  The last (rows mod kLanes) rows of a group are
+/// stored row after row.  Columns are 32-bit: 12 bytes per stored entry
+/// plus 4 per row.
 ///
 /// Every output entry adds the same products, in the same ascending-source
-/// order and from the same +0.0 start, as CsrMatrix::apply sums its row;
-/// only the order in which rows are visited changes.  So apply() equals
-/// CsrMatrix::apply bit for bit, and a gather over transpose_of(A) equals
+/// order and from the same +0.0 start, as CsrMatrix::apply sums its row,
+/// with the multiply and the add kept separate (-ffp-contract=off); only the
+/// order and labels of the rows change.  So apply() equals CsrMatrix::apply
+/// bit for bit, and a gather over transpose_of(A) equals
 /// CsrMatrix::apply_left's scatter over A bit for bit.
 class GatherMatrix {
  public:
   /// Rows interleaved per block.
-  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kLanes = 16;
 
   /// The gather operator of A: apply(x) = A x.  Both builders throw
-  /// std::length_error for a dimension beyond 32-bit indices.
+  /// std::length_error for a dimension beyond 31-bit indices (the AVX-512
+  /// gathers take signed 32-bit indices).
   explicit GatherMatrix(const CsrMatrix& a);
   /// The gather operator of A^T, built from the rows of A: apply(x) = x A.
   [[nodiscard]] static GatherMatrix transpose_of(const CsrMatrix& a);
@@ -132,20 +151,25 @@ class GatherMatrix {
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] std::size_t nnz() const noexcept { return val_.size(); }
 
-  /// y = A x.
-  [[nodiscard]] Vector apply(const Vector& x) const;
+  /// y = A x: x into grouped order (square operators), one sweep, and y
+  /// back into the original order.
+  [[nodiscard]] Vector apply(
+      const Vector& x,
+      detail::SweepKernel kernel = detail::host_sweep_kernel()) const;
 
-  /// One Neumann sweep over W columns stored interleaved (entry W r + w):
-  /// next = A term and x[w][r] += next[W r + w]; returns max_r
-  /// |next[W r + w]| per column.  Instantiated for W = 1 and W = 2.
-  template <std::size_t W>
-  [[nodiscard]] std::array<double, W> neumann_sweep(
-      const double* term, double* next, std::array<double*, W> x) const;
+  /// v (indexed like the rows) in grouped order, and back.
+  [[nodiscard]] Vector to_grouped(const Vector& v) const;
+  [[nodiscard]] Vector from_grouped(const Vector& g) const;
+
+  /// One sweep: out = A in and, unless acc is null, acc += out; returns
+  /// max_r |out[r]|.  out and acc are in grouped order, and so is in when
+  /// A is square (a Neumann sweep: in = term, out = next, acc = x).
+  double neumann_sweep(const double* in, double* out, double* acc,
+                       detail::SweepKernel kernel) const;
 
  private:
-  /// The rows of one length, in ascending row order: their indices are
-  /// row_[first_row .. first_row + rows), their entries start at
-  /// first_entry.
+  /// The rows of one length: grouped rows first_row .. first_row + rows,
+  /// their entries from first_entry.
   struct Group {
     std::size_t length = 0;
     std::size_t rows = 0;
@@ -154,14 +178,11 @@ class GatherMatrix {
   };
 
   GatherMatrix(const CsrMatrix& a, bool transpose);
-  /// Calls emit(r, s) with the W sums s of every row r, group by group, and
-  /// returns max_r |s[w]| per column.
-  template <std::size_t W, class Emit>
-  std::array<double, W> gather(const double* in, Emit emit) const;
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<Group> groups_;
+  /// Original index of each grouped row.
   std::vector<std::uint32_t> row_;
   std::vector<std::uint32_t> col_;
   std::vector<double> val_;

@@ -43,6 +43,7 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "solver.fallback_activations",
     "linalg.condition_estimates",
     "solver.trajectory_reuses",
+    "linalg.simd_sweeps",
 };
 
 constexpr std::array<std::string_view, kNumGauges> kGaugeNames = {

@@ -50,6 +50,7 @@ enum class Counter : std::size_t {
                          ///< plus one per max_condition breach
   kConditionEstimates,   ///< condition estimates computed at factorization
   kTrajectoryReuses,     ///< grid passes served from a solver's saturated memo
+  kSimdSweeps,           ///< Neumann sweeps run by the AVX-512 kernel
   kCount
 };
 

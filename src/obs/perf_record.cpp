@@ -39,6 +39,10 @@ void PerfRecord::set_meta(const std::string& key, std::string value) {
   meta_[key] = std::move(value);
 }
 
+void PerfRecord::set_phases(std::vector<SpanStats> phases) {
+  phases_ = std::move(phases);
+}
+
 void PerfRecord::add_entry(PerfEntry entry) {
   entries_.push_back(std::move(entry));
 }
@@ -91,7 +95,7 @@ void PerfRecord::write(std::ostream& out) const {
   }
   out << (first ? "" : "\n  ") << "],\n  \"phases\": [";
   first = true;
-  for (const SpanStats& s : trace_summary()) {
+  for (const SpanStats& s : phases_ ? *phases_ : trace_summary()) {
     const auto ms = [](std::uint64_t ns) {
       return static_cast<double>(ns) / 1e6;
     };

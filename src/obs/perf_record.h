@@ -24,8 +24,11 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "obs/trace.h"
 
 // Inclusion marker (see obs/counters.h).
 #define FINWORK_OBS_INCLUDED 1
@@ -46,6 +49,9 @@ class PerfRecord {
 
   void set_meta(const std::string& key, std::string value);
   void add_entry(PerfEntry entry);
+  /// The phase table to write instead of trace_summary(): a harness that
+  /// drains the trace buffers as it runs keeps its own.
+  void set_phases(std::vector<SpanStats> phases);
 
   /// Serialize the record, embedding the current counter values and span
   /// summary from the registry.  `wall_seconds` covers construction to now.
@@ -62,6 +68,7 @@ class PerfRecord {
   std::string tool_;
   std::map<std::string, std::string> meta_;
   std::vector<PerfEntry> entries_;
+  std::optional<std::vector<SpanStats>> phases_;
   std::uint64_t created_ns_ = 0;
 };
 

@@ -38,12 +38,14 @@ class TraceRegistry {
     return *cached;
   }
 
-  std::vector<TraceEvent> snapshot() {
+  /// With `clear`, each buffer is emptied under the lock that copied it.
+  std::vector<TraceEvent> snapshot(bool clear = false) {
     std::vector<TraceEvent> out;
     std::lock_guard registry_lock(mu_);
     for (const auto& buf : buffers_) {
       std::lock_guard buffer_lock(buf->mu);
       out.insert(out.end(), buf->events.begin(), buf->events.end());
+      if (clear) buf->events.clear();
     }
     std::sort(out.begin(), out.end(),
               [](const TraceEvent& a, const TraceEvent& b) {
@@ -145,9 +147,9 @@ std::vector<TraceEvent> trace_snapshot() {
   return TraceRegistry::instance().snapshot();
 }
 
-std::vector<SpanStats> trace_summary() {
+std::vector<SpanStats> trace_summary(bool drain) {
   std::map<std::string_view, SpanStats> by_name;
-  for (const TraceEvent& ev : TraceRegistry::instance().snapshot()) {
+  for (const TraceEvent& ev : TraceRegistry::instance().snapshot(drain)) {
     SpanStats& s = by_name[ev.name];
     if (s.count == 0) {
       s.name = ev.name;

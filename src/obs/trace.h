@@ -72,8 +72,10 @@ struct SpanStats {
 /// All recorded spans, sorted by start time.
 [[nodiscard]] std::vector<TraceEvent> trace_snapshot();
 
-/// Per-name aggregation, sorted by total time descending.
-[[nodiscard]] std::vector<SpanStats> trace_summary();
+/// Per-name aggregation, sorted by total time descending.  With `drain`,
+/// the spans it reads are cleared in the same pass, buffer by buffer, so a
+/// harness that drains as it runs loses none of them.
+[[nodiscard]] std::vector<SpanStats> trace_summary(bool drain = false);
 
 /// Discard all recorded spans (thread buffers stay registered).
 void trace_reset() noexcept;

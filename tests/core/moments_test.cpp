@@ -301,10 +301,11 @@ std::shared_ptr<const core::ModelArtifacts> prepared_k6() {
 
 }  // namespace
 
-TEST(MakespanMoments, PairedAdmissionMatchesSingleColumnOracle) {
-  // Distributed K = 6: level 6 is iterative, so each admission's x and next
-  // m1 columns share one paired Neumann pass.  The pairing must not move a
-  // bit of either moment.
+TEST(MakespanMoments, AdmissionLoopMatchesSingleColumnOracle) {
+  // Distributed K = 6: level 6 is iterative, so every admission solve is a
+  // warm-started Neumann series.  The admission loop, with its fast-forward
+  // bookkeeping and the memo, must not move a bit of either moment against
+  // a plain loop of the same solves.
   const auto model = prepared_k6();
   ASSERT_GT(model->space().dimension(6),
             core::ModelOptions{}.dense_threshold);

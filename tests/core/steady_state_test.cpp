@@ -124,3 +124,23 @@ TEST(SteadyState, TimeStationaryMatchesBuzenMarginals) {
     EXPECT_LE(buzen_gap(cluster::distributed_cluster(k, app), k), 1e-12);
   }
 }
+
+// On an iterative level, tau'_K is a Neumann solve with the series' low
+// bias; the second moment corrects it with one BiCGSTAB solve of its
+// residual, so the inter-departure SCV agrees with a direct LU of the same
+// level (the large_n model, distributed K = 6, iterative level 6).
+TEST(SteadyState, InterdepartureScvMatchesDenseLuOnIterativeLevel) {
+  cluster::ExperimentConfig cfg;
+  cfg.architecture = cluster::Architecture::kDistributed;
+  cfg.workstations = 6;
+  const net::NetworkSpec spec = cluster::build_cluster(cfg);
+  const core::TransientSolver iterative(spec, 6);
+  ASSERT_GT(iterative.space().dimension(6),
+            core::ModelOptions{}.dense_threshold);
+  core::ModelOptions dense_opts;
+  dense_opts.dense_threshold = 4000;
+  const core::TransientSolver dense(spec, 6, dense_opts);
+  const double want = dense.steady_state().interdeparture_scv;
+  EXPECT_NEAR(iterative.steady_state().interdeparture_scv, want,
+              1e-12 * want);
+}

@@ -7,9 +7,11 @@ benchmark binary emits a malformed or empty record:
   python3 tools/check_perf_record.py BENCH_solver.json
 
 Checks: the file parses, the schema tag matches, metadata fields are
-strings, at least one benchmark entry exists, and every entry carries a
+strings, at least one benchmark entry exists, every entry carries a
 name, finite non-negative real_seconds, positive iterations, and numeric
-metrics.  Exits 0 when valid, 1 with a diagnostic otherwise.
+metrics, and no trace event was dropped (counters["trace.events_dropped"]
+is absent or 0: a record whose phase table lost spans cannot say where the
+time went).  Exits 0 when valid, 1 with a diagnostic otherwise.
 
 Regression mode compares per-iteration real time against a committed
 baseline record on every benchmark name the two files share:
@@ -83,6 +85,10 @@ def check(path: str) -> int:
     counters = doc.get("counters")
     if counters is not None and not isinstance(counters, dict):
         return fail(f"{path}: 'counters' must be an object when present")
+    dropped = (counters or {}).get("trace.events_dropped", 0)
+    if not is_number(dropped) or dropped != 0:
+        return fail(f"{path}: trace.events_dropped is {dropped!r}: the "
+                    f"phase table lost spans")
 
     print(f"check_perf_record: OK: {path} "
           f"({len(benchmarks)} benchmark entr{'y' if len(benchmarks) == 1 else 'ies'}, "
