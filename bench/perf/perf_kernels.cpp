@@ -152,7 +152,7 @@ void BM_LuFactorLevel(benchmark::State& state, cluster::ExperimentConfig cfg,
                       std::size_t level) {
   const net::StateSpace space(cluster::build_cluster(cfg), cfg.workstations);
   const la::CsrMatrix a =
-      la::CsrMatrix::identity_minus(space.level(level).p, 1.0);
+      la::CsrMatrix::identity_minus(space.level(level).p);
   for (auto _ : state) {
     la::LuDecomposition lu(a);
     benchmark::DoNotOptimize(lu.determinant());

@@ -12,9 +12,8 @@ namespace {
 // The site registry.  One entry per forced-failure point; lint rule R9
 // (tools/finwork_lint.py) keeps it equal to the fault_at("...") probes in
 // src/ and to the table in docs/ROBUSTNESS.md.
-constexpr std::array<std::string_view, 7> kFaultSites = {
+constexpr std::array<std::string_view, 6> kFaultSites = {
     "lu/factorize",          // dense PLU reports the matrix singular
-    "ladder/rescue",         // the shifted-retry rescue stage is skipped
     "iterative/neumann",     // Neumann series reports non-convergence
     "iterative/bicgstab",    // BiCGSTAB reports non-convergence
     "iterative/gmres",       // GMRES reports non-convergence

@@ -1,13 +1,14 @@
 #pragma once
 // Deterministic fault-injection framework for the numerical-robustness layer.
 //
-// Every degradation path of the fallback ladder (docs/ROBUSTNESS.md) has a
+// Every failure path of the fallback ladder (docs/ROBUSTNESS.md) has a
 // *named site* where a forced failure can be armed: a factorization can be
 // made to look singular, an iterative backend can be made to report
 // non-convergence, a ModelCache build can be made to throw.  Tests arm a
 // site for a bounded number of firings, trigger the code path, and assert
-// that the fallback produced the right numbers and telemetry — so the
-// degradation paths are exercised in CI instead of trusted on faith.
+// that the next stage reproduced the healthy numbers or that the failure
+// surfaced as the right SolverError — so these paths are exercised in CI
+// instead of trusted on faith.
 //
 // The probes compile to `false` (zero code) unless the build enables
 // FINWORK_FAULT_INJECT (CMake option, default OFF; see the debug-fault

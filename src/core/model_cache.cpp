@@ -36,8 +36,8 @@ ModelArtifacts::ModelArtifacts(const net::NetworkSpec& spec,
 namespace {
 
 // Fixed controls of the fallback ladder: the relative residual target of
-// every iterative stage and of the shifted rescue, and the caps of the
-// Neumann stage and of each Krylov stage (BiCGSTAB, GMRES).
+// every iterative stage, and the caps of the Neumann stage and of each
+// Krylov stage (BiCGSTAB, GMRES).
 constexpr double kTolerance = 1e-12;
 constexpr std::size_t kMaxNeumannIterations = 20000;
 constexpr std::size_t kMaxKrylovIterations = 20000;
@@ -75,38 +75,23 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
   la::IterativeResult res =
       la::neumann_solve(gather, b, kTolerance, kMaxNeumannIterations);
   if (res.converged) return std::move(res.x);
-  return krylov_solve(k, gather, b, left);
-}
-
-la::Vector ModelArtifacts::krylov_solve(std::size_t k,
-                                        const la::GatherMatrix& gather,
-                                        const la::Vector& b, bool left) const {
   const auto apply_a = [&gather](const la::Vector& v) {
     la::Vector y = v;
     y -= gather.apply(v);
     return y;
   };
-  la::IterativeResult res =
-      la::bicgstab_left(apply_a, b, kTolerance, kMaxKrylovIterations);
+  res = la::bicgstab_left(apply_a, b, kTolerance, kMaxKrylovIterations);
   if (res.converged) return std::move(res.x);
   res = la::gmres_left(apply_a, b, kTolerance, kMaxKrylovIterations);
   if (res.converged) return std::move(res.x);
-  if (opts_.strict) {
-    SolverErrorContext ctx;
-    ctx.level = k;
-    ctx.dimension = space_.dimension(k);
-    ctx.residual = res.residual;
-    ctx.iterations = res.iterations;
-    ctx.detail = "iterative backend exhausted in strict mode";
-    throw SolverError(SolverErrorKind::kNonConvergence, SolverStage::kGmres,
-                      std::move(ctx));
-  }
-  obs::counter_add(obs::Counter::kFallbackActivations);
-  obs::emit_event("degradation/iterative", "(I-P_k)", k, obs::kNoIndex,
-                  "Neumann/BiCGSTAB/GMRES all stalled (residual " +
-                      format_double(res.residual) +
-                      "); entering shifted-operator rescue");
-  return rescue_solve(k, gather, b, left);
+  SolverErrorContext ctx;
+  ctx.level = k;
+  ctx.dimension = space_.dimension(k);
+  ctx.residual = res.residual;
+  ctx.iterations = res.iterations;
+  ctx.detail = "fallback ladder exhausted (Neumann, BiCGSTAB, GMRES)";
+  throw SolverError(SolverErrorKind::kNonConvergence, SolverStage::kGmres,
+                    std::move(ctx));
 }
 
 const la::GatherMatrix& ModelArtifacts::gather_operator(std::size_t k,
@@ -119,86 +104,6 @@ const la::GatherMatrix& ModelArtifacts::gather_operator(std::size_t k,
                                   : la::GatherMatrix(p));
   });
   return *lvl.gather[side];
-}
-
-la::Vector ModelArtifacts::rescue_solve(std::size_t k,
-                                        const la::GatherMatrix& gather,
-                                        const la::Vector& b, bool left) const {
-  const std::size_t d = space_.dimension(k);
-  const double target = kTolerance * std::max(b.norm_inf(), 1e-300);
-  double last_residual = -1.0;
-  if (!check::fault_at("ladder/rescue")) {
-    for (const double sigma : {1e-8, 1e-5, 1e-2}) {
-      // Outer Richardson on the shifted operator: the fixed point of
-      //   x_{m+1} (I - P + sigma I) = b + sigma x_m
-      // is the solution of x (I - P) = b, the error contracts by
-      // sigma (A + sigma I)^-1 every outer step, and each inner system is
-      // strictly better conditioned than (I - P) itself.
-      std::optional<la::LuDecomposition> shifted;
-      if (d <= opts_.dense_threshold) {
-        try {
-          shifted.emplace(
-              la::CsrMatrix::identity_minus(space_.level(k).p, 1.0 + sigma));
-        } catch (const SolverError&) {
-          continue;  // shifted factorization failed too: escalate sigma
-        }
-      }
-      const auto inner_solve =
-          [&](const la::Vector& rhs) -> std::optional<la::Vector> {
-        if (shifted) {
-          return left ? shifted->solve_left(rhs) : shifted->solve(rhs);
-        }
-        // (I - P + sigma I) = (1 + sigma)(I - P/(1 + sigma)): the scaled
-        // Neumann series contracts at least as fast as 1/(1 + sigma).
-        const double scale = 1.0 + sigma;
-        const auto apply_scaled = [&](const la::Vector& v) {
-          la::Vector y = gather.apply(v);
-          y /= scale;
-          return y;
-        };
-        la::Vector rhs_scaled = rhs;
-        rhs_scaled /= scale;
-        // The series stops a decade below the outer target: its truncation
-        // error is a floor the outer residual cannot get under.
-        la::IterativeResult inner = la::neumann_solve_left(
-            apply_scaled, rhs_scaled, 0.1 * target, kMaxNeumannIterations);
-        if (!inner.converged) return std::nullopt;
-        return std::move(inner.x);
-      };
-      constexpr std::size_t kMaxOuter = 200;
-      la::Vector x(d, 0.0);
-      bool inner_failed = false;
-      for (std::size_t outer = 0; outer < kMaxOuter && !inner_failed;
-           ++outer) {
-        la::Vector rhs = x;
-        rhs *= sigma;
-        rhs += b;
-        std::optional<la::Vector> next = inner_solve(rhs);
-        if (!next) {
-          inner_failed = true;
-          break;
-        }
-        x = std::move(*next);
-        last_residual = residual(gather, b, x).norm_inf();
-        if (last_residual <= target) {
-          obs::emit_event("degradation/shifted-retry", "(I-P_k)", k,
-                          obs::kNoIndex,
-                          "recovered by shifted-operator Richardson, sigma=" +
-                              format_double(sigma));
-          return x;
-        }
-      }
-    }
-  }
-  SolverErrorContext ctx;
-  ctx.level = k;
-  ctx.dimension = d;
-  if (last_residual >= 0.0) ctx.residual = last_residual;
-  ctx.detail =
-      "fallback ladder exhausted (dense LU, Neumann/BiCGSTAB/GMRES, "
-      "shifted retry)";
-  throw SolverError(SolverErrorKind::kNonConvergence, SolverStage::kShiftedRetry,
-                    std::move(ctx));
 }
 
 const ModelArtifacts::Level& ModelArtifacts::prepared_level(
@@ -216,20 +121,12 @@ const ModelArtifacts::Level& ModelArtifacts::prepared_level(
     if (d <= opts_.dense_threshold) {
       const obs::ObsSpan factor_span("solver/factorize_level");
       try {
-        lvl.lu.emplace(la::CsrMatrix::identity_minus(lm.p, 1.0));
+        lvl.lu.emplace(la::CsrMatrix::identity_minus(lm.p));
       } catch (const SolverError& e) {
-        if (e.kind() != SolverErrorKind::kSingular || opts_.strict) {
-          SolverErrorContext ctx = e.context();
-          ctx.level = k;  // attach the level the factorization belongs to
-          throw SolverError(e.kind(), e.stage(), std::move(ctx));
-        }
-        obs::counter_add(obs::Counter::kFallbackActivations);
-        obs::emit_event("degradation/lu-singular", "(I-P_k)", k,
-                        e.context().pivot, e.what());
-        // The level degrades to the matrix-free iterative backend.
+        SolverErrorContext ctx = e.context();
+        ctx.level = k;  // attach the level the factorization belongs to
+        throw SolverError(e.kind(), e.stage(), std::move(ctx));
       }
-    }
-    if (lvl.lu) {
       lvl.rcond = lvl.lu->rcond_estimate();
       obs::counter_add(obs::Counter::kConditionEstimates);
       const double cond = lvl.rcond > 0.0

@@ -65,7 +65,7 @@ class ModelArtifacts {
 
   /// tau'_k = (I - P_k)^-1 M_k^-1 eps (built with the level on first use).
   [[nodiscard]] const la::Vector& tau(std::size_t k) const;
-  /// x = pi (I - P_k)^-1 (row solve: dense LU or Neumann/BiCGSTAB).
+  /// x = pi (I - P_k)^-1 (row solve: dense LU or Neumann/BiCGSTAB/GMRES).
   [[nodiscard]] la::Vector solve_left(std::size_t k, const la::Vector& pi) const;
   /// x = (I - P_k)^-1 b (column solve).  A non-empty `start` is a guess
   /// x^ of x: an iterative level runs its ladder on the residual
@@ -81,11 +81,11 @@ class ModelArtifacts {
   ///   x_k = (I - P_k)^-1 (M_k^-1 h_k + Q_k x_{k-1}),   x_0 = 0.
   [[nodiscard]] const la::Vector& drain_second(std::size_t k) const;
   /// Reciprocal condition estimate of level k's dense factorization of
-  /// (I - P_k); 0 when the level is iterative or its factorization failed.
+  /// (I - P_k); 0 when the level is iterative.
   [[nodiscard]] double level_rcond(std::size_t k) const;
   /// Entries kept by level k's factorization of (I - P_k), its diagonal
   /// included (la::LuDecomposition::stored_entries); 0 when the level is
-  /// iterative or its factorization failed.
+  /// iterative.
   [[nodiscard]] std::size_t level_factor_entries(std::size_t k) const;
 
  private:
@@ -112,31 +112,24 @@ class ModelArtifacts {
 
   /// Factorize (I - P_k) and build tau'_k exactly once; returns the level
   /// with `prepared` visible.  This decides the level's backend: the dense
-  /// LU when the factorization succeeds, the iterative stage otherwise.
+  /// LU when D(k) <= dense_threshold, the iterative stage otherwise.  A
+  /// failed factorization throws its SolverError with the level attached,
+  /// and the level stays unprepared (call_once does not latch on a throw).
   const Level& prepared_level(std::size_t k) const;
   /// Fallback-ladder solve of x (I - P_k) = b (left) or (I - P_k) x = b
   /// (right) against an already-prepared level (no re-entry into
-  /// prepared_level — call_once would self-deadlock).  Stages, in order:
-  /// dense LU, Neumann/BiCGSTAB/GMRES, shifted retry; throws
-  /// finwork::SolverError when the whole ladder is exhausted.  See
+  /// prepared_level — call_once would self-deadlock).  Two stages: the
+  /// level's dense LU, or Neumann -> BiCGSTAB -> GMRES; throws
+  /// SolverError(kNonConvergence, kGmres) when GMRES is exhausted too.  See
   /// docs/ROBUSTNESS.md.
   la::Vector ladder_solve(const Level& lvl, std::size_t k, const la::Vector& b,
                           bool left) const;
-  /// The operator every stage past the LU solve applies, as a serial
-  /// grouped gather (la::GatherMatrix): P_k^T for row solves, P_k for column
-  /// solves, each built once, on first use, so dense levels hold neither
-  /// and a level keeps only the directions it solves in.  `gather.apply(v)`
-  /// is v P_k or P_k v respectively; below, `left` only picks the direction
-  /// of the rescue's LU solves.
+  /// The operator the iterative stage applies, as a serial grouped gather
+  /// (la::GatherMatrix): P_k^T for row solves, P_k for column solves, each
+  /// built once, on first use, so dense levels hold neither and a level
+  /// keeps only the directions it solves in.  `gather.apply(v)` is v P_k or
+  /// P_k v respectively.
   const la::GatherMatrix& gather_operator(std::size_t k, bool left) const;
-  /// The ladder past a Neumann stage that did not converge.
-  la::Vector krylov_solve(std::size_t k, const la::GatherMatrix& gather,
-                          const la::Vector& b, bool left) const;
-  /// Rescue stage: shifted-operator Richardson iteration (dense levels
-  /// re-factor I - P + sigma I; iterative levels run the shifted Neumann
-  /// series).  Throws SolverError on failure.
-  la::Vector rescue_solve(std::size_t k, const la::GatherMatrix& gather,
-                          const la::Vector& b, bool left) const;
 
   net::StateSpace space_;
   std::size_t k_;

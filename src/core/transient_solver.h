@@ -48,10 +48,10 @@ class ModelArtifacts;
 struct ModelOptions {
   /// Use a dense LU of (I - P_k) when D(k) is at most this; iterative above.
   std::size_t dense_threshold = 3000;
-  /// Fail-fast mode (docs/ROBUSTNESS.md): a degradation the fallback ladder
-  /// would normally absorb — a singular dense factorization, a condition
-  /// estimate beyond `max_condition`, an iterative backend that needs the
-  /// shifted-retry rescue — throws finwork::SolverError instead.
+  /// Fail-fast mode (docs/ROBUSTNESS.md): a dense level whose condition
+  /// estimate is beyond `max_condition` throws finwork::SolverError instead
+  /// of being reported.  A singular factorization or an exhausted iterative
+  /// backend throws in either mode.
   bool strict = false;
   /// Condition-number ceiling for dense factorizations of (I - P_k), as
   /// estimated by LuDecomposition::rcond_estimate (0 = unlimited).  Beyond

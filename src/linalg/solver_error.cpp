@@ -41,7 +41,6 @@ std::string_view solver_stage_name(SolverStage stage) noexcept {
   switch (stage) {
     case SolverStage::kLuFactorize: return "lu_factorize";
     case SolverStage::kGmres: return "gmres";
-    case SolverStage::kShiftedRetry: return "shifted_retry";
     case SolverStage::kExpm: return "expm";
     case SolverStage::kCacheBuild: return "cache_build";
   }

@@ -34,7 +34,6 @@ enum class SolverErrorKind {
 enum class SolverStage {
   kLuFactorize,        ///< dense PLU factorization
   kGmres,              ///< restarted GMRES Krylov backend
-  kShiftedRetry,       ///< shifted-operator Richardson rescue
   kExpm,               ///< matrix exponential / its action
   kCacheBuild,         ///< ModelCache model build on a miss
 };

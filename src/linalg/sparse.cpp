@@ -85,18 +85,17 @@ CsrMatrix CsrBuilder::finish() {
   return std::move(m_);
 }
 
-CsrMatrix CsrMatrix::identity_minus(const CsrMatrix& p, double diagonal) {
+CsrMatrix CsrMatrix::identity_minus(const CsrMatrix& p) {
   if (p.cols_ != p.rows_) {
     throw std::invalid_argument("CsrMatrix::identity_minus: not square");
   }
-  // The diagonal is added after -p_ii, so the builder sums (-p_ii) +
-  // diagonal.
+  // The diagonal is added after -p_ii, so the builder sums (-p_ii) + 1.
   CsrBuilder a(p.rows_, p.rows_, p.nnz() + p.rows_);
   for (std::size_t r = 0; r < p.rows_; ++r) {
     for (std::size_t k = p.row_ptr_[r]; k < p.row_ptr_[r + 1]; ++k) {
       a.add(p.col_idx_[k], -p.values_[k]);
     }
-    a.add(r, diagonal);
+    a.add(r, 1.0);
     a.end_row();
   }
   return a.finish();

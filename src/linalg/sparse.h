@@ -44,11 +44,10 @@ class CsrMatrix {
   [[nodiscard]] Vector row_sums() const;
   /// Element lookup (O(log nnz_row)); 0 if not stored.
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-  /// diagonal * I - P with each diagonal entry computed as
-  /// (-p_ii) + diagonal, as a dense I - P would compute it; exact zeros are
-  /// dropped.  Throws std::invalid_argument if `p` is not square.
-  [[nodiscard]] static CsrMatrix identity_minus(const CsrMatrix& p,
-                                                double diagonal);
+  /// I - P with each diagonal entry computed as (-p_ii) + 1, as a dense
+  /// I - P would compute it; exact zeros are dropped.  Throws
+  /// std::invalid_argument if `p` is not square.
+  [[nodiscard]] static CsrMatrix identity_minus(const CsrMatrix& p);
   /// Densify (for tests / small matrices only).
   [[nodiscard]] Matrix to_dense() const;
   /// Infinity norm (max absolute row sum).

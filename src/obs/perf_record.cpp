@@ -4,12 +4,10 @@
 #include <iomanip>
 #include <ostream>
 
+#include "finwork_git_sha.h"  // generated: FINWORK_GIT_SHA (git_sha.cmake)
 #include "obs/counters.h"
 #include "obs/trace.h"
 
-#ifndef FINWORK_GIT_SHA
-#define FINWORK_GIT_SHA "unknown"
-#endif
 #ifndef FINWORK_BUILD_TYPE_STR
 #define FINWORK_BUILD_TYPE_STR "unknown"
 #endif

@@ -59,7 +59,9 @@ class PerfRecord {
   /// Write to `path`; returns false if the file cannot be opened/written.
   [[nodiscard]] bool write_file(const std::string& path) const;
 
-  /// Build metadata baked in by CMake ("unknown" outside a git checkout).
+  /// Build metadata baked in by CMake.  The SHA is the commit the library
+  /// was last built from, "-dirty" when tracked files differed from it, and
+  /// "unknown" outside a git checkout.
   [[nodiscard]] static std::string build_git_sha();
   [[nodiscard]] static std::string build_type();
   [[nodiscard]] static std::string build_sanitize();

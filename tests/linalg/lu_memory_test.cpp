@@ -30,7 +30,7 @@ TEST(LuSparseMemory, Fig6Level5HoldsNoDenseBuffer) {
   cfg.workstations = 5;
   cfg.shapes.remote_disk = cluster::ServiceShape::from_scv(10.0);
   const net::StateSpace space(cluster::build_cluster(cfg), 5);
-  const la::CsrMatrix a = la::CsrMatrix::identity_minus(space.level(5).p, 1.0);
+  const la::CsrMatrix a = la::CsrMatrix::identity_minus(space.level(5).p);
   const std::size_t d = a.rows();
   ASSERT_EQ(d, 4043u);
   const std::size_t dense_bytes = 8 * d * d;  // one D x D buffer: 131 MB

@@ -662,7 +662,7 @@ void expect_levels_bit_identical(const cluster::ExperimentConfig& cfg) {
   std::size_t checked = 0;
   for (std::size_t k = 1; k <= cfg.workstations; ++k) {
     if (space.dimension(k) > 3000) continue;
-    const la::CsrMatrix a = la::CsrMatrix::identity_minus(space.level(k).p, 1.0);
+    const la::CsrMatrix a = la::CsrMatrix::identity_minus(space.level(k).p);
     la::Matrix dense = space.level(k).p.to_dense();
     dense *= -1.0;
     for (std::size_t i = 0; i < dense.rows(); ++i) dense(i, i) += 1.0;
@@ -794,7 +794,7 @@ TEST(LuSparse, FaultSiteFiresBeforeElimination) {
 TEST(LuSparse, RejectsNonSquareCsr) {
   const la::CsrMatrix wide = la::to_csr(la::Matrix(3, 4));
   EXPECT_THROW(la::LuDecomposition{wide}, std::invalid_argument);
-  EXPECT_THROW((void)la::CsrMatrix::identity_minus(wide, 1.0),
+  EXPECT_THROW((void)la::CsrMatrix::identity_minus(wide),
                std::invalid_argument);
 }
 
@@ -802,16 +802,15 @@ TEST(LuSparse, IdentityMinusMatchesTheDenseAssembly) {
   // Diagonal entries stored, missing and cancelling to zero.
   const la::CsrMatrix p = la::to_csr(
       la::Matrix{{0.25, 0.0, 0.5}, {0.125, 0.0, 0.0}, {0.0, 0.1, 1.0}});
-  const double sigma = 1e-5;
-  const la::CsrMatrix a = la::CsrMatrix::identity_minus(p, 1.0 + sigma);
+  const la::CsrMatrix a = la::CsrMatrix::identity_minus(p);
   la::Matrix want = p.to_dense();
   want *= -1.0;
-  for (std::size_t i = 0; i < 3; ++i) want(i, i) += 1.0 + sigma;
+  for (std::size_t i = 0; i < 3; ++i) want(i, i) += 1.0;
   const la::Matrix got = a.to_dense();
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       EXPECT_EQ(bits(got(i, j) + 0.0), bits(want(i, j) + 0.0)) << i << j;
     }
   }
-  EXPECT_EQ(la::CsrMatrix::identity_minus(p, 1.0).nnz(), 5u);  // (2,2) drops
+  EXPECT_EQ(a.nnz(), 5u);  // (2,2) drops
 }

@@ -33,8 +33,7 @@ TEST(SolverErrorTest, KindAndStageNamesAreStable) {
   EXPECT_EQ(finwork::solver_stage_name(SolverStage::kLuFactorize),
             "lu_factorize");
   EXPECT_EQ(finwork::solver_stage_name(SolverStage::kGmres), "gmres");
-  EXPECT_EQ(finwork::solver_stage_name(SolverStage::kShiftedRetry),
-            "shifted_retry");
+  EXPECT_EQ(finwork::solver_stage_name(SolverStage::kExpm), "expm");
   EXPECT_EQ(finwork::solver_stage_name(SolverStage::kCacheBuild),
             "cache_build");
 }

@@ -99,7 +99,7 @@ TEST(StateSpaceMemory, IdentityMinusAllocatesOnlyWhatItKeeps) {
   const std::size_t before = heap::live_bytes();
   heap::reset_peak();
   std::optional<la::CsrMatrix> a;
-  a.emplace(la::CsrMatrix::identity_minus(p, 1.0));
+  a.emplace(la::CsrMatrix::identity_minus(p));
   const std::size_t kept = heap::live_bytes() - before;
   const std::size_t peak = heap::peak_bytes() - before;
   std::printf("I - P on level 5: %zu entries, keeps %zu B, peak %zu B\n",

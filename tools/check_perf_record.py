@@ -7,7 +7,9 @@ benchmark binary emits a malformed or empty record:
   python3 tools/check_perf_record.py BENCH_solver.json
 
 Checks: the file parses, the schema tag matches, metadata fields are
-strings, at least one benchmark entry exists, every entry carries a
+strings, git_sha is a short or full commit SHA with an optional "-dirty"
+suffix (an uncommitted tree) or "unknown", at least one benchmark entry
+exists, every entry carries a
 name, finite non-negative real_seconds, positive iterations, and numeric
 metrics, and no trace event was dropped (counters["trace.events_dropped"]
 is absent or 0: a record whose phase table lost spans cannot say where the
@@ -30,10 +32,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 SCHEMA = "finwork-perf-record/1"
 REQUIRED_STRINGS = ("tool", "git_sha", "build_type", "sanitize")
+GIT_SHA = re.compile(r"unknown|[0-9a-f]{7,40}(-dirty)?")
 
 
 def fail(msg: str) -> int:
@@ -59,6 +63,9 @@ def check(path: str) -> int:
     for key in REQUIRED_STRINGS:
         if not isinstance(doc.get(key), str) or not doc[key]:
             return fail(f"{path}: missing or empty string field {key!r}")
+    if not GIT_SHA.fullmatch(doc["git_sha"]):
+        return fail(f"{path}: git_sha {doc['git_sha']!r} is not a commit SHA "
+                    f"(optionally '-dirty') or 'unknown'")
 
     benchmarks = doc.get("benchmarks")
     if not isinstance(benchmarks, list) or not benchmarks:

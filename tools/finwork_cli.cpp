@@ -11,8 +11,8 @@
 //   --stats            print the span summary and counter registry
 //
 // Robustness (docs/ROBUSTNESS.md):
-//   --strict           fail fast on any numerical degradation instead of
-//                      walking the fallback ladder
+//   --strict           fail fast when a level's condition estimate exceeds
+//                      --max-condition instead of reporting it
 //   --max-condition=X  treat any level whose condition estimate exceeds X
 //                      as degraded (reported in default mode, fatal under
 //                      --strict); 0 = unlimited
