@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -37,7 +36,7 @@ namespace {
 
 // Fixed controls of the fallback ladder: the relative residual target of
 // every iterative stage, and the caps of the Neumann stage and of each
-// Krylov stage (BiCGSTAB, GMRES).
+// stage of la::krylov_solve (BiCGSTAB, GMRES).
 constexpr double kTolerance = 1e-12;
 constexpr std::size_t kMaxNeumannIterations = 20000;
 constexpr std::size_t kMaxKrylovIterations = 20000;
@@ -67,9 +66,9 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
     obs::counter_add(obs::Counter::kDenseSolves);
     return left ? lvl.lu->solve_left(b) : lvl.lu->solve(b);
   }
-  // Stage 2: matrix-free iterative backend, Neumann -> BiCGSTAB -> GMRES,
-  // all through the gather operator: P_k for column solves, P_k^T for row
-  // solves.
+  // Stage 2: matrix-free iterative backend, Neumann, then the Krylov
+  // fallback, all through the gather operator: P_k for column solves,
+  // P_k^T for row solves.
   obs::counter_add(obs::Counter::kIterativeSolves);
   const la::GatherMatrix& gather = gather_operator(k, left);
   la::IterativeResult res =
@@ -80,18 +79,7 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
     y -= gather.apply(v);
     return y;
   };
-  res = la::bicgstab_left(apply_a, b, kTolerance, kMaxKrylovIterations);
-  if (res.converged) return std::move(res.x);
-  res = la::gmres_left(apply_a, b, kTolerance, kMaxKrylovIterations);
-  if (res.converged) return std::move(res.x);
-  SolverErrorContext ctx;
-  ctx.level = k;
-  ctx.dimension = space_.dimension(k);
-  ctx.residual = res.residual;
-  ctx.iterations = res.iterations;
-  ctx.detail = "fallback ladder exhausted (Neumann, BiCGSTAB, GMRES)";
-  throw SolverError(SolverErrorKind::kNonConvergence, SolverStage::kGmres,
-                    std::move(ctx));
+  return la::krylov_solve(apply_a, b, kTolerance, kMaxKrylovIterations, k).x;
 }
 
 const la::GatherMatrix& ModelArtifacts::gather_operator(std::size_t k,
@@ -120,26 +108,27 @@ const ModelArtifacts::Level& ModelArtifacts::prepared_level(
     const std::size_t d = space_.dimension(k);
     if (d <= opts_.dense_threshold) {
       const obs::ObsSpan factor_span("solver/factorize_level");
+      const la::CsrMatrix a = la::CsrMatrix::identity_minus(lm.p);
       try {
-        lvl.lu.emplace(la::CsrMatrix::identity_minus(lm.p));
+        lvl.lu.emplace(a);
       } catch (const SolverError& e) {
         SolverErrorContext ctx = e.context();
         ctx.level = k;  // attach the level the factorization belongs to
         throw SolverError(e.kind(), e.stage(), std::move(ctx));
       }
-      lvl.rcond = lvl.lu->rcond_estimate();
+      // (I - P_k)^-1 = sum_n P_k^n is entrywise nonnegative, so its
+      // inf-norm is the largest entry of (I - P_k)^-1 e: kappa_inf is exact.
+      lvl.condition =
+          a.norm_inf() * lvl.lu->solve(la::Vector(d, 1.0)).norm_inf();
       obs::counter_add(obs::Counter::kConditionEstimates);
-      const double cond = lvl.rcond > 0.0
-                              ? 1.0 / lvl.rcond
-                              : std::numeric_limits<double>::infinity();
-      if (opts_.max_condition > 0.0 && cond > opts_.max_condition) {
+      if (opts_.max_condition > 0.0 && lvl.condition > opts_.max_condition) {
         if (opts_.strict) {
           SolverErrorContext ctx;
           ctx.level = k;
           ctx.dimension = d;
-          ctx.condition_estimate = cond;
+          ctx.condition_estimate = lvl.condition;
           ctx.detail =
-              "condition estimate beyond ModelOptions::max_condition in "
+              "condition number beyond ModelOptions::max_condition in "
               "strict mode";
           throw SolverError(SolverErrorKind::kIllConditioned,
                             SolverStage::kLuFactorize, std::move(ctx));
@@ -147,7 +136,7 @@ const ModelArtifacts::Level& ModelArtifacts::prepared_level(
         obs::counter_add(obs::Counter::kFallbackActivations);
         obs::emit_event("degradation/ill-conditioned", "(I-P_k)", k,
                         obs::kNoIndex,
-                        "condition estimate " + format_double(cond) +
+                        "condition number " + format_double(lvl.condition) +
                             " beyond max_condition " +
                             format_double(opts_.max_condition) +
                             "; the level keeps solving with its factor");
@@ -212,8 +201,8 @@ const la::Vector& ModelArtifacts::drain_second(std::size_t k) const {
   return lvl.x;
 }
 
-double ModelArtifacts::level_rcond(std::size_t k) const {
-  return prepared_level(k).rcond;
+double ModelArtifacts::level_condition(std::size_t k) const {
+  return prepared_level(k).condition;
 }
 
 std::size_t ModelArtifacts::level_factor_entries(std::size_t k) const {

@@ -80,9 +80,10 @@ class ModelArtifacts {
   /// Half the second moment of the drain time per state of Xi_k:
   ///   x_k = (I - P_k)^-1 (M_k^-1 h_k + Q_k x_{k-1}),   x_0 = 0.
   [[nodiscard]] const la::Vector& drain_second(std::size_t k) const;
-  /// Reciprocal condition estimate of level k's dense factorization of
-  /// (I - P_k); 0 when the level is iterative.
-  [[nodiscard]] double level_rcond(std::size_t k) const;
+  /// Condition number kappa_inf of level k's (I - P_k), exact on a dense
+  /// level (||I - P_k||_inf ||(I - P_k)^-1 e||_inf, as the inverse is
+  /// nonnegative); 0 when the level is iterative.
+  [[nodiscard]] double level_condition(std::size_t k) const;
   /// Entries kept by level k's factorization of (I - P_k), its diagonal
   /// included (la::LuDecomposition::stored_entries); 0 when the level is
   /// iterative.
@@ -101,8 +102,8 @@ class ModelArtifacts {
     std::array<std::once_flag, 2> gather_once;
     std::array<std::optional<la::GatherMatrix>, 2> gather;
     la::Vector tau;
-    /// Reciprocal condition estimate of the factorization (0 = no LU).
-    double rcond = 0.0;
+    /// kappa_inf of (I - P_k) (0 = no LU).
+    double condition = 0.0;
     /// Drain vectors h_k and x_k, each built on its first request.
     std::once_flag h_once;
     la::Vector h;
@@ -119,7 +120,7 @@ class ModelArtifacts {
   /// Fallback-ladder solve of x (I - P_k) = b (left) or (I - P_k) x = b
   /// (right) against an already-prepared level (no re-entry into
   /// prepared_level — call_once would self-deadlock).  Two stages: the
-  /// level's dense LU, or Neumann -> BiCGSTAB -> GMRES; throws
+  /// level's dense LU, or Neumann -> la::krylov_solve, which throws
   /// SolverError(kNonConvergence, kGmres) when GMRES is exhausted too.  See
   /// docs/ROBUSTNESS.md.
   la::Vector ladder_solve(const Level& lvl, std::size_t k, const la::Vector& b,

@@ -10,7 +10,6 @@
 #include "check/invariants.h"
 #include "core/model_cache.h"
 #include "linalg/iterative.h"
-#include "linalg/solver_error.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -18,9 +17,10 @@ namespace finwork::core {
 
 namespace {
 
-/// Stop rule of the steady state's Krylov solves: relative 2-norm residual
-/// of z B = e_D and of the tau'_K correction.
+/// Stop rule and per-stage cap of the steady state's Krylov solves:
+/// relative 2-norm residual of z B = e_D and of the tau'_K correction.
 constexpr double kTolerance = 1e-14;
+constexpr std::size_t kMaxKrylovIterations = 10000;
 /// The invariant checks on p_ss apply Y_K through a level solve, itself
 /// accurate to 1e-12, so they allow 1e-9.
 constexpr double kCheckTolerance = 1e-9;
@@ -695,17 +695,7 @@ TransientSolver::DepartureCorrelation TransientSolver::steady_state_lag1()
 }
 
 const la::Vector& TransientSolver::time_stationary_distribution() const {
-  const SteadyStateResult& ss = steady_state();
-  if (!ss.converged) {
-    SolverErrorContext ctx;
-    ctx.level = k_;
-    ctx.dimension = ss.distribution.size();
-    ctx.iterations = ss.iterations;
-    ctx.detail = "time_stationary_distribution: the steady state did not "
-                 "converge";
-    throw SolverError(SolverErrorKind::kNonConvergence, SolverStage::kGmres,
-                      std::move(ctx));
-  }
+  (void)steady_state();
   return *time_stationary_;
 }
 
@@ -727,12 +717,8 @@ const SteadyStateResult& TransientSolver::steady_state() const {
   };
   la::Vector e(lm.p.rows(), 0.0);
   e[e.size() - 1] = 1.0;
-  la::IterativeResult res = la::bicgstab_left(apply_b, e, kTolerance);
-  std::size_t iterations = res.iterations;
-  if (!res.converged) {
-    res = la::gmres_left(apply_b, e, kTolerance);
-    iterations += res.iterations;
-  }
+  const la::IterativeResult res =
+      la::krylov_solve(apply_b, e, kTolerance, kMaxKrylovIterations, k_);
   // Read off z: p_ss = z (I - P) / s with s = sum(z (I - P)), and
   // p_ss V = (z ./ M) / s for V = (I - P)^-1 M^-1, so t_ss = p_ss V eps and
   // the second moment 2 p_ss V tau' take no level solve.  As the saturated
@@ -749,17 +735,25 @@ const SteadyStateResult& TransientSolver::steady_state() const {
   ss.interdeparture = cycle / s;
   ss.throughput = 1.0 / ss.interdeparture;
   // An iterative level's tau'_K carries the Neumann series' low bias, so
-  // one BiCGSTAB solve of its residual corrects it before it enters the
-  // second moment: (I - P) delta = M^-1 eps - (I - P) tau'_K.  A factored
-  // level's tau'_K is exact to rounding and is used as it is.
+  // one Krylov solve of its residual corrects it before it enters the
+  // second moment: (I - P) delta = M^-1 eps - (I - P) tau'_K.  It stops at
+  // kTolerance relative to ||M^-1 eps||, not to the residual, which lies
+  // near the floor a true residual can reach (r = 0 makes the target
+  // infinite and delta = 0).  A factored level's tau'_K is exact to
+  // rounding and is used as it is.
   la::Vector tau_k = tau(k_);
   if (model_->level_factor_entries(k_) == 0) {
     la::Vector r = lm.p.apply(tau_k) - tau_k;
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] += 1.0 / lm.event_rates[i];
-    const la::IterativeResult delta = la::bicgstab_left(
-        [&lm](const la::Vector& v) { return v - lm.p.apply(v); }, r,
-        kTolerance);
-    if (delta.converged) tau_k += delta.x;
+    double eps_norm2 = 0.0;  // ||M^-1 eps||_2^2
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      r[i] += 1.0 / lm.event_rates[i];
+      eps_norm2 += 1.0 / (lm.event_rates[i] * lm.event_rates[i]);
+    }
+    tau_k += la::krylov_solve(
+                 [&lm](const la::Vector& v) { return v - lm.p.apply(v); }, r,
+                 kTolerance * std::sqrt(eps_norm2) / r.norm2(),
+                 kMaxKrylovIterations, k_)
+                 .x;
   }
   const double m2 = 2.0 * la::dot(sojourn, tau_k) / s;
   ss.interdeparture_scv =
@@ -768,17 +762,14 @@ const SteadyStateResult& TransientSolver::steady_state() const {
   sojourn /= cycle;
   time_stationary_ = std::move(sojourn);
   if constexpr (check::kEnabled) {
-    if (res.converged) {
-      // The steady-state law: p_ss Y_K R_K = p_ss on the simplex.
-      check::check_probability_vector(ss.distribution, "p_ss", k_,
-                                      kCheckTolerance);
-      const la::Vector next = apply_r(k_, apply_y(k_, ss.distribution));
-      check::check_fixed_point(ss.distribution, next, "p_ss Y_K R_K", k_,
-                               kCheckTolerance);
-    }
+    // The steady-state law: p_ss Y_K R_K = p_ss on the simplex.
+    check::check_probability_vector(ss.distribution, "p_ss", k_,
+                                    kCheckTolerance);
+    const la::Vector next = apply_r(k_, apply_y(k_, ss.distribution));
+    check::check_fixed_point(ss.distribution, next, "p_ss Y_K R_K", k_,
+                             kCheckTolerance);
   }
-  ss.iterations = iterations;
-  ss.converged = res.converged;
+  ss.iterations = res.iterations;
   steady_ = std::move(ss);
   return *steady_;
 }

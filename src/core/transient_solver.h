@@ -49,14 +49,14 @@ struct ModelOptions {
   /// Use a dense LU of (I - P_k) when D(k) is at most this; iterative above.
   std::size_t dense_threshold = 3000;
   /// Fail-fast mode (docs/ROBUSTNESS.md): a dense level whose condition
-  /// estimate is beyond `max_condition` throws finwork::SolverError instead
+  /// number is beyond `max_condition` throws finwork::SolverError instead
   /// of being reported.  A singular factorization or an exhausted iterative
   /// backend throws in either mode.
   bool strict = false;
-  /// Condition-number ceiling for dense factorizations of (I - P_k), as
-  /// estimated by LuDecomposition::rcond_estimate (0 = unlimited).  Beyond
-  /// it, strict mode throws; default mode reports the breach and keeps
-  /// solving the level with its factor.
+  /// Ceiling on kappa_inf of (I - P_k) on dense levels, exact there
+  /// (ModelArtifacts::level_condition); 0 = unlimited.  Beyond it, strict
+  /// mode throws; default mode reports the breach and keeps solving the
+  /// level with its factor.
   double max_condition = 0.0;
 };
 
@@ -104,9 +104,6 @@ struct SteadyStateResult {
   double interdeparture_scv = 0.0;
   /// Krylov iterations of the solve: BiCGSTAB's, plus GMRES's if it ran.
   std::size_t iterations = 0;
-  /// False when both Krylov stages stalled; the fields above are then not
-  /// a steady state.
-  bool converged = false;
 };
 
 /// Transient solver over a network's reduced-product state space.
@@ -227,7 +224,8 @@ class TransientSolver {
 
   /// Steady-state departure process: fixed point of Y_K R_K, read off one
   /// bordered Krylov solve for the stationary vector of the jump chain
-  /// P_K + Q_K R_K (BiCGSTAB, then GMRES if it stalls).  Note that
+  /// P_K + Q_K R_K (la::krylov_solve: throws SolverError{kNonConvergence,
+  /// kGmres} with level K if it stalls, memoizing nothing).  Note that
   /// `distribution` is the state seen at *departure epochs* (the embedded
   /// chain), which is what the epoch recursion needs.
   [[nodiscard]] const SteadyStateResult& steady_state() const;
@@ -248,7 +246,7 @@ class TransientSolver {
   /// Poisson; use THIS with station_occupancy for time-averaged queue
   /// lengths and utilizations (it reproduces the product-form marginals
   /// exactly for exponential networks — tested).  Read off steady_state()'s
-  /// solve; throws SolverError{kNonConvergence, kGmres} if that stalled.
+  /// solve, and throws what it throws.
   [[nodiscard]] const la::Vector& time_stationary_distribution() const;
 
  private:

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "check/fault_inject.h"
+#include "linalg/solver_error.h"
 #include "obs/counters.h"
 
 namespace finwork::la {
@@ -87,12 +88,13 @@ IterativeResult bicgstab_left(const RowOperator& apply_a, const Vector& b,
     res.residual = b.norm2();
     return res;
   }
+  const double bnorm = b.norm2();
+  res.converged = bnorm == 0.0;  // x = 0 solves x A = 0 exactly
   Vector r = b;  // r = b - x A with x = 0
   Vector r_hat = r;
   Vector p(n, 0.0);
   Vector v(n, 0.0);
   double rho = 1.0, alpha = 1.0, omega = 1.0;
-  const double bnorm = std::max(b.norm2(), 1e-300);
 
   // Restart the recurrence (r_hat <- r) when the BiCG coefficients become
   // numerically degenerate instead of giving up — standard stabilization for
@@ -103,8 +105,19 @@ IterativeResult bicgstab_left(const RowOperator& apply_a, const Vector& b,
     v.fill(0.0);
     rho = alpha = omega = 1.0;
   };
+  // The recurrence residual drifts from b - x A, so convergence is decided
+  // on the true residual; one that misses the target restarts the
+  // recurrence from it.
+  auto certified = [&] {
+    r = apply_a(res.x);
+    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+    res.residual = r.norm2() / bnorm;
+    if (res.residual < tol) return true;
+    restart();
+    return false;
+  };
 
-  for (std::size_t k = 1; k <= max_iter; ++k) {
+  for (std::size_t k = 1; k <= max_iter && !res.converged; ++k) {
     double rho_next = dot(r_hat, r);
     if (std::abs(rho_next) < 1e-30 * r.norm2() * r_hat.norm2() + 1e-300) {
       restart();
@@ -124,31 +137,25 @@ IterativeResult bicgstab_left(const RowOperator& apply_a, const Vector& b,
     alpha = rho / rhv;
     Vector s = r;
     axpy(-alpha, v, s);
+    axpy(alpha, p, res.x);
+    res.iterations = k;
     if (s.norm2() / bnorm < tol) {
-      axpy(alpha, p, res.x);
-      res.iterations = k;
-      res.converged = true;
-      res.residual = s.norm2() / bnorm;
-      obs::counter_add(obs::Counter::kBicgstabIterations, res.iterations);
-      return res;
+      res.converged = certified();
+      continue;
     }
     const Vector t = apply_a(s);
     const double tt = dot(t, t);
     if (tt < 1e-300) break;
     omega = dot(t, s) / tt;
-    axpy(alpha, p, res.x);
     axpy(omega, s, res.x);
     r = s;
     axpy(-omega, t, r);
-    res.iterations = k;
-    const double rel = r.norm2() / bnorm;
-    res.residual = rel;
-    if (rel < tol) {
-      res.converged = true;
-      obs::counter_add(obs::Counter::kBicgstabIterations, res.iterations);
-      return res;
+    res.residual = r.norm2() / bnorm;
+    if (res.residual < tol) {
+      res.converged = certified();
+    } else if (std::abs(omega) < 1e-300) {
+      restart();
     }
-    if (std::abs(omega) < 1e-300) restart();
   }
   obs::counter_add(obs::Counter::kBicgstabIterations, res.iterations);
   return res;
@@ -248,6 +255,25 @@ IterativeResult gmres_left(const RowOperator& apply_a, const Vector& b,
   res.converged = res.residual < tol;
   obs::counter_add(obs::Counter::kGmresIterations, applied);
   return res;
+}
+
+IterativeResult krylov_solve(const RowOperator& apply_a, const Vector& b,
+                             double tol, std::size_t max_iter,
+                             std::size_t level) {
+  IterativeResult res = bicgstab_left(apply_a, b, tol, max_iter);
+  if (res.converged) return res;
+  const std::size_t bicgstab_iterations = res.iterations;
+  res = gmres_left(apply_a, b, tol, max_iter);
+  res.iterations += bicgstab_iterations;
+  if (res.converged) return res;
+  SolverErrorContext ctx;
+  ctx.level = level;
+  ctx.dimension = b.size();
+  ctx.residual = res.residual;
+  ctx.iterations = res.iterations;
+  ctx.detail = "Krylov fallback exhausted (BiCGSTAB, GMRES)";
+  throw SolverError(SolverErrorKind::kNonConvergence, SolverStage::kGmres,
+                    std::move(ctx));
 }
 
 RowOperator row_operator(const CsrMatrix& m) {

@@ -1,12 +1,12 @@
 #pragma once
 // Iterative kernels for the large sparse systems the transient solver meets:
-//   * x (I - P) = b with substochastic P   (Neumann series, then BiCGSTAB
-//     and GMRES on the levels too large for an LU)
+//   * x (I - P) = b with substochastic P   (Neumann series, then
+//     krylov_solve on the levels too large for an LU)
 //   * z B = e_D, the steady state's jump chain bordered by its
-//     normalization (BiCGSTAB, then GMRES)
+//     normalization, and the tau'_K correction (krylov_solve)
 // The Krylov kernels take callables mapping a row vector to a row vector,
 // so CSR and matrix-free compositions (like I - P_K - Q_K R_K) share one
-// code path.
+// code path.  krylov_solve is the library's one Krylov policy.
 
 #include <cstddef>
 #include <functional>
@@ -61,7 +61,11 @@ namespace detail {
 
 /// BiCGSTAB for x A = b given the row action y = x * A.  General-purpose
 /// fallback when Neumann is slow.  No preconditioner (the systems are well
-/// conditioned: I minus a substochastic matrix).
+/// conditioned: I minus a substochastic matrix).  Converges on the true
+/// residual: whenever the recurrence residual meets `tol`, b - x A is
+/// recomputed, and a true residual that misses `tol` restarts the
+/// recurrence from it.  `residual` is the relative 2-norm; b = 0 returns
+/// x = 0, converged.
 [[nodiscard]] IterativeResult bicgstab_left(const RowOperator& apply_a,
                                             const Vector& b,
                                             double tol = 1e-12,
@@ -76,6 +80,17 @@ namespace detail {
                                          const Vector& b, double tol = 1e-12,
                                          std::size_t max_iter = 10000,
                                          std::size_t restart = 30);
+
+/// The one Krylov policy: BiCGSTAB, then GMRES from scratch if BiCGSTAB
+/// stalls, each to relative 2-norm residual `tol` within `max_iter`
+/// operator applications.  Returns the converged result with the two
+/// stages' iterations summed; throws SolverError(kNonConvergence, kGmres)
+/// with the dimension, GMRES's residual, the summed iterations and the
+/// caller's `level` when GMRES stalls too.
+[[nodiscard]] IterativeResult krylov_solve(const RowOperator& apply_a,
+                                           const Vector& b, double tol,
+                                           std::size_t max_iter,
+                                           std::size_t level);
 
 /// Convenience row-operator over a CSR matrix.
 [[nodiscard]] RowOperator row_operator(const CsrMatrix& m);

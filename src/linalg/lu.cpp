@@ -190,7 +190,6 @@ LuDecomposition::LuDecomposition(const CsrMatrix& a) {
     throw std::invalid_argument("LuDecomposition: matrix is not square");
   }
   check_dimension(n);
-  norm_inf_a_ = a.norm_inf();
   Columns f(n, a.nnz());
   {
     // The columns of A: a counting transpose of its rows, so each column
@@ -224,7 +223,6 @@ LuDecomposition::LuDecomposition(const Matrix& a) {
   }
   const std::size_t n = a.rows();
   check_dimension(n);
-  norm_inf_a_ = a.norm_inf();
   Columns f(n, n * n);
   eliminate(f, [&a, n](std::size_t j, auto&& put) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -248,7 +246,7 @@ void LuDecomposition::eliminate(Columns& f, const ColumnOfA& column_of_a) {
     row[i].slot = static_cast<std::uint32_t>(i);
   }
   if (check::fault_at("lu/factorize")) {
-    throw_singular(n, 0, norm_inf_a_, 0.0, "injected singular factorization");
+    throw_singular(n, 0, 0.0, 0.0, "injected singular factorization");
   }
 
   // A column holds every row of its panel's list from its own position up
@@ -593,19 +591,6 @@ double LuDecomposition::determinant() const noexcept {
   double d = pivot_sign_;
   for (const double u : diag_) d *= u;
   return d;
-}
-
-double LuDecomposition::rcond_estimate() const {
-  // 1 / (||A||_inf * ||A^-1 p||_inf) for one probe p of alternating signs,
-  // ||p||_inf = 1: ||A^-1 p||_inf <= ||A^-1||_inf, so this never reads below
-  // the true reciprocal condition.
-  const std::size_t n = dim();
-  Vector probe(n);
-  for (std::size_t i = 0; i < n; ++i) probe[i] = (i % 2 == 0) ? 1.0 : -1.0;
-  const Vector sol = solve(probe);
-  const double inv_norm = sol.norm_inf();
-  if (inv_norm == 0.0 || norm_inf_a_ == 0.0) return 0.0;
-  return 1.0 / (norm_inf_a_ * inv_norm);
 }
 
 Vector solve(const Matrix& a, const Vector& b) {

@@ -62,12 +62,6 @@ class LuDecomposition {
   [[nodiscard]] Matrix solve(const Matrix& b) const;
   /// det(A), including the pivot sign.
   [[nodiscard]] double determinant() const noexcept;
-  /// Estimated reciprocal condition number in the infinity norm, from one
-  /// solve with a +-1 probe (0 means effectively singular).  The probe
-  /// bounds ||A^-1||_inf from below, so the estimate is at least the true
-  /// reciprocal condition and 1 / rcond_estimate() is a lower bound on
-  /// kappa_inf(A): an ill-conditioned matrix can read as well conditioned.
-  [[nodiscard]] double rcond_estimate() const;
 
  private:
   /// The off-diagonal nonzeros of one triangular factor, row-compressed:
@@ -91,7 +85,6 @@ class LuDecomposition {
   std::vector<double> diag_;      // diagonal of U
   std::vector<std::size_t> piv_;  // row permutation
   int pivot_sign_ = 1;
-  double norm_inf_a_ = 0.0;  // infinity norm of the original matrix
 };
 
 /// One-shot convenience wrappers.

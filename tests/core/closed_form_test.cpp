@@ -96,7 +96,6 @@ TEST(ClosedForm, MachineRepairmanSteadyStateThroughput) {
 
   const core::TransientSolver solver(machine_repairman(lambda, mu, k), k);
   const core::SteadyStateResult& ss = solver.steady_state();
-  ASSERT_TRUE(ss.converged);
   EXPECT_NEAR(ss.throughput, throughput, 1e-9);
 }
 

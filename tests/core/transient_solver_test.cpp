@@ -140,7 +140,6 @@ TEST(TransientSolver, SteadyStateIsFixedPoint) {
   const core::TransientSolver solver(
       cluster::build_cluster(central_config(5)), 5);
   const core::SteadyStateResult& ss = solver.steady_state();
-  ASSERT_TRUE(ss.converged);
   const la::Vector cycled = solver.apply_r(5, solver.apply_y(5, ss.distribution));
   EXPECT_TRUE(la::allclose(cycled, ss.distribution, 1e-8, 1e-10));
   EXPECT_NEAR(ss.distribution.sum(), 1.0, 1e-10);

@@ -14,6 +14,7 @@
 #include "core/metrics.h"
 #include "core/model_cache.h"
 #include "core/transient_solver.h"
+#include "linalg/solver_error.h"
 #include "obs/counters.h"
 
 namespace cluster = finwork::cluster;
@@ -254,11 +255,9 @@ struct IterativeCase {
 void PrintTo(const IterativeCase& c, std::ostream* os) { *os << c.name; }
 
 /// The paper's shapes and the extreme ones the config accepts (C^2 = 100,
-/// a power tail, Erlang-100), each on a small cluster.  Left out: an
-/// Erlang-100 remote disk, alone or with an Erlang-100 CPU.  Its levels
-/// stall the Neumann series, and BiCGSTAB then reports convergence on its
-/// recurrence residual while the true residual is far larger, so the
-/// iterative backend misses the dense LU there (docs/ROBUSTNESS.md §2).
+/// a power tail, Erlang-100 CPU or remote disk), each on a small cluster.
+/// Left out: an Erlang-100 CPU together with an Erlang-100 remote disk,
+/// on which the iterative stage throws (ErlangLimit below).
 std::vector<IterativeCase> iterative_cases() {
   std::vector<IterativeCase> cases;
   const auto add = [&](std::string name, cluster::ExperimentConfig cfg) {
@@ -283,6 +282,13 @@ std::vector<IterativeCase> iterative_cases() {
   cluster::ExperimentConfig erlang_cpu = central_coarse(2);
   erlang_cpu.shapes.cpu = cluster::ServiceShape::erlang(100);
   add("CpuErlang100", erlang_cpu);
+  cluster::ExperimentConfig erlang_disk = central(2);
+  erlang_disk.shapes.remote_disk = cluster::ServiceShape::erlang(100);
+  add("RemoteErlang100", erlang_disk);
+  cluster::ExperimentConfig erlang_disk_distributed = central(1);
+  erlang_disk_distributed.architecture = cluster::Architecture::kDistributed;
+  erlang_disk_distributed.shapes.remote_disk = erlang_disk.shapes.remote_disk;
+  add("DistributedRemoteErlang100", erlang_disk_distributed);
   return cases;
 }
 
@@ -336,3 +342,38 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<IterativeCase>& param_info) {
       return param_info.param.name;
     });
+
+// Central K = 1 with an Erlang-100 CPU and remote disk, every level on the
+// iterative stage: P_1 is close to a cyclic shift, Neumann and GMRES(30)
+// stall at their caps, and BiCGSTAB's true residual never meets the target
+// although its recurrence residual does.  Both queries throw
+// non_convergence; neither returns a finite wrong makespan (it once read
+// 5.8e15 with no error).
+TEST(ErlangLimit, CpuAndDiskErlang100OnTheIterativeStageThrows) {
+  cluster::ExperimentConfig cfg = central(1);
+  cfg.shapes.cpu = cluster::ServiceShape::erlang(100);
+  cfg.shapes.remote_disk = cluster::ServiceShape::erlang(100);
+  core::ModelOptions iterative_opts;
+  iterative_opts.dense_threshold = 0;
+  const finwork::net::NetworkSpec spec = cluster::build_cluster(cfg);
+  const std::vector<std::size_t> grid{1, 10, 50};
+  // Each query gets a fresh model: the throw leaves level 1 unprepared, and
+  // under ThreadSanitizer a call_once whose callable threw blocks every
+  // later call on that flag.
+  const auto expect_non_convergence = [&](const auto& query) {
+    try {
+      query(core::TransientSolver(std::make_shared<const core::ModelArtifacts>(
+          spec, 1, iterative_opts)));
+      FAIL() << "expected SolverError";
+    } catch (const finwork::SolverError& e) {
+      EXPECT_EQ(e.kind(), finwork::SolverErrorKind::kNonConvergence);
+      EXPECT_EQ(e.stage(), finwork::SolverStage::kGmres);
+      EXPECT_EQ(e.context().level, 1u);
+    }
+  };
+  expect_non_convergence(
+      [&](const core::TransientSolver& s) { (void)s.makespan_grid(grid); });
+  expect_non_convergence([&](const core::TransientSolver& s) {
+    (void)s.makespan_moments_grid(grid);
+  });
+}

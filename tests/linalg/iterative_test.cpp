@@ -1,9 +1,11 @@
-// Tests for the iterative kernels: Neumann series, BiCGSTAB, the Neumann kernel.
+// Tests for the iterative kernels: Neumann series, BiCGSTAB, the Krylov
+// fallback, the Neumann kernel.
 
 #include "linalg/iterative.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <stdexcept>
@@ -11,6 +13,7 @@
 
 #include "cluster/experiments.h"
 #include "linalg/lu.h"
+#include "linalg/solver_error.h"
 #include "network/state_space.h"
 
 namespace la = finwork::la;
@@ -116,6 +119,64 @@ TEST(Bicgstab, AgreesWithLuOnHardSystem) {
   const la::IterativeResult res = la::bicgstab_left(apply_a, b, 1e-13);
   ASSERT_TRUE(res.converged);
   EXPECT_TRUE(la::allclose(res.x, dense, 1e-6, 1e-8));
+}
+
+TEST(KrylovSolve, DriftedRecurrenceResidualIsRestartedNotReturned) {
+  const la::Matrix p = random_substochastic(12, 0.05, 4);
+  la::Matrix a = la::identity(12);
+  a -= p;
+  la::Vector b(12);
+  for (std::size_t i = 0; i < 12; ++i) b[i] = std::cos(static_cast<double>(i));
+  // The first product is off by 1e-3 in one entry, so BiCGSTAB's
+  // recurrence residual runs to zero while b - x A keeps that gap.
+  std::size_t applications = 0;
+  const auto drifting = [&](const la::Vector& x) {
+    la::Vector y = x * a;
+    if (applications++ == 0) y[3] += 1e-3;
+    return y;
+  };
+  const la::IterativeResult res = la::bicgstab_left(drifting, b, 1e-12);
+  ASSERT_TRUE(res.converged);
+  la::Vector r = b;
+  r -= res.x * a;
+  EXPECT_LT(r.norm2() / b.norm2(), 1e-12);
+  EXPECT_LT(res.residual, 1e-12);
+  EXPECT_TRUE(la::allclose(res.x, la::solve_left(a, b), 1e-9, 1e-12));
+}
+
+TEST(KrylovSolve, ZeroRightHandSideIsConverged) {
+  const la::Matrix p = random_substochastic(8, 0.1, 3);
+  la::Matrix a = la::identity(8);
+  a -= p;
+  const auto apply_a = [&a](const la::Vector& x) { return x * a; };
+  const la::Vector zero(8, 0.0);
+  const la::IterativeResult res = la::bicgstab_left(apply_a, zero);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.iterations, 0u);
+  EXPECT_EQ(res.residual, 0.0);
+  EXPECT_TRUE(bitwise_equal(res.x, zero));
+  EXPECT_TRUE(
+      bitwise_equal(la::krylov_solve(apply_a, zero, 1e-12, 10, 1).x, zero));
+}
+
+TEST(KrylovSolve, ExhaustedStagesThrowNonConvergenceWithContext) {
+  const la::Matrix p = random_substochastic(12, 0.05, 4);
+  la::Matrix a = la::identity(12);
+  a -= p;
+  const auto apply_a = [&a](const la::Vector& x) { return x * a; };
+  const la::Vector b(12, 1.0);
+  EXPECT_TRUE(la::krylov_solve(apply_a, b, 1e-12, 100, 7).converged);
+  try {
+    (void)la::krylov_solve(apply_a, b, 1e-12, 1, 7);
+    FAIL() << "expected SolverError";
+  } catch (const finwork::SolverError& e) {
+    EXPECT_EQ(e.kind(), finwork::SolverErrorKind::kNonConvergence);
+    EXPECT_EQ(e.stage(), finwork::SolverStage::kGmres);
+    EXPECT_EQ(e.context().level, 7u);
+    EXPECT_EQ(e.context().dimension, 12u);
+    EXPECT_EQ(e.context().iterations, 2u);  // one BiCGSTAB, one GMRES
+    EXPECT_GT(e.context().residual, 1e-12);
+  }
 }
 
 TEST(RowOperator, CsrAndDenseAgree) {

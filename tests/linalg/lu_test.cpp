@@ -123,17 +123,6 @@ TEST(Lu, SolveMatrixRhs) {
   EXPECT_TRUE(la::allclose(a * x, b, 1e-9, 1e-10));
 }
 
-TEST(Lu, RcondReasonableForWellConditioned) {
-  const la::LuDecomposition lu(la::identity(4));
-  EXPECT_GT(lu.rcond_estimate(), 0.1);
-}
-
-TEST(Lu, RcondSmallForNearSingular) {
-  la::Matrix a{{1.0, 1.0}, {1.0, 1.0 + 1e-12}};
-  const la::LuDecomposition lu(a);
-  EXPECT_LT(lu.rcond_estimate(), 1e-9);
-}
-
 TEST(Lu, SizeMismatchThrows) {
   la::LuDecomposition lu(la::identity(3));
   EXPECT_THROW((void)lu.solve(la::Vector(2)), std::invalid_argument);
@@ -425,16 +414,6 @@ TEST(LuCompact, Fig5CentralK8Level8BitIdentical) {
   expect_bit_identical(a, 8);
 }
 
-TEST(LuCompact, RcondMatchesDenseSolveOfProbe) {
-  // rcond_estimate is one solve of the alternating-sign probe.
-  const la::Matrix a = random_sparse_pivoted(50, 0.1, 9);
-  const la::LuDecomposition lu(a);
-  la::Vector probe(50);
-  for (std::size_t i = 0; i < 50; ++i) probe[i] = (i % 2 == 0) ? 1.0 : -1.0;
-  const double want = 1.0 / (a.norm_inf() * DenseLu(a).solve(probe).norm_inf());
-  EXPECT_EQ(bits(lu.rcond_estimate()), bits(want));
-}
-
 TEST(LuCompact, SingularContextUnchanged) {
   // Elimination is exact on these power-of-two rows: column 2's pivot is
   // exactly zero, after a largest pivot of 2.
@@ -487,11 +466,9 @@ namespace {
 /// of the diagonal, and the same SolverError on a zero pivot.  Its sweeps
 /// are DenseLu's; it also counts the steps that met an exact pivot tie.
 struct RightLookingLu : DenseLu {
-  double norm_inf = 0.0;
   std::size_t ties = 0;
 
   explicit RightLookingLu(la::Matrix a) {
-    norm_inf = a.norm_inf();
     lu = std::move(a);
     const std::size_t n = lu.rows();
     piv.resize(n);
@@ -561,20 +538,10 @@ struct RightLookingLu : DenseLu {
     }
     return nnz;
   }
-
-  [[nodiscard]] double rcond_estimate() const {
-    const std::size_t n = lu.rows();
-    la::Vector probe(n);
-    for (std::size_t i = 0; i < n; ++i) probe[i] = (i % 2 == 0) ? 1.0 : -1.0;
-    const double inv_norm = solve(probe).norm_inf();
-    if (inv_norm == 0.0 || norm_inf == 0.0) return 0.0;
-    return 1.0 / (norm_inf * inv_norm);
-  }
 };
 
 /// The factor of `lu` carries the oracle's bits: solve and solve_left on
-/// several right-hand sides, the determinant, the condition estimate and the
-/// stored entries.
+/// several right-hand sides, the determinant and the stored entries.
 void expect_matches(const la::LuDecomposition& lu, const RightLookingLu& ref,
                     unsigned seed, const std::string& what) {
   const std::size_t n = ref.lu.rows();
@@ -589,7 +556,6 @@ void expect_matches(const la::LuDecomposition& lu, const RightLookingLu& ref,
         << what << ": solve_left, rhs " << r;
   }
   EXPECT_EQ(bits(lu.determinant()), bits(ref.determinant())) << what;
-  EXPECT_EQ(bits(lu.rcond_estimate()), bits(ref.rcond_estimate())) << what;
   EXPECT_EQ(lu.stored_entries(), ref.stored_entries()) << what;
 }
 

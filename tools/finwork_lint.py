@@ -33,6 +33,10 @@ bench/ are allowed to print):
       of the table in docs/ROBUSTNESS.md §3 name the same sites, so no probe
       is unarmable, no registered site is dead and the docs list them all.
       A repository-wide rule: it runs when no paths are given
+  R10 no `bicgstab_left(` / `gmres_left(` in src/ outside
+      src/linalg/iterative.{h,cpp} — every Krylov solve goes through
+      la::krylov_solve, so the library keeps one Krylov policy (tests,
+      tools and the benchmark may call the stages directly)
 
 Usage:
   python3 tools/finwork_lint.py [paths...]
@@ -67,6 +71,9 @@ SERIAL_DIRS = {"core", "network"}
 POOL_RE = re.compile(r"\bparallel_for\b|\bThreadPool\b")
 POOL_INCLUDE_RE = re.compile(r'\s*#\s*include\s*"parallel/thread_pool\.h"')
 DENSIFY_RE = re.compile(r"\.\s*to_dense\s*\(")
+KRYLOV_STAGE_RE = re.compile(r"\b(bicgstab|gmres)_left\s*\(")
+ITERATIVE_FILES = {Path("src/linalg/iterative.h"),
+                   Path("src/linalg/iterative.cpp")}
 # Matched against stripped code, where a string literal is its two quotes
 # around blanks; the site name is read from the raw text at the same offsets.
 BLANKED_LITERAL_RE = re.compile(r'" *"')
@@ -146,6 +153,7 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
     in_obs = in_src and len(rel.parts) > 1 and rel.parts[1] == "obs"
     pooled_spmv_banned = in_src and rel not in SPARSE_FILES
     densify_banned = in_src and rel not in SPARSE_FILES
+    krylov_banned = in_src and rel not in ITERATIVE_FILES
     in_parallel = in_src and len(rel.parts) > 1 and rel.parts[1] == "parallel"
     submit_banned = in_src and not in_parallel and rel not in SUBMIT_EXEMPT
     pool_banned = in_src and len(rel.parts) > 1 and \
@@ -186,6 +194,10 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
             problems.append(
                 f"{rel}:{lineno}: [no-densify] densified sparse matrix in "
                 "src/; factor and apply level operators in sparse form")
+        if krylov_banned and KRYLOV_STAGE_RE.search(line):
+            problems.append(
+                f"{rel}:{lineno}: [krylov-policy] direct Krylov stage call "
+                "in src/; solve through la::krylov_solve")
         if submit_banned and SUBMIT_RE.search(line):
             problems.append(
                 f"{rel}:{lineno}: [raw-submit] pool submit in src/ outside "

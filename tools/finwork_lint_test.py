@@ -5,7 +5,8 @@ Builds a throwaway tree with one known violation per rule plus the cases
 that must NOT fire (src/obs/ stream access, `= delete` declarations,
 prints under tools/, the pooled SpMV kernel and densification in
 src/linalg/sparse.cpp, pool submits in src/parallel/, pool dispatch in
-the src/cluster/ sweeps, densification in tests/), runs the linter
+the src/cluster/ sweeps, densification in tests/, the Krylov stages in
+src/linalg/iterative.cpp and in tests/), runs the linter
 in-process, and checks that exactly the expected rule tags fire on the
 expected files.  The repository-wide rule R9 runs on two more trees: one
 whose fault sites agree and one with a dead, an unregistered and an
@@ -143,6 +144,28 @@ FIXTURES = {
     "tests/good_submit_test.cpp": (
         "void t(ThreadPool& pool) { (void)pool.submit([] {}); }\n"
     ),
+    # R10: Krylov stages called directly in src/; the comment and string
+    # mentions must not fire.
+    "src/core/bad_krylov.cpp": (
+        "// bicgstab_left(op, b) in a comment is fine\n"
+        "Vector f(const RowOperator& op, const Vector& b) {\n"
+        "  IterativeResult r = la::bicgstab_left(op, b, 1e-12);\n"
+        "  const char* s = \"gmres_left(\";\n"
+        "  return la::gmres_left (op, b).x;\n"
+        "}\n"
+    ),
+    # R10 negative: the Krylov policy itself runs both stages, and tests
+    # call them directly.
+    "src/linalg/iterative.cpp": (
+        "IterativeResult krylov_solve(const RowOperator& op,\n"
+        "                             const Vector& b) {\n"
+        "  IterativeResult res = bicgstab_left(op, b);\n"
+        "  return res.converged ? res : gmres_left(op, b);\n"
+        "}\n"
+    ),
+    "tests/good_krylov_test.cpp": (
+        "auto r = la::gmres_left(op, b, 1e-12, 100, 30);\n"
+    ),
 }
 
 # (substring of the fixture path, rule tag) pairs that must each appear
@@ -166,6 +189,8 @@ EXPECTED = [
     ("src/network/bad_fan_out.cpp:3", "[serial-pool]"),
     ("src/core/bad_densify.cpp:3", "[no-densify]"),
     ("src/core/bad_densify.cpp:6", "[no-densify]"),
+    ("src/core/bad_krylov.cpp:3", "[krylov-policy]"),
+    ("src/core/bad_krylov.cpp:5", "[krylov-policy]"),
 ]
 
 # Files that must produce no findings at all.
@@ -178,6 +203,8 @@ CLEAN = [
     "tests/good_submit_test.cpp",
     "src/cluster/good_fan_out.cpp",
     "tests/good_densify_test.cpp",
+    "src/linalg/iterative.cpp",
+    "tests/good_krylov_test.cpp",
 ]
 
 
