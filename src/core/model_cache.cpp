@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,7 +14,6 @@
 #include "linalg/solver_error.h"
 #include "network/network_spec.h"
 #include "obs/counters.h"
-#include "obs/sink.h"
 #include "obs/trace.h"
 
 namespace finwork::core {
@@ -41,12 +39,6 @@ constexpr double kTolerance = 1e-12;
 constexpr std::size_t kMaxNeumannIterations = 20000;
 constexpr std::size_t kMaxKrylovIterations = 20000;
 
-std::string format_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 /// r = b - x(I - P) = b - x + xP for a row solve, through `gather` (P^T);
 /// a column solve mirrors it through P.
 la::Vector residual(const la::GatherMatrix& gather, const la::Vector& b,
@@ -59,7 +51,7 @@ la::Vector residual(const la::GatherMatrix& gather, const la::Vector& b,
 
 }  // namespace
 
-la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
+la::Vector ModelArtifacts::ladder_solve(const Prepared& lvl, std::size_t k,
                                         const la::Vector& b, bool left) const {
   // Stage 1: dense LU, on every level prepared_level factorized.
   if (lvl.lu) {
@@ -84,28 +76,25 @@ la::Vector ModelArtifacts::ladder_solve(const Level& lvl, std::size_t k,
 
 const la::GatherMatrix& ModelArtifacts::gather_operator(std::size_t k,
                                                         bool left) const {
-  Level& lvl = levels_[k];
-  const std::size_t side = left ? 0 : 1;
-  std::call_once(lvl.gather_once[side], [&] {
+  return levels_[k].gather[left ? 0 : 1].get_or_init([&] {
     const la::CsrMatrix& p = space_.level(k).p;
-    lvl.gather[side].emplace(left ? la::GatherMatrix::transpose_of(p)
-                                  : la::GatherMatrix(p));
+    return left ? la::GatherMatrix::transpose_of(p) : la::GatherMatrix(p);
   });
-  return *lvl.gather[side];
 }
 
-const ModelArtifacts::Level& ModelArtifacts::prepared_level(
+const ModelArtifacts::Prepared& ModelArtifacts::prepared_level(
     std::size_t k) const {
   if (k == 0 || k > k_) throw std::out_of_range("ModelArtifacts: bad level");
-  Level& lvl = levels_[k];
-  if (lvl.prepared.load(std::memory_order_acquire)) {
+  par::OnceCell<Prepared>& cell = levels_[k].prepared;
+  if (const Prepared* built = cell.get()) {
     obs::counter_add(obs::Counter::kLuReuseHits);
-    return lvl;
+    return *built;
   }
-  std::call_once(lvl.once, [&] {
+  return cell.get_or_init([&] {
     const obs::ObsSpan span("solver/prepare_level");
     const net::LevelMatrices& lm = space_.level(k);
     const std::size_t d = space_.dimension(k);
+    Prepared lvl;
     if (d <= opts_.dense_threshold) {
       const obs::ObsSpan factor_span("solver/factorize_level");
       const la::CsrMatrix a = la::CsrMatrix::identity_minus(lm.p);
@@ -122,24 +111,10 @@ const ModelArtifacts::Level& ModelArtifacts::prepared_level(
           a.norm_inf() * lvl.lu->solve(la::Vector(d, 1.0)).norm_inf();
       obs::counter_add(obs::Counter::kConditionEstimates);
       if (opts_.max_condition > 0.0 && lvl.condition > opts_.max_condition) {
-        if (opts_.strict) {
-          SolverErrorContext ctx;
-          ctx.level = k;
-          ctx.dimension = d;
-          ctx.condition_estimate = lvl.condition;
-          ctx.detail =
-              "condition number beyond ModelOptions::max_condition in "
-              "strict mode";
-          throw SolverError(SolverErrorKind::kIllConditioned,
-                            SolverStage::kLuFactorize, std::move(ctx));
-        }
-        obs::counter_add(obs::Counter::kFallbackActivations);
-        obs::emit_event("degradation/ill-conditioned", "(I-P_k)", k,
-                        obs::kNoIndex,
-                        "condition number " + format_double(lvl.condition) +
-                            " beyond max_condition " +
-                            format_double(opts_.max_condition) +
-                            "; the level keeps solving with its factor");
+        throw SolverError(
+            SolverErrorKind::kIllConditioned, SolverStage::kLuFactorize,
+            {.level = k, .dimension = d, .condition_estimate = lvl.condition,
+             .detail = "condition number beyond ModelOptions::max_condition"});
       }
     }
     // tau'_k = (I - P_k)^-1 (M_k^-1 eps)
@@ -152,9 +127,8 @@ const ModelArtifacts::Level& ModelArtifacts::prepared_level(
       check::check_finite(lvl.tau, "tau'_k", k);
       check::check_positive_rates(lvl.tau, "tau'_k", k);
     }
-    lvl.prepared.store(true, std::memory_order_release);
+    return lvl;
   });
-  return lvl;
 }
 
 const la::Vector& ModelArtifacts::tau(std::size_t k) const {
@@ -168,7 +142,7 @@ la::Vector ModelArtifacts::solve_left(std::size_t k,
 
 la::Vector ModelArtifacts::solve_right(std::size_t k, const la::Vector& b,
                                        const la::Vector& start) const {
-  const Level& lvl = prepared_level(k);
+  const Prepared& lvl = prepared_level(k);
   if (lvl.lu || start.empty()) return ladder_solve(lvl, k, b, /*left=*/false);
   la::Vector x = ladder_solve(
       lvl, k, residual(gather_operator(k, /*left=*/false), b, start),
@@ -179,26 +153,22 @@ la::Vector ModelArtifacts::solve_right(std::size_t k, const la::Vector& b,
 
 const la::Vector& ModelArtifacts::drain_mean(std::size_t k) const {
   const la::Vector& tau_k = tau(k);  // validates k
-  Level& lvl = levels_[k];
-  std::call_once(lvl.h_once, [&] {
+  return levels_[k].h.get_or_init([&] {
     const la::Vector below = k == 1 ? la::Vector(1, 0.0) : drain_mean(k - 1);
-    lvl.h = tau_k + solve_right(k, space_.level(k).q.apply(below));
+    return tau_k + solve_right(k, space_.level(k).q.apply(below));
   });
-  return lvl.h;
 }
 
 const la::Vector& ModelArtifacts::drain_second(std::size_t k) const {
   const la::Vector& h_k = drain_mean(k);
-  Level& lvl = levels_[k];
-  std::call_once(lvl.x_once, [&] {
+  return levels_[k].x.get_or_init([&] {
     const net::LevelMatrices& lm = space_.level(k);
     la::Vector flow =
         lm.q.apply(k == 1 ? la::Vector(1, 0.0) : drain_second(k - 1));
     const la::Vector& rates = lm.event_rates;
     for (std::size_t i = 0; i < flow.size(); ++i) flow[i] += h_k[i] / rates[i];
-    lvl.x = solve_right(k, flow);
+    return solve_right(k, flow);
   });
-  return lvl.x;
 }
 
 double ModelArtifacts::level_condition(std::size_t k) const {
@@ -206,7 +176,7 @@ double ModelArtifacts::level_condition(std::size_t k) const {
 }
 
 std::size_t ModelArtifacts::level_factor_entries(std::size_t k) const {
-  const Level& lvl = prepared_level(k);
+  const Prepared& lvl = prepared_level(k);
   return lvl.lu ? lvl.lu->stored_entries() : 0;
 }
 
@@ -253,7 +223,7 @@ std::vector<std::uint8_t> canonical_model_key(const net::NetworkSpec& spec,
                                               const ModelOptions& options) {
   std::vector<std::uint8_t> key;
   key.reserve(256);
-  key.push_back(4);  // encoding version (v4: solve tolerances now constants)
+  key.push_back(5);  // encoding version (v5: no strict byte)
   put_u64(key, workstations);
   put_u64(key, spec.num_stations());
   for (const net::Station& st : spec.stations()) {
@@ -267,7 +237,6 @@ std::vector<std::uint8_t> canonical_model_key(const net::NetworkSpec& spec,
   put_matrix(key, spec.routing());
   put_vector(key, spec.exit());
   put_u64(key, options.dense_threshold);
-  key.push_back(options.strict ? 1 : 0);
   put_double(key, options.max_condition);
   return key;
 }

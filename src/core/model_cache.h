@@ -11,10 +11,9 @@
 // iterative level then solves only for the correction from it, which is how
 // the moments admission loop turns a mixing trajectory into short series.
 // It is immutable from the outside and safe to share across threads — every
-// lazily-built piece is published through a once-flag or an acquire/release
-// atomic — so any number of TransientSolver instances (e.g. the points of a
-// figure sweep running under parallel_for) can evaluate the same model
-// concurrently without rebuilding it.
+// lazily-built piece is a par::OnceCell — so any number of TransientSolver
+// instances (e.g. the points of a figure sweep running under parallel_for)
+// can evaluate the same model concurrently without rebuilding it.
 //
 // ModelCache maps a *canonical byte encoding* of the model inputs (station
 // shapes at double precision, routing, contention, K, and the model options)
@@ -27,7 +26,6 @@
 // long as any solver still holds its shared_ptr.
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -42,6 +40,7 @@
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
 #include "network/state_space.h"
+#include "parallel/once_cell.h"
 
 namespace finwork::core {
 
@@ -90,41 +89,35 @@ class ModelArtifacts {
   [[nodiscard]] std::size_t level_factor_entries(std::size_t k) const;
 
  private:
-  // Per-level artifacts.  Non-movable (once_flag, atomic), so levels_ is a
-  // fixed array sized k_ + 1 at construction.
-  struct Level {
-    std::once_flag once;
-    std::atomic<bool> prepared{false};
+  /// A level's backend and tau'_k, built together: the dense LU of
+  /// (I - P_k) and its kappa_inf when D(k) <= dense_threshold, else none.
+  struct Prepared {
     std::optional<la::LuDecomposition> lu;
-    /// The grouped gather operators, P_k^T for left solves [0] and P_k for
-    /// column solves [1]; each built on the level's first solve in its
-    /// direction that reaches the iterative stage.
-    std::array<std::once_flag, 2> gather_once;
-    std::array<std::optional<la::GatherMatrix>, 2> gather;
     la::Vector tau;
-    /// kappa_inf of (I - P_k) (0 = no LU).
     double condition = 0.0;
-    /// Drain vectors h_k and x_k, each built on its first request.
-    std::once_flag h_once;
-    la::Vector h;
-    std::once_flag x_once;
-    la::Vector x;
+  };
+  /// Per-level cells (non-movable, so levels_ is a fixed array of k_ + 1):
+  /// the backend, the gather operators P_k^T [0] and P_k [1] (each built on
+  /// the first iterative solve in its direction) and the drain vectors.
+  struct Level {
+    par::OnceCell<Prepared> prepared;
+    std::array<par::OnceCell<la::GatherMatrix>, 2> gather;
+    par::OnceCell<la::Vector> h;
+    par::OnceCell<la::Vector> x;
   };
 
-  /// Factorize (I - P_k) and build tau'_k exactly once; returns the level
-  /// with `prepared` visible.  This decides the level's backend: the dense
-  /// LU when D(k) <= dense_threshold, the iterative stage otherwise.  A
-  /// failed factorization throws its SolverError with the level attached,
-  /// and the level stays unprepared (call_once does not latch on a throw).
-  const Level& prepared_level(std::size_t k) const;
+  /// The level's Prepared, built on first use.  A failed factorization
+  /// throws its SolverError with the level attached, and a dense level whose
+  /// kappa_inf exceeds max_condition throws SolverError(kIllConditioned,
+  /// kLuFactorize); either way the level stays unbuilt.
+  const Prepared& prepared_level(std::size_t k) const;
   /// Fallback-ladder solve of x (I - P_k) = b (left) or (I - P_k) x = b
-  /// (right) against an already-prepared level (no re-entry into
-  /// prepared_level — call_once would self-deadlock).  Two stages: the
-  /// level's dense LU, or Neumann -> la::krylov_solve, which throws
+  /// (right) against level k's backend `lvl`.  Two stages: the level's
+  /// dense LU, or Neumann -> la::krylov_solve, which throws
   /// SolverError(kNonConvergence, kGmres) when GMRES is exhausted too.  See
   /// docs/ROBUSTNESS.md.
-  la::Vector ladder_solve(const Level& lvl, std::size_t k, const la::Vector& b,
-                          bool left) const;
+  la::Vector ladder_solve(const Prepared& lvl, std::size_t k,
+                          const la::Vector& b, bool left) const;
   /// The operator the iterative stage applies, as a serial grouped gather
   /// (la::GatherMatrix): P_k^T for row solves, P_k for column solves, each
   /// built once, on first use, so dense levels hold neither and a level

@@ -48,15 +48,10 @@ class ModelArtifacts;
 struct ModelOptions {
   /// Use a dense LU of (I - P_k) when D(k) is at most this; iterative above.
   std::size_t dense_threshold = 3000;
-  /// Fail-fast mode (docs/ROBUSTNESS.md): a dense level whose condition
-  /// number is beyond `max_condition` throws finwork::SolverError instead
-  /// of being reported.  A singular factorization or an exhausted iterative
-  /// backend throws in either mode.
-  bool strict = false;
   /// Ceiling on kappa_inf of (I - P_k) on dense levels, exact there
-  /// (ModelArtifacts::level_condition); 0 = unlimited.  Beyond it, strict
-  /// mode throws; default mode reports the breach and keeps solving the
-  /// level with its factor.
+  /// (ModelArtifacts::level_condition); 0 = unlimited.  A dense level beyond
+  /// it throws SolverError(kIllConditioned, kLuFactorize) and stays unbuilt
+  /// (docs/ROBUSTNESS.md).
   double max_condition = 0.0;
 };
 

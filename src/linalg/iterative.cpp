@@ -163,10 +163,10 @@ IterativeResult bicgstab_left(const RowOperator& apply_a, const Vector& b,
 
 IterativeResult gmres_left(const RowOperator& apply_a, const Vector& b,
                            double tol, std::size_t max_iter,
-                           std::size_t restart) {
+                           std::size_t restart, const Vector& start) {
   IterativeResult res;
   const std::size_t n = b.size();
-  res.x = Vector(n, 0.0);
+  res.x = start.empty() ? Vector(n, 0.0) : start;
   if (check::fault_at("iterative/gmres")) {
     res.residual = b.norm2();
     return res;
@@ -263,17 +263,16 @@ IterativeResult krylov_solve(const RowOperator& apply_a, const Vector& b,
   IterativeResult res = bicgstab_left(apply_a, b, tol, max_iter);
   if (res.converged) return res;
   const std::size_t bicgstab_iterations = res.iterations;
-  res = gmres_left(apply_a, b, tol, max_iter);
+  Vector r = b;
+  r -= apply_a(res.x);
+  res = gmres_left(apply_a, b, tol, max_iter, 30,
+                   r.norm2() < b.norm2() ? res.x : Vector{});
   res.iterations += bicgstab_iterations;
   if (res.converged) return res;
-  SolverErrorContext ctx;
-  ctx.level = level;
-  ctx.dimension = b.size();
-  ctx.residual = res.residual;
-  ctx.iterations = res.iterations;
-  ctx.detail = "Krylov fallback exhausted (BiCGSTAB, GMRES)";
   throw SolverError(SolverErrorKind::kNonConvergence, SolverStage::kGmres,
-                    std::move(ctx));
+                    {.level = level, .dimension = b.size(),
+                     .residual = res.residual, .iterations = res.iterations,
+                     .detail = "Krylov fallback exhausted (BiCGSTAB, GMRES)"});
 }
 
 RowOperator row_operator(const CsrMatrix& m) {

@@ -75,18 +75,21 @@ namespace detail {
 /// heavy-duty Krylov backend of the fallback ladder (docs/ROBUSTNESS.md):
 /// monotone residual reduction where BiCGSTAB's two-term recurrences can
 /// stagnate, at the cost of `restart` stored basis vectors.  `max_iter`
-/// bounds the total operator applications across restarts.
+/// bounds the total operator applications across restarts.  A non-empty
+/// `start` is the first iterate (x = 0 otherwise).
 [[nodiscard]] IterativeResult gmres_left(const RowOperator& apply_a,
                                          const Vector& b, double tol = 1e-12,
                                          std::size_t max_iter = 10000,
-                                         std::size_t restart = 30);
+                                         std::size_t restart = 30,
+                                         const Vector& start = {});
 
-/// The one Krylov policy: BiCGSTAB, then GMRES from scratch if BiCGSTAB
-/// stalls, each to relative 2-norm residual `tol` within `max_iter`
-/// operator applications.  Returns the converged result with the two
-/// stages' iterations summed; throws SolverError(kNonConvergence, kGmres)
-/// with the dimension, GMRES's residual, the summed iterations and the
-/// caller's `level` when GMRES stalls too.
+/// The one Krylov policy: BiCGSTAB, then GMRES if BiCGSTAB stalls, each to
+/// relative 2-norm residual `tol` within `max_iter` operator applications;
+/// GMRES starts from BiCGSTAB's iterate if its true residual is below ||b||,
+/// from 0 otherwise.  Returns the converged result with the two stages'
+/// iterations summed; throws SolverError(kNonConvergence, kGmres) with the
+/// dimension, GMRES's residual, the summed iterations and the caller's
+/// `level` when GMRES stalls too.
 [[nodiscard]] IterativeResult krylov_solve(const RowOperator& apply_a,
                                            const Vector& b, double tol,
                                            std::size_t max_iter,

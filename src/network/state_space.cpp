@@ -57,8 +57,7 @@ StateSpace::StateSpace(const NetworkSpec& spec, std::size_t max_population)
       }
     }
     level_codes_.resize(max_pop_ + 1);
-    level_matrices_.resize(max_pop_ + 1);
-    level_once_ = std::make_unique<std::once_flag[]>(max_pop_ + 1);
+    levels_ = std::make_unique<par::OnceCell<LevelMatrices>[]>(max_pop_ + 1);
     for (std::size_t k = 0; k <= max_pop_; ++k) enumerate_level(k);
   }
   std::uint64_t total = 0;
@@ -166,11 +165,10 @@ std::string StateSpace::describe(std::size_t k, std::size_t idx) const {
 
 const LevelMatrices& StateSpace::level(std::size_t k) const {
   if (k == 0 || k > max_pop_) throw std::out_of_range("StateSpace::level");
-  std::call_once(level_once_[k], [&] { build_level(k); });
-  return level_matrices_[k];
+  return levels_[k].get_or_init([&] { return build_level(k); });
 }
 
-void StateSpace::build_level(std::size_t k) const {
+LevelMatrices StateSpace::build_level(std::size_t k) const {
   const obs::ObsSpan span("state_space/build_level");
   obs::counter_add(obs::Counter::kLevelsBuilt);
   if (check::fault_at("state_space/assemble")) {
@@ -278,8 +276,7 @@ void StateSpace::build_level(std::size_t k) const {
     check::check_level_flow(lm.p, lm.q, k);
     check::check_stochastic(lm.r, "R_k", k);
   }
-
-  level_matrices_[k] = std::move(lm);
+  return lm;
 }
 
 la::Vector StateSpace::initial_vector(std::size_t k) const {

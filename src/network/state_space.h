@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "linalg/sparse.h"
 #include "network/network_spec.h"
 #include "network/station.h"
+#include "parallel/once_cell.h"
 
 namespace finwork::net {
 
@@ -75,10 +75,10 @@ class StateSpace {
   [[nodiscard]] std::string describe(std::size_t k, std::size_t idx) const;
 
   /// Level matrices for population k (1 <= k <= K); built on first use.
-  /// Thread-safe: concurrent callers for the same level block until one
-  /// build completes.  The build is one serial pass on the calling thread,
-  /// row by row into CSR.  A build that throws leaves the level unbuilt, so
-  /// the next call retries.
+  /// Thread-safe (par::OnceCell): concurrent callers for the same level
+  /// block until one build completes.  The build is one serial pass on the
+  /// calling thread, row by row into CSR.  A build that throws leaves the
+  /// level unbuilt, so the next call builds it again.
   [[nodiscard]] const LevelMatrices& level(std::size_t k) const;
 
   /// The paper's initial vector p_K = p R_2 R_3 ... R_K: the state
@@ -93,7 +93,7 @@ class StateSpace {
 
  private:
   void enumerate_level(std::size_t k);
-  void build_level(std::size_t k) const;
+  [[nodiscard]] LevelMatrices build_level(std::size_t k) const;
   /// N(j, r): the ways to place r customers on stations j..s-1.
   [[nodiscard]] std::size_t ways(std::size_t j, std::size_t r) const noexcept {
     return ways_[j * (max_pop_ + 1) + r];
@@ -114,10 +114,8 @@ class StateSpace {
   std::vector<std::size_t> ways_;   // (stations + 1) x (K + 1)
   std::vector<std::size_t> below_;  // stations x (K + 1) x (K + 1)
   std::vector<std::vector<std::uint32_t>> level_codes_;
-  mutable std::vector<LevelMatrices> level_matrices_;
-  // One flag per level: call_once both serializes concurrent builders of the
-  // same level and publishes the built matrices to later readers.
-  mutable std::unique_ptr<std::once_flag[]> level_once_;
+  // One cell per level (index 0 unused).
+  mutable std::unique_ptr<par::OnceCell<LevelMatrices>[]> levels_;
 };
 
 }  // namespace finwork::net

@@ -40,7 +40,6 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "cache.model_misses",
     "cache.model_evictions",
     "solver.grid_points_per_pass",
-    "solver.fallback_activations",
     "linalg.condition_estimates",
     "solver.trajectory_reuses",
     "linalg.simd_sweeps",

@@ -46,8 +46,6 @@ enum class Counter : std::size_t {
   kModelCacheMisses,     ///< ModelCache lookups that built a new model
   kModelCacheEvictions,  ///< models evicted by the LRU capacity bound
   kGridPointsPerPass,    ///< N-grid points harvested by single-pass sweeps
-  kFallbackActivations,  ///< one per level whose condition estimate
-                         ///< breached max_condition
   kConditionEstimates,   ///< condition estimates computed at factorization
   kTrajectoryReuses,     ///< grid passes served from a solver's saturated memo
   kSimdSweeps,           ///< Neumann sweeps run by the AVX-512 kernel

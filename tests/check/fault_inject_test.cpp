@@ -75,38 +75,33 @@ TEST_F(FaultInjectTest, RegistryListsEveryLadderSite) {
 }
 
 TEST_F(FaultInjectTest, SingularFactorizationThrowsWithItsLevel) {
-  // A singular factor throws in every mode, with the level it belongs to
-  // and the pivot that failed; strict changes nothing here.
+  // A singular factor throws with the level it belongs to and the pivot
+  // that failed.
   const finwork::net::NetworkSpec spec = small_cluster();
-  for (const bool strict : {false, true}) {
-    SCOPED_TRACE(strict ? "strict" : "default");
-    core::ModelOptions opts;
-    opts.strict = strict;
-    const core::ModelArtifacts model(spec, 2, opts);
-    const std::uint64_t fired = check::fault_fire_count("lu/factorize");
-    check::arm_fault("lu/factorize", 1);
-    try {
-      (void)model.tau(1);
-      FAIL() << "expected SolverError";
-    } catch (const SolverError& e) {
-      EXPECT_EQ(e.kind(), SolverErrorKind::kSingular);
-      EXPECT_EQ(e.stage(), SolverStage::kLuFactorize);
-      EXPECT_EQ(e.context().level, 1u);
-      EXPECT_EQ(e.context().pivot, 0u);
-      EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos);
-    }
-    EXPECT_EQ(check::fault_fire_count("lu/factorize"), fired + 1);
-    // The throw left the level unprepared (call_once does not latch on a
-    // throw), so the disarmed retry factors it and keeps the dense bits.
-    const core::ModelArtifacts healthy(spec, 2, opts);
-    EXPECT_EQ(model.level_factor_entries(1), healthy.level_factor_entries(1));
-    EXPECT_GT(model.level_factor_entries(1), 0u);
-    const finwork::la::Vector& got = model.tau(1);
-    const finwork::la::Vector& want = healthy.tau(1);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "component " << i;
-    }
+  const core::ModelArtifacts model(spec, 2);
+  const std::uint64_t fired = check::fault_fire_count("lu/factorize");
+  check::arm_fault("lu/factorize", 1);
+  try {
+    (void)model.tau(1);
+    FAIL() << "expected SolverError";
+  } catch (const SolverError& e) {
+    EXPECT_EQ(e.kind(), SolverErrorKind::kSingular);
+    EXPECT_EQ(e.stage(), SolverStage::kLuFactorize);
+    EXPECT_EQ(e.context().level, 1u);
+    EXPECT_EQ(e.context().pivot, 0u);
+    EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos);
+  }
+  EXPECT_EQ(check::fault_fire_count("lu/factorize"), fired + 1);
+  // The throw left the level unbuilt, so the disarmed retry factors it and
+  // keeps the dense bits.
+  const core::ModelArtifacts healthy(spec, 2);
+  EXPECT_EQ(model.level_factor_entries(1), healthy.level_factor_entries(1));
+  EXPECT_GT(model.level_factor_entries(1), 0u);
+  const finwork::la::Vector& got = model.tau(1);
+  const finwork::la::Vector& want = healthy.tau(1);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "component " << i;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/transient_solver.h"
+#include "linalg/solver_error.h"
 #include "obs/counters.h"
 
 namespace cluster = finwork::cluster;
@@ -238,35 +239,34 @@ TEST(Config, SweepRunsEachModelOncePerPoint) {
 
 TEST(Config, SweepBuildsEveryModelWithTheGivenOptions) {
   namespace core = finwork::core;
-  namespace obs = finwork::obs;
   const auto spec = parse(R"({
     "workstations": 3, "tasks": 12,
     "sweep": {"parameter": "remote_scv", "values": [1, 10, 50]}
   })");
   const auto plain = cluster::run_sweep(spec);
 
-  // max_condition = 1 flags every dense level of every point's models as
-  // ill-conditioned; each level reports the breach and keeps solving with
-  // its factor, so the numbers keep their bits.
-  core::ModelOptions capped;
-  capped.max_condition = 1.0;
-  obs::counters_reset();
-  const auto capped_table = cluster::run_sweep(spec, capped);
-  EXPECT_GT(obs::counter_value(obs::Counter::kFallbackActivations), 0u);
-
-  // Strict mode changes nothing on a model that never degrades.
-  core::ModelOptions strict;
-  strict.strict = true;
-  const auto strict_table = cluster::run_sweep(spec, strict);
-
-  ASSERT_EQ(capped_table.num_rows(), plain.num_rows());
-  ASSERT_EQ(strict_table.num_rows(), plain.num_rows());
+  // A ceiling above every level's condition number changes nothing.
+  core::ModelOptions loose;
+  loose.max_condition = 1e8;
+  const auto loose_table = cluster::run_sweep(spec, loose);
+  ASSERT_EQ(loose_table.num_rows(), plain.num_rows());
   for (std::size_t r = 0; r < plain.num_rows(); ++r) {
     for (std::size_t c = 0; c < plain.num_columns(); ++c) {
-      const double want = plain.at(r, c);
-      EXPECT_EQ(capped_table.at(r, c), want) << "row " << r << " col " << c;
-      EXPECT_EQ(strict_table.at(r, c), want) << "row " << r << " col " << c;
+      EXPECT_EQ(loose_table.at(r, c), plain.at(r, c))
+          << "row " << r << " col " << c;
     }
+  }
+
+  // max_condition = 1 is below every (I - P_k)'s condition number, so the
+  // sweep's models throw on their first dense level.
+  core::ModelOptions capped;
+  capped.max_condition = 1.0;
+  try {
+    (void)cluster::run_sweep(spec, capped);
+    FAIL() << "expected SolverError";
+  } catch (const finwork::SolverError& e) {
+    EXPECT_EQ(e.kind(), finwork::SolverErrorKind::kIllConditioned);
+    EXPECT_EQ(e.stage(), finwork::SolverStage::kLuFactorize);
   }
 }
 

@@ -58,19 +58,18 @@ TEST(CanonicalKeyTest, DistinguishesShapePopulationAndOptions) {
 }
 
 TEST(CanonicalKeyTest, EncodesEveryModelOptionAtTheTail) {
-  // Version 4 layout: the model inputs, then dense_threshold (u64, little
-  // endian), strict (one byte) and max_condition (the double's bits).
-  const core::ModelOptions opts{7, true, 0.5};
+  // Version 5 layout: the model inputs, then dense_threshold (u64, little
+  // endian) and max_condition (the double's bits).
+  const core::ModelOptions opts{7, 0.5};
   const auto base = core::canonical_model_key(make_cluster(3, 4.0), 3);
   const auto key = core::canonical_model_key(make_cluster(3, 4.0), 3, opts);
   ASSERT_EQ(key.size(), base.size());
-  ASSERT_GT(key.size(), 17u);
-  EXPECT_EQ(key.front(), 4u);
-  const std::size_t tail = key.size() - 17;
+  ASSERT_GT(key.size(), 16u);
+  EXPECT_EQ(key.front(), 5u);
+  const std::size_t tail = key.size() - 16;
   EXPECT_TRUE(std::equal(key.begin(), key.begin() + tail, base.begin()));
   std::vector<std::uint8_t> want;
   for (int i = 0; i < 8; ++i) want.push_back(i == 0 ? 7 : 0);
-  want.push_back(1);
   const auto bits = std::bit_cast<std::uint64_t>(0.5);
   for (int i = 0; i < 8; ++i) {
     want.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));

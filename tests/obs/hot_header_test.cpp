@@ -8,6 +8,7 @@
 #include "core/transient_solver.h"
 #include "linalg/lu.h"
 #include "network/state_space.h"
+#include "parallel/once_cell.h"
 #include "parallel/thread_pool.h"
 
 #ifdef FINWORK_OBS_INCLUDED

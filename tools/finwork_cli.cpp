@@ -1,8 +1,8 @@
 // finwork_cli — run a transient-model experiment from a JSON config.
 //
 // Usage:
-//   finwork_cli [--trace-out=FILE] [--stats] [--strict]
-//               [--max-condition=X] <config.json>
+//   finwork_cli [--trace-out=FILE] [--stats] [--max-condition=X]
+//               <config.json>
 //   finwork_cli --example          # print an annotated example config
 //
 // Observability (docs/OBSERVABILITY.md):
@@ -11,11 +11,9 @@
 //   --stats            print the span summary and counter registry
 //
 // Robustness (docs/ROBUSTNESS.md):
-//   --strict           fail fast when a level's condition estimate exceeds
-//                      --max-condition instead of reporting it
-//   --max-condition=X  treat any level whose condition estimate exceeds X
-//                      as degraded (reported in default mode, fatal under
-//                      --strict); 0 = unlimited
+//   --max-condition=X  fail (exit 1, ill_conditioned/lu_factorize) when a
+//                      dense level's condition number exceeds X;
+//                      0 = unlimited
 //
 // Outputs: select them with the config's "outputs" array; kOutputs below
 // lists every name, the default set and what a sweep prints.  An unknown
@@ -109,8 +107,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--stats") {
       stats = true;
-    } else if (arg == "--strict") {
-      model_options.strict = true;
     } else if (arg.rfind("--max-condition=", 0) == 0) {
       const std::string value = arg.substr(16);
       std::size_t used = 0;
@@ -141,7 +137,7 @@ int main(int argc, char** argv) {
     }
   }
   if (positional.size() != 1 || (!trace_out.empty() && trace_out[0] == '-')) {
-    std::cerr << "usage: finwork_cli [--trace-out=FILE] [--stats] [--strict] "
+    std::cerr << "usage: finwork_cli [--trace-out=FILE] [--stats] "
                  "[--max-condition=X] <config.json> | finwork_cli --example\n";
     return 2;
   }

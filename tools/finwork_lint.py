@@ -37,6 +37,11 @@ bench/ are allowed to print):
       src/linalg/iterative.{h,cpp} — every Krylov solve goes through
       la::krylov_solve, so the library keeps one Krylov policy (tests,
       tools and the benchmark may call the stages directly)
+  R11 no `std::call_once` / `std::once_flag` in src/ outside
+      src/parallel/once_cell.h — every lazy build-once value is a
+      par::OnceCell, which leaves the value unbuilt when its build throws so
+      the next call builds again (std::call_once's retry after a throw
+      hangs under ThreadSanitizer)
 
 Usage:
   python3 tools/finwork_lint.py [paths...]
@@ -74,6 +79,8 @@ DENSIFY_RE = re.compile(r"\.\s*to_dense\s*\(")
 KRYLOV_STAGE_RE = re.compile(r"\b(bicgstab|gmres)_left\s*\(")
 ITERATIVE_FILES = {Path("src/linalg/iterative.h"),
                    Path("src/linalg/iterative.cpp")}
+CALL_ONCE_RE = re.compile(r"\bstd::(call_once|once_flag)\b")
+ONCE_CELL_FILE = Path("src/parallel/once_cell.h")
 # Matched against stripped code, where a string literal is its two quotes
 # around blanks; the site name is read from the raw text at the same offsets.
 BLANKED_LITERAL_RE = re.compile(r'" *"')
@@ -154,6 +161,7 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
     pooled_spmv_banned = in_src and rel not in SPARSE_FILES
     densify_banned = in_src and rel not in SPARSE_FILES
     krylov_banned = in_src and rel not in ITERATIVE_FILES
+    call_once_banned = in_src and rel != ONCE_CELL_FILE
     in_parallel = in_src and len(rel.parts) > 1 and rel.parts[1] == "parallel"
     submit_banned = in_src and not in_parallel and rel not in SUBMIT_EXEMPT
     pool_banned = in_src and len(rel.parts) > 1 and \
@@ -198,6 +206,10 @@ def lint_file(path: Path, repo_root: Path) -> list[str]:
             problems.append(
                 f"{rel}:{lineno}: [krylov-policy] direct Krylov stage call "
                 "in src/; solve through la::krylov_solve")
+        if call_once_banned and CALL_ONCE_RE.search(line):
+            problems.append(
+                f"{rel}:{lineno}: [once-cell] std::call_once/once_flag in "
+                "src/; build lazy values through par::OnceCell")
         if submit_banned and SUBMIT_RE.search(line):
             problems.append(
                 f"{rel}:{lineno}: [raw-submit] pool submit in src/ outside "

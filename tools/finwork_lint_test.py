@@ -6,9 +6,9 @@ that must NOT fire (src/obs/ stream access, `= delete` declarations,
 prints under tools/, the pooled SpMV kernel and densification in
 src/linalg/sparse.cpp, pool submits in src/parallel/, pool dispatch in
 the src/cluster/ sweeps, densification in tests/, the Krylov stages in
-src/linalg/iterative.cpp and in tests/), runs the linter
-in-process, and checks that exactly the expected rule tags fire on the
-expected files.  The repository-wide rule R9 runs on two more trees: one
+src/linalg/iterative.cpp and in tests/, once-flags in the cell's header and
+in tests/), runs the linter in-process, and checks that exactly the
+expected rule tags fire on the expected files.  The repository-wide rule R9 runs on two more trees: one
 whose fault sites agree and one with a dead, an unregistered and an
 undocumented site.
 
@@ -166,6 +166,24 @@ FIXTURES = {
     "tests/good_krylov_test.cpp": (
         "auto r = la::gmres_left(op, b, 1e-12, 100, 30);\n"
     ),
+    # R11: a once-flag in src/; the comment and string mentions must not
+    # fire.
+    "src/core/bad_once.cpp": (
+        "// std::call_once in a comment is fine\n"
+        "std::once_flag flag;\n"
+        "const char* s = \"std::call_once\";\n"
+        "void f() { std::call_once(flag, [] {}); }\n"
+    ),
+    # R11 negative: the cell's own header, and tests, may name them.
+    "src/parallel/once_cell.h": (
+        "#pragma once\n"
+        "#include <mutex>\n"
+        "static_assert(sizeof(std::once_flag) > 0);\n"
+    ),
+    "tests/good_once_test.cpp": (
+        "std::once_flag flag;\n"
+        "void t() { std::call_once(flag, [] {}); }\n"
+    ),
 }
 
 # (substring of the fixture path, rule tag) pairs that must each appear
@@ -191,6 +209,8 @@ EXPECTED = [
     ("src/core/bad_densify.cpp:6", "[no-densify]"),
     ("src/core/bad_krylov.cpp:3", "[krylov-policy]"),
     ("src/core/bad_krylov.cpp:5", "[krylov-policy]"),
+    ("src/core/bad_once.cpp:2", "[once-cell]"),
+    ("src/core/bad_once.cpp:4", "[once-cell]"),
 ]
 
 # Files that must produce no findings at all.
@@ -205,6 +225,8 @@ CLEAN = [
     "tests/good_densify_test.cpp",
     "src/linalg/iterative.cpp",
     "tests/good_krylov_test.cpp",
+    "src/parallel/once_cell.h",
+    "tests/good_once_test.cpp",
 ]
 
 
